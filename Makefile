@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/experiments/... ./internal/mdp/... ./internal/sarsa/... .
 # plus the daemon's signal-drain tests.
 FAULT_PKGS = ./internal/resilience/... ./internal/httpapi/ ./cmd/rlplannerd/
 
-.PHONY: check vet build test race faults repofaults bench-hot bench-json servebench trainbench userbench scalebench mcbench
+.PHONY: check vet build test race faults repofaults fuzz bench-hot bench-json servebench trainbench userbench scalebench mcbench
 
 check: vet build test race faults
 
@@ -39,6 +39,15 @@ faults:
 repofaults:
 	$(GO) test -race ./internal/repo/...
 	$(GO) test -race ./internal/httpapi/ -run 'TestRepo|TestPreload'
+
+# Short fuzz runs over the parsers that take untrusted bytes: policy
+# artifacts (POST /api/policies/import, a shared -policy-dir) and the
+# compact bitset container ops. go test fuzzes one target per run. The
+# minimization cap keeps a 10 s run fuzzing: shrinking each multi-KB
+# artifact input under the default 60 s budget took most of the run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadArtifact$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bitset/
 
 # Microbenchmarks for the per-step MDP loop; run with -benchmem so alloc
 # regressions are visible.

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"github.com/rlplanner/rlplanner/internal/core"
@@ -15,9 +16,9 @@ import (
 
 // artifactLoadFailures counts failed artifact restores process-wide —
 // truncated or corrupt gob streams, fingerprint mismatches, out-of-range
-// payloads — surfaced as artifact_load_failures_total in /api/metrics. A
-// climbing figure means a repository (or an operator's import pipeline)
-// is feeding the daemon bad artifacts.
+// or non-finite payloads — surfaced as artifact_load_failures_total in
+// /api/metrics. A climbing figure means a repository (or an operator's
+// import pipeline) is feeding the daemon bad artifacts.
 var artifactLoadFailures atomic.Int64
 
 // ArtifactLoadFailures reports the cumulative failed-restore count.
@@ -146,7 +147,8 @@ func decodeArtifact(r io.Reader, inst *dataset.Instance) (artifact, error) {
 }
 
 // restoreValues rebuilds the Q-table policy of a tabular artifact,
-// restoring the representation it was saved from.
+// restoring the representation it was saved from. It is the one place a
+// serialized Q payload is checked.
 func restoreValues(a artifact, inst *dataset.Instance) (*sarsa.Policy, error) {
 	if a.Items != inst.Catalog.Len() {
 		return nil, fmt.Errorf("engine: policy covers %d items, instance %q has %d", a.Items, inst.Name, inst.Catalog.Len())
@@ -159,9 +161,8 @@ func restoreValues(a artifact, inst *dataset.Instance) (*sarsa.Policy, error) {
 		q := qtable.NewWithDenseMax(a.Items, 1) // keep the trained sparse form
 		for i := range a.QS {
 			s, e := int(a.QS[i]), int(a.QE[i])
-			if s < 0 || s >= a.Items || e < 0 || e >= a.Items {
-				return nil, fmt.Errorf("engine: corrupt %s artifact: cell (%d,%d) out of range [0,%d)",
-					a.Engine, s, e, a.Items)
+			if err := checkCell(&a, s, e, a.QV[i]); err != nil {
+				return nil, err
 			}
 			q.Set(s, e, a.QV[i])
 		}
@@ -173,10 +174,28 @@ func restoreValues(a artifact, inst *dataset.Instance) (*sarsa.Policy, error) {
 	q := qtable.NewWithDenseMax(a.Items, a.Items) // keep the saved dense form
 	for s := 0; s < a.Items; s++ {
 		for e := 0; e < a.Items; e++ {
-			q.Set(s, e, a.Q[s*a.Items+e])
+			v := a.Q[s*a.Items+e]
+			if err := checkCell(&a, s, e, v); err != nil {
+				return nil, err
+			}
+			q.Set(s, e, v)
 		}
 	}
 	return &sarsa.Policy{Q: q, IDs: a.IDs}, nil
+}
+
+// checkCell refuses a cell outside the Items×Items table or holding NaN
+// or ±Inf. Eq. 2 rewards are bounded and every TD step is a convex
+// combination (α ≤ 1, γ ≤ 1), so a trained table is always finite: a
+// non-finite cell can only come from a corrupt or forged artifact.
+func checkCell(a *artifact, s, e int, v float64) error {
+	if s < 0 || s >= a.Items || e < 0 || e >= a.Items {
+		return fmt.Errorf("engine: corrupt %s artifact: cell (%d,%d) out of range [0,%d)", a.Engine, s, e, a.Items)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("engine: corrupt %s artifact: Q(%d,%d) = %v is not finite", a.Engine, s, e, v)
+	}
+	return nil
 }
 
 // Load restores a policy artifact against an instance. opts rebind the

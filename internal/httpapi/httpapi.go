@@ -88,7 +88,7 @@ type Server struct {
 	// knobs, applied to every training run, not part of any cache key.
 	distMatrixMax int
 	denseQMax     int
-	metrics    resilience.Metrics
+	metrics       resilience.Metrics
 
 	// overlays holds the per-(user, policy) personalization overlays —
 	// the serving half of the layered-read design. overlayBudget and

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -18,6 +19,10 @@ import (
 	"testing"
 
 	"github.com/rlplanner/rlplanner"
+	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
+	"github.com/rlplanner/rlplanner/internal/qtable"
+	"github.com/rlplanner/rlplanner/internal/sarsa"
 )
 
 const instName = "Univ-1 M.S. DS-CT"
@@ -262,6 +267,22 @@ func TestPolicyImportErrors(t *testing.T) {
 	}
 	if !strings.Contains(resp.Error, "different catalog") {
 		t.Fatalf("mismatch error = %q", resp.Error)
+	}
+
+	// Non-finite Q values: a well-formed artifact for the right catalog
+	// whose every Q cell is NaN is refused, not served.
+	dsct := univ.Univ1DSCT()
+	q := qtable.New(dsct.Catalog.Len())
+	q.Fill(math.NaN())
+	var forged bytes.Buffer
+	if err := engine.SaveValues(&forged, "sarsa", dsct, &sarsa.Policy{Q: q, IDs: dsct.Catalog.IDs()}); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST",
+		"/api/policies/import?instance="+url.QueryEscape(dsct.Name), &forged))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "not finite") {
+		t.Fatalf("non-finite artifact: status %d: %s", w.Code, w.Body.String())
 	}
 }
 

@@ -26,7 +26,7 @@ const DefaultTopK = 16
 // serve-many boundary the engine layer enforces.
 type Compiled struct {
 	n, k   int
-	v      Values
+	t      *Table
 	prefix []int32 // n rows × k entries, row-major
 	tails  []atomic.Pointer[[]int32]
 }
@@ -34,28 +34,23 @@ type Compiled struct {
 // Compile builds the per-state Q-descending action order for a frozen
 // table (dense or sparse). k bounds the eager prefix per state
 // (DefaultTopK when k <= 0, clamped to the table size).
-func Compile(v Values, k int) *Compiled {
-	if v == nil {
-		panic("qtable: compile nil values")
+func Compile(t *Table, k int) *Compiled {
+	if t == nil {
+		panic("qtable: compile nil table")
 	}
-	n := v.Size()
+	n := t.Size()
 	if k <= 0 {
 		k = DefaultTopK
 	}
 	if k > n {
 		k = n
 	}
-	c := &Compiled{n: n, k: k, v: v,
+	c := &Compiled{n: n, k: k, t: t,
 		prefix: make([]int32, n*k),
 		tails:  make([]atomic.Pointer[[]int32], n),
 	}
-	dense, _ := v.(*Table)
 	for s := 0; s < n; s++ {
-		var row []float64
-		if dense != nil {
-			row = dense.rowView(s)
-		}
-		c.fillPrefix(s, row)
+		c.fillPrefix(s, t.rowView(s))
 	}
 	return c
 }
@@ -66,7 +61,7 @@ func (c *Compiled) get(s, a int, row []float64) float64 {
 	if row != nil {
 		return row[a]
 	}
-	return c.v.Get(s, a)
+	return c.t.Get(s, a)
 }
 
 // better reports whether action a (value qa) precedes action b (value
@@ -107,10 +102,7 @@ func (c *Compiled) fullRow(s int) []int32 {
 	if t := c.tails[s].Load(); t != nil {
 		return *t
 	}
-	var row []float64
-	if dense, ok := c.v.(*Table); ok {
-		row = dense.rowView(s)
-	}
+	row := c.t.rowView(s)
 	order := make([]int32, c.n)
 	for a := range order {
 		order[a] = int32(a)
@@ -133,7 +125,7 @@ func (c *Compiled) Get(s, e int) float64 {
 	if e < 0 || e >= c.n {
 		panic(fmt.Sprintf("qtable: action %d out of range [0,%d)", e, c.n))
 	}
-	return c.v.Get(s, e)
+	return c.t.Get(s, e)
 }
 
 // K returns the eager prefix length.
@@ -148,10 +140,7 @@ func (c *Compiled) K() int { return c.k }
 // yet, or a tie run reaching the prefix boundary).
 func (c *Compiled) AppendArgMaxTies(s int, allowed func(e int) bool, buf []int) []int {
 	c.checkState(s)
-	var qrow []float64
-	if dense, ok := c.v.(*Table); ok {
-		qrow = dense.rowView(s)
-	}
+	qrow := c.t.rowView(s)
 	row := c.prefix[s*c.k : (s+1)*c.k]
 	inTail := false
 	var best float64

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// randomValues fills a dense and an equal sparse table with clustered
-// values so exact ties are common (the tie-break path is the risky one).
-func randomValues(t *testing.T, rng *rand.Rand, n int) (*Table, *Sparse) {
+// randomValues fills a dense and an equal sparse-backed table with
+// clustered values so exact ties are common (the tie-break path is the
+// risky one).
+func randomValues(t *testing.T, rng *rand.Rand, n int) (*Table, *Table) {
 	t.Helper()
 	dense := New(n)
-	sparse := NewSparse(n)
+	sparse := newSparseTable(n)
 	vals := []float64{-2, -1, 0, 0.5, 1, 1, 2.5} // duplicates on purpose
 	for s := 0; s < n; s++ {
 		for e := 0; e < n; e++ {
@@ -43,10 +44,10 @@ func randomMask(rng *rand.Rand, n int) func(int) bool {
 	return func(e int) bool { return allowed[e] }
 }
 
-// TestCompiledMatchesTableArgMax drives Compiled against the reference
-// Table/Sparse scans over random tables, masks and prefix lengths —
-// including k much smaller than n, so walks regularly exhaust the eager
-// prefix and fall back to the lazy tail.
+// TestCompiledMatchesTableArgMax drives Compiled, built over dense and
+// sparse-backed tables, against the reference Table scan over random
+// tables, masks and prefix lengths — including k much smaller than n, so
+// walks regularly exhaust the eager prefix and fall back to the lazy tail.
 func TestCompiledMatchesTableArgMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {

@@ -2,7 +2,7 @@ package qtable
 
 // oaRow is one state's visited-cell storage in a sparse-backed Table: an
 // open-addressed hash table from action index to Q value with linear
-// probing. Compared with the map-backed Sparse rows it has no per-entry
+// probing. Compared with a Go map per row it has no per-entry
 // allocation, no pointer chasing and deterministic growth — the per-step
 // Update on the learning hot loop is one hash plus a short probe run.
 //

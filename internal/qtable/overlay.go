@@ -34,7 +34,7 @@ const (
 //
 // An Overlay is NOT safe for concurrent use: one overlay belongs to one
 // user, and the per-user store serializes access with a per-entry lock.
-// The base it wraps must be frozen (Table, Sparse or Compiled after
+// The base it wraps must be frozen (Table, Compiled or Tiered after
 // training), exactly as the serving layer already guarantees.
 type Overlay struct {
 	base     Reader

@@ -1,8 +1,9 @@
 // Package qtable provides the |I|×|I| action-value table of §III-C.
 // Q(s, e) estimates the value of taking action e (moving to item e) from
 // state s (item s). The table supports masked arg-max queries (exclude
-// already-chosen items), snapshot persistence in both gob (compact) and
-// JSON (interoperable) encodings, and deterministic tie-breaking hooks.
+// already-chosen items) and deterministic tie-breaking hooks. The package
+// has no serialized form of its own: a learned table leaves the process
+// only inside the engine's policy artifact.
 //
 // A Table is backed by one of two representations behind one API. At or
 // below the dense threshold it is the classic dense row-major float64
@@ -17,10 +18,7 @@
 package qtable
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -38,9 +36,9 @@ const DefaultDenseMaxItems = 4096
 // Concurrency: Table does no locking. Mutators (Set, Update, Fill,
 // Merge) must not run concurrently with anything else, but once learning
 // completes the table is effectively immutable and the read-only methods
-// (Get, ArgMax, ArgMaxTies, Row, MaxAbs, WriteGob, WriteJSON) are safe
-// to call from any number of goroutines — the experiment pool relies on
-// this to share a learned policy across parallel evaluation runs.
+// (Get, ArgMax, ArgMaxTies, Row, EachStored, MaxAbs) are safe to call
+// from any number of goroutines — the experiment pool relies on this to
+// share a learned policy across parallel evaluation runs.
 type Table struct {
 	n    int
 	q    []float64 // dense row-major q[s*n+e]; nil for the sparse form
@@ -192,10 +190,10 @@ func (t *Table) ArgMax(s int, allowed func(e int) bool) (e int, ok bool) {
 	if row := t.rowView(s); row != nil {
 		return scanArgMax(t.n, func(a int) float64 { return row[a] }, allowed)
 	}
-	// Sparse fast path, mirroring Sparse.ArgMax: scan only the stored
-	// slots; when the best allowed stored value is positive it beats
-	// every absent (0) cell, so the O(n) merged scan is skipped. Stored
-	// zeros read as 0 and never qualify, exactly like absent cells.
+	// Sparse fast path: scan only the stored slots; when the best allowed
+	// stored value is positive it beats every absent (0) cell, so the O(n)
+	// merged scan is skipped. Stored zeros read as 0 and never qualify,
+	// exactly like absent cells.
 	r := &t.rows[s]
 	best, found := math.Inf(-1), false
 	e = -1
@@ -346,81 +344,4 @@ func (t *Table) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// snapshot is the serialized form shared by gob and JSON. Dense tables
-// fill Q (the historical layout, byte-identical with prior releases);
-// sparse tables fill the coordinate triples S/E/V sorted by (s, e), so
-// identical tables always encode to identical bytes. Exactly one payload
-// is present; gob matches fields by name, so either generation of reader
-// decodes either layout it knows about.
-type snapshot struct {
-	N int       `json:"n"`
-	Q []float64 `json:"q,omitempty"`
-	S []int32   `json:"s,omitempty"`
-	E []int32   `json:"e,omitempty"`
-	V []float64 `json:"v,omitempty"`
-}
-
-func (t *Table) snapshot() snapshot {
-	if t.q != nil {
-		return snapshot{N: t.n, Q: t.q}
-	}
-	snap := snapshot{N: t.n}
-	t.EachStored(func(s, e int, v float64) {
-		snap.S = append(snap.S, int32(s))
-		snap.E = append(snap.E, int32(e))
-		snap.V = append(snap.V, v)
-	})
-	return snap
-}
-
-// WriteGob writes the table in gob encoding.
-func (t *Table) WriteGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(t.snapshot())
-}
-
-// ReadGob reads a table previously written with WriteGob.
-func ReadGob(r io.Reader) (*Table, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("qtable: decode gob: %w", err)
-	}
-	return fromSnapshot(s)
-}
-
-// WriteJSON writes the table as JSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(t.snapshot())
-}
-
-// ReadJSON reads a table previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Table, error) {
-	var s snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("qtable: decode json: %w", err)
-	}
-	return fromSnapshot(s)
-}
-
-func fromSnapshot(s snapshot) (*Table, error) {
-	if len(s.S) == 0 && len(s.E) == 0 && len(s.V) == 0 {
-		if s.N < 0 || len(s.Q) != s.N*s.N {
-			return nil, fmt.Errorf("qtable: corrupt snapshot: n=%d, %d values", s.N, len(s.Q))
-		}
-		return &Table{n: s.N, q: s.Q}, nil
-	}
-	if s.N < 0 || len(s.Q) != 0 || len(s.S) != len(s.E) || len(s.S) != len(s.V) {
-		return nil, fmt.Errorf("qtable: corrupt snapshot: n=%d, %d/%d/%d coordinates",
-			s.N, len(s.S), len(s.E), len(s.V))
-	}
-	t := &Table{n: s.N, rows: make([]oaRow, s.N)}
-	for i := range s.S {
-		se, e := int(s.S[i]), int(s.E[i])
-		if se < 0 || se >= s.N || e < 0 || e >= s.N {
-			return nil, fmt.Errorf("qtable: corrupt snapshot: entry (%d,%d) out of range [0,%d)", se, e, s.N)
-		}
-		t.Set(se, e, s.V[i])
-	}
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package qtable
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,55 +133,6 @@ func TestRowCloneFill(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	q := New(5)
-	r := rand.New(rand.NewSource(1))
-	for s := 0; s < 5; s++ {
-		for e := 0; e < 5; e++ {
-			q.Set(s, e, r.NormFloat64())
-		}
-	}
-	var buf bytes.Buffer
-	if err := q.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(q, got) {
-		t.Fatal("gob round trip mismatch")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	q := New(3)
-	q.Set(0, 2, -1.25)
-	var buf bytes.Buffer
-	if err := q.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(q, got) {
-		t.Fatal("json round trip mismatch")
-	}
-}
-
-func TestReadRejectsCorrupt(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"n":3,"q":[1,2]}`))); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{`))); err == nil {
-		t.Fatal("truncated json accepted")
-	}
-	if _, err := ReadGob(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk gob accepted")
-	}
-}
-
 func TestPropertyUpdateContraction(t *testing.T) {
 	// With r = 0, terminal next state and α ∈ (0,1], |Q| shrinks.
 	f := func(v float64, aRaw uint8) bool {
@@ -225,20 +175,6 @@ func TestPropertyArgMaxIsMaximal(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func equal(a, b *Table) bool {
-	if a.Size() != b.Size() {
-		return false
-	}
-	for s := 0; s < a.Size(); s++ {
-		for e := 0; e < a.Size(); e++ {
-			if a.Get(s, e) != b.Get(s, e) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func BenchmarkUpdate(b *testing.B) {

@@ -2,8 +2,9 @@ package qtable
 
 // Reader is the read surface of an action-value table — the interface
 // every Q consumer on the serving path depends on, so the concrete
-// representation (dense Table, map-backed Sparse, compiled action order,
-// per-user Overlay) stays an implementation detail of this package.
+// representation (dense or sparse-backed Table, compiled action order,
+// tiered walk, per-user Overlay) stays an implementation detail of this
+// package.
 //
 // All implementations agree exactly on semantics: absent entries read as
 // 0, ArgMax breaks ties to the lowest index, and AppendArgMaxTies
@@ -30,7 +31,6 @@ type Reader interface {
 
 var (
 	_ Reader = (*Table)(nil)
-	_ Reader = (*Sparse)(nil)
 	_ Reader = (*Compiled)(nil)
 	_ Reader = (*Overlay)(nil)
 	_ Reader = (*Tiered)(nil)

@@ -6,25 +6,17 @@ import (
 	"testing/quick"
 )
 
-// readerFromDense builds every Reader implementation over the same
-// logical contents as the dense table: the map-backed sparse copy, a
-// sparse-backed Table (the representation forced regardless of n), the
-// compiled order (with a small k to force lazy-tail walks), the tiered
-// reader over the sparse-backed table, an empty overlay on dense and
-// sparse, and an overlay whose shadow cells happen to equal the base
+// readersFromDense builds every Reader implementation over the same
+// logical contents as the dense table: a sparse-backed Table (the
+// representation forced regardless of n), the compiled order (with a
+// small k to force lazy-tail walks), the tiered reader over the
+// sparse-backed table, an empty overlay on dense and sparse-backed
+// tables, and an overlay whose shadow cells happen to equal the base
 // values (shadowed-but-identical rows must not change results).
 func readersFromDense(dense *Table, rng *rand.Rand) map[string]Reader {
 	n := dense.Size()
-	sparse := NewSparse(n)
-	sparseTable := &Table{n: n, rows: make([]oaRow, n)}
-	for s := 0; s < n; s++ {
-		for e := 0; e < n; e++ {
-			if v := dense.Get(s, e); v != 0 {
-				sparse.Set(s, e, v)
-				sparseTable.Set(s, e, v)
-			}
-		}
-	}
+	sparseTable := newSparseTable(n)
+	dense.EachStored(sparseTable.Set)
 	k := 1
 	if n > 0 {
 		k = 1 + rng.Intn(n)
@@ -43,20 +35,19 @@ func readersFromDense(dense *Table, rng *rand.Rand) map[string]Reader {
 	return map[string]Reader{
 		"table":          dense,
 		"table/oarows":   sparseTable,
-		"sparse":         sparse,
 		"compiled":       compiled,
 		"tiered":         NewTiered(sparseTable),
 		"overlay/table":  NewOverlay(dense, 0),
-		"overlay/sparse": NewOverlay(sparse, 0),
+		"overlay/sparse": NewOverlay(sparseTable, 0),
 		"overlay/shadow": shadow,
 	}
 }
 
 // TestReaderEquivalence is the cross-implementation equivalence
-// property: every Reader — dense table, sparse-backed table, map
-// sparse, compiled walk, tiered walk, and overlays (empty and
-// value-identical shadows) — returns the same Get, ArgMax and
-// AppendArgMaxTies results under random contents and masks.
+// property: every Reader — dense table, sparse-backed table, compiled
+// walk, tiered walk, and overlays (empty and value-identical shadows) —
+// returns the same Get, ArgMax and AppendArgMaxTies results under random
+// contents and masks.
 func TestReaderEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

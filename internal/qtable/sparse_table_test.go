@@ -1,7 +1,6 @@
 package qtable
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -122,54 +121,6 @@ func TestSparseTableOpEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseSnapshotRoundTrip pins persistence of the sparse form: gob
-// and JSON round-trips reproduce every value, restore into the sparse
-// representation, and the coordinate payload is byte-deterministic —
-// two encodes of the same table are identical.
-func TestSparseSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q := newSparseTable(40)
-	for i := 0; i < 200; i++ {
-		q.Set(rng.Intn(40), rng.Intn(40), float64(rng.Intn(9)-4))
-	}
-	var g1, g2 bytes.Buffer
-	if err := q.WriteGob(&g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.WriteGob(&g2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g1.Bytes(), g2.Bytes()) {
-		t.Fatal("gob encoding of a sparse table is not deterministic")
-	}
-	back, err := ReadGob(&g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.IsDense() {
-		t.Fatal("gob round-trip of a sparse table restored dense")
-	}
-	var j bytes.Buffer
-	if err := q.WriteJSON(&j); err != nil {
-		t.Fatal(err)
-	}
-	jback, err := ReadJSON(&j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 40; s++ {
-		for e := 0; e < 40; e++ {
-			want := q.Get(s, e)
-			if v := back.Get(s, e); v != want {
-				t.Fatalf("gob round-trip: Get(%d,%d) = %v, want %v", s, e, v, want)
-			}
-			if v := jback.Get(s, e); v != want {
-				t.Fatalf("json round-trip: Get(%d,%d) = %v, want %v", s, e, v, want)
-			}
-		}
-	}
-}
-
 // TestSparseMemoryFollowsVisitedSet is the reason the representation
 // exists: a barely-visited large table must cost orders of magnitude
 // less than 8n², and Stored must count visited cells, not n².
@@ -214,5 +165,167 @@ func TestNewSelectsRepresentation(t *testing.T) {
 	}
 	if !NewWithDenseMax(4096, 0).IsDense() {
 		t.Error("denseMax <= 0 should fall back to the default threshold")
+	}
+}
+
+// TestSparseBasics pins the sparse form's storage accounting: only
+// written cells are stored, and a zero written to an absent cell stores
+// nothing, since absent already reads 0.
+func TestSparseBasics(t *testing.T) {
+	q := newSparseTable(4)
+	if q.Size() != 4 || q.Stored() != 0 {
+		t.Fatalf("fresh sparse table: size=%d stored=%d", q.Size(), q.Stored())
+	}
+	q.Set(1, 2, 3.5)
+	if q.Get(1, 2) != 3.5 || q.Get(2, 1) != 0 {
+		t.Fatal("Get/Set mismatch")
+	}
+	q.Set(2, 1, 0)
+	if q.Stored() != 1 {
+		t.Fatalf("stored = %d after one non-zero write and a zero write to an absent cell", q.Stored())
+	}
+	q.Set(1, 2, 0)
+	if q.Get(1, 2) != 0 {
+		t.Fatal("zero write over a stored cell still reads non-zero")
+	}
+}
+
+func TestSparsePanics(t *testing.T) {
+	q := newSparseTable(3)
+	for _, fn := range []func(){
+		func() { q.Get(3, 0) },
+		func() { q.Set(0, -1, 1) },
+		func() { q.Update(0, 0, 0.5, 1, 0.9, 3, 0) },
+		func() { q.Row(3) },
+		func() { NewWithDenseMax(-1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestSparseMatchesDenseUpdates interleaves Set, Update and masked
+// ArgMax on a dense and a sparse-backed table: every Update returns the
+// same value and every ArgMax the same action.
+func TestSparseMatchesDenseUpdates(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(10)
+		dense := New(n)
+		sparse := newSparseTable(n)
+		for op := 0; op < 60; op++ {
+			s, e := rng.Intn(n), rng.Intn(n)
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.NormFloat64()
+				dense.Set(s, e, v)
+				sparse.Set(s, e, v)
+			case 1:
+				sn, en := rng.Intn(n), rng.Intn(n)
+				a, r, g := rng.Float64(), rng.NormFloat64(), rng.Float64()
+				if dense.Update(s, e, a, r, g, sn, en) != sparse.Update(s, e, a, r, g, sn, en) {
+					return false
+				}
+			case 2:
+				var mask func(int) bool
+				if rng.Intn(2) == 0 {
+					banned := rng.Intn(n)
+					mask = func(a int) bool { return a != banned }
+				}
+				de, dok := dense.ArgMax(s, mask)
+				se, sok := sparse.ArgMax(s, mask)
+				if de != se || dok != sok {
+					return false
+				}
+			}
+		}
+		for s := 0; s < n; s++ {
+			for e := 0; e < n; e++ {
+				if dense.Get(s, e) != sparse.Get(s, e) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSparseArgMaxMatchesDense aims at the cases ArgMax's stored-slot
+// fast path special-cases: all-negative rows (where an absent cell's
+// implicit 0 wins), exact positive ties (lowest index wins), fully
+// populated rows and restrictive masks.
+func TestSparseArgMaxMatchesDense(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		dense := New(n)
+		sparse := newSparseTable(n)
+		// Values from a small discrete set force frequent exact ties; the
+		// negative-leaning mix exercises the absent-beats-stored path.
+		vals := []float64{-2, -1, -0.5, 0.5, 1, 2}
+		fill := rng.Intn(3) // 0: sparse row, 1: dense-ish, 2: full
+		for s := 0; s < n; s++ {
+			for e := 0; e < n; e++ {
+				if fill < 2 && rng.Intn(3) != fill {
+					continue
+				}
+				v := vals[rng.Intn(len(vals))]
+				dense.Set(s, e, v)
+				sparse.Set(s, e, v)
+			}
+		}
+		for trial := 0; trial < 2*n; trial++ {
+			s := rng.Intn(n)
+			var mask func(int) bool
+			switch rng.Intn(3) {
+			case 1:
+				banned := rng.Intn(n)
+				mask = func(a int) bool { return a != banned }
+			case 2:
+				keep := rng.Intn(n)
+				mask = func(a int) bool { return a%(keep+1) == 0 }
+			}
+			de, dok := dense.ArgMax(s, mask)
+			se, sok := sparse.ArgMax(s, mask)
+			if de != se || dok != sok {
+				t.Logf("n=%d s=%d: dense=(%d,%v) sparse=(%d,%v)", n, s, de, dok, se, sok)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkAblationQStorage contrasts dense and sparse-backed storage on
+// an institution-scale table under a SARSA-like access pattern.
+func BenchmarkAblationQStorage(b *testing.B) {
+	const n = 1216
+	for _, tc := range []struct {
+		name string
+		mk   func(n int) *Table
+	}{
+		{"dense", New},
+		{"sparse", newSparseTable},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			q := tc.mk(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q.Update(i%n, (i+7)%n, 0.75, 1, 0.95, (i+7)%n, (i+13)%n)
+				q.ArgMax(i%n, nil)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 //     rejects every positive and every zero-class action.
 //
 // Walking tier 1, then 2, then 3 reproduces the dense order exactly, so
-// Tiered satisfies the Reader contract bit for bit (the 8-way
+// Tiered satisfies the Reader contract bit for bit (the 7-way
 // equivalence property test pins it). Memory follows the stored cells:
 // order+values (12 bytes each) plus ~10 bloom bits, never n².
 //

@@ -45,10 +45,10 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) Rename(oldname, newname string) error        { return os.Rename(oldname, newname) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) ReadDir(name string) ([]os.DirEntry, error)  { return os.ReadDir(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Rename(oldname, newname string) error         { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)

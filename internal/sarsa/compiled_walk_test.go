@@ -3,9 +3,10 @@ package sarsa
 // Equivalence property: the serving walk over the compiled Q-descending
 // action order (Policy.Compiled) must return sequences bit-identical to
 // the reference masked-ArgMax walk it replaced — across guided and
-// unguided modes, trained and adversarial Q tables, dense- and
-// sparse-compiled orders, and prefix lengths small enough that walks
-// regularly exhaust the eager top-K and fall back to the lazy tail.
+// unguided modes, trained and adversarial Q tables, the compiled order of
+// a dense table and the tiered reader of a sparse-backed one, and prefix
+// lengths small enough that walks regularly exhaust the eager top-K and
+// fall back to the lazy tail.
 
 import (
 	"math/rand"
@@ -19,10 +20,10 @@ import (
 	"github.com/rlplanner/rlplanner/internal/seqsim"
 )
 
-// forceCompile pins the policy's compiled order to one built from v at
-// prefix length k, before any walk triggers the default build.
-func forceCompile(p *Policy, v qtable.Values, k int) {
-	p.compileOnce.Do(func() { p.compiled = qtable.Compile(v, k) })
+// forceCompile pins the policy's compiled order to one built at prefix
+// length k, before any walk triggers the default build.
+func forceCompile(p *Policy, k int) {
+	p.compileOnce.Do(func() { p.compiled = qtable.Compile(p.Q, k) })
 }
 
 // referenceNextAction is the pre-compilation nextAction: the same tier
@@ -136,15 +137,11 @@ func randomPolicyTable(rng *rand.Rand, n int) *qtable.Table {
 	return q
 }
 
-// sparseCopy mirrors a dense table into the map-backed representation.
-func sparseCopy(q *qtable.Table) *qtable.Sparse {
-	n := q.Size()
-	sp := qtable.NewSparse(n)
-	for s := 0; s < n; s++ {
-		for e := 0; e < n; e++ {
-			sp.Set(s, e, q.Get(s, e))
-		}
-	}
+// sparseCopy mirrors a dense table into the sparse-backed representation
+// catalogs above the dense threshold train into.
+func sparseCopy(q *qtable.Table) *qtable.Table {
+	sp := qtable.NewWithDenseMax(q.Size(), 1)
+	q.EachStored(sp.Set)
 	return sp
 }
 
@@ -180,23 +177,29 @@ func TestCompiledRolloutMatchesReference(t *testing.T) {
 			tables["random-"+string(rune('a'+i))] = randomPolicyTable(rng, n)
 		}
 
+		ids := env.Catalog().IDs()
 		for qName, q := range tables {
-			// Compiled variants: the default prefix, prefixes short enough
-			// that every multi-step walk exhausts them (k=1, k=2 exercise
-			// the lazy-tail fallback on catalogs of any size), and an order
-			// compiled from the sparse representation of the same values.
-			variants := map[string]func(p *Policy){
-				"dense-default": func(p *Policy) {},
-				"dense-k1":      func(p *Policy) { forceCompile(p, q, 1) },
-				"dense-k2":      func(p *Policy) { forceCompile(p, q, 2) },
-				"sparse-k2":     func(p *Policy) { forceCompile(p, sparseCopy(q), 2) },
+			ref := &Policy{Q: q, IDs: ids}
+			compiledAt := func(k int) *Policy {
+				p := &Policy{Q: q, IDs: ids}
+				forceCompile(p, k)
+				return p
 			}
-			for vName, compile := range variants {
-				pol := &Policy{Q: q, IDs: env.Catalog().IDs()}
-				compile(pol)
+			// Serve-time variants: the default prefix, prefixes short enough
+			// that every multi-step walk exhausts them (k=1, k=2 exercise
+			// the lazy-tail fallback on catalogs of any size), and a
+			// sparse-backed copy of the same values, which the default
+			// Policy.Compiled serves through the tiered reader.
+			variants := map[string]*Policy{
+				"dense-default":  {Q: q, IDs: ids},
+				"dense-k1":       compiledAt(1),
+				"dense-k2":       compiledAt(2),
+				"sparse-default": {Q: sparseCopy(q), IDs: ids},
+			}
+			for vName, pol := range variants {
 				for start := 0; start < n; start++ {
 					for _, guided := range []bool{false, true} {
-						want := referenceRollout(t, pol, env, start, guided)
+						want := referenceRollout(t, ref, env, start, guided)
 						var got []int
 						var err error
 						if guided {
@@ -228,7 +231,7 @@ func TestNextGuidedMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomPolicyTable(rng, n)
 		pol := &Policy{Q: q, IDs: env.Catalog().IDs()}
-		forceCompile(pol, q, 2)
+		forceCompile(pol, 2)
 		excluded := map[int]bool{rng.Intn(n): true, rng.Intn(n): true}
 		exclude := func(a int) bool { return excluded[a] }
 

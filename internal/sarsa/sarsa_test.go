@@ -1,7 +1,6 @@
 package sarsa_test
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -325,43 +324,6 @@ func TestQLearningAlgorithm(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if sarsa.SARSA.String() != "sarsa" || sarsa.QLearning.String() != "q-learning" {
 		t.Fatal("Algorithm.String mismatch")
-	}
-}
-
-func TestPolicyPersistRoundTrip(t *testing.T) {
-	env := courseEnv(t)
-	res, err := sarsa.Learn(env, defaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Policy.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := sarsa.ReadPolicy(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Q.Size() != res.Policy.Q.Size() {
-		t.Fatal("size changed in round trip")
-	}
-	for s := 0; s < loaded.Q.Size(); s++ {
-		for e := 0; e < loaded.Q.Size(); e++ {
-			if loaded.Q.Get(s, e) != res.Policy.Q.Get(s, e) {
-				t.Fatal("Q values changed in round trip")
-			}
-		}
-	}
-	if len(loaded.IDs) != len(res.Policy.IDs) {
-		t.Fatal("ids lost in round trip")
-	}
-	// Corrupt inputs are rejected.
-	if _, err := sarsa.ReadPolicy(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk policy accepted")
-	}
-	var empty sarsa.Policy
-	if err := empty.WriteGob(&buf); err == nil {
-		t.Fatal("nil-Q policy persisted")
 	}
 }
 
