@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/experiments/... ./internal/mdp/... ./internal/sarsa/... .
 # plus the daemon's signal-drain tests.
 FAULT_PKGS = ./internal/resilience/... ./internal/httpapi/ ./cmd/rlplannerd/
 
-.PHONY: check vet build test race faults repofaults fuzz bench-hot bench-json servebench trainbench userbench scalebench mcbench
+.PHONY: check vet build test race faults repofaults fuzz bench-hot bench-json servebench trainbench scalebench mcbench
 
 check: vet build test race faults
 
@@ -59,34 +59,29 @@ bench-json:
 	$(GO) run ./cmd/benchharness -quick -exp fig1a,tab5 -benchjson results
 
 # Serving-latency bench over the live HTTP stack, gated against the
-# committed record: a >2x p99 regression fails (DESIGN §11). Writes the
-# fresh measurement to /tmp so the committed baseline only moves on
-# purpose.
+# committed record: a >2x p99 regression fails (DESIGN §11). It runs one
+# client, the committed record's count; the gate refuses a run whose
+# client count differs from the baseline's. Writes the fresh
+# measurement to /tmp so the committed baseline only moves on purpose.
 servebench:
-	$(GO) run ./cmd/benchharness -serve -serve-baseline results/BENCH_serve.json -benchjson /tmp/rlplanner-servebench
+	$(GO) run ./cmd/benchharness -serve -serve-conc 1 -baseline results/BENCH_serve.json -benchjson /tmp/rlplanner-servebench
 
-# Multi-core scaling bench: the serve phase reruns at GOMAXPROCS
-# 1/2/4/8 with mutex/block profiling on, recording req/s, latency and
-# scaling efficiency per point (DESIGN §16). On a ≥4-core host the run
-# fails when 4-proc throughput is below 2.5x the 1-proc figure — the
-# contention gate for the sharded read path; on smaller hosts the gate
-# reports a skip (the sweep still runs, measuring oversubscription).
+# Multi-core scaling bench: servebench's timed phase and p99 gate, then
+# the plan phase reruns at GOMAXPROCS 1/2/4/8 with mutex/block profiling
+# on, recording req/s, latency and scaling efficiency per point (DESIGN
+# §16). On a ≥4-core host the run fails when 4-proc throughput is below
+# 2.5x the 1-proc figure — the contention gate for the sharded read
+# path; on smaller hosts the gate reports a skip (the sweep still runs,
+# measuring oversubscription).
 mcbench:
-	$(GO) run ./cmd/benchharness -serve -serve-sweep -serve-sweep-duration 2s -serve-baseline results/BENCH_serve.json -benchjson /tmp/rlplanner-mcbench
+	$(GO) run ./cmd/benchharness -serve -serve-conc 1 -serve-sweep -serve-sweep-duration 2s -baseline results/BENCH_serve.json -benchjson /tmp/rlplanner-mcbench
 
 # Training-throughput bench (cold-train scaling over worker counts plus
 # one warm-start derivation), gated against the committed record: a >2x
 # cold-train wall-clock regression fails (DESIGN §12). Same move-the-
 # baseline-on-purpose discipline as servebench.
 trainbench:
-	$(GO) run ./cmd/benchharness -train -train-baseline results/BENCH_train.json -benchjson /tmp/rlplanner-trainbench
-
-# Fleet-personalization bench: a 100k-user zipf workload of plan reads
-# and feedback posts over one shared policy, gated against the committed
-# record — a >2x p99 regression on the personalized plan path fails, and
-# so does an overlay fleet that outgrows its byte budget (DESIGN §13).
-userbench:
-	$(GO) run ./cmd/benchharness -users 100000 -users-baseline results/BENCH_users.json -benchjson /tmp/rlplanner-userbench
+	$(GO) run ./cmd/benchharness -train -baseline results/BENCH_train.json -benchjson /tmp/rlplanner-trainbench
 
 # Catalog-scale bench at the 16k-item point (above every dense
 # threshold, fast enough for CI), gated against the committed record: a
@@ -94,4 +89,4 @@ userbench:
 # distance store + topic bitsets) fails (DESIGN §14). Same move-the-
 # baseline-on-purpose discipline as servebench.
 scalebench:
-	$(GO) run ./cmd/benchharness -scale -scale-sizes 16384 -scale-baseline results/BENCH_scale.json -benchjson /tmp/rlplanner-scalebench
+	$(GO) run ./cmd/benchharness -scale -scale-sizes 16384 -baseline results/BENCH_scale.json -benchjson /tmp/rlplanner-scalebench

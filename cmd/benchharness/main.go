@@ -5,39 +5,38 @@
 //
 //	benchharness [-exp all|fig1a,fig1b,tab4,tab5,tab7,tab8,tab9..tab16,fig2]
 //	             [-runs 10] [-episodes 0] [-seed 1] [-quick]
-//	             [-workers 0] [-benchjson dir] [-list-engines]
+//	             [-workers 0] [-benchjson dir] [-baseline file] [-list-engines]
 //	             [-serve] [-serve-instance name] [-serve-conc 0]
-//	             [-serve-duration 3s] [-serve-batch 64] [-serve-baseline file]
-//	             [-serve-sweep] [-serve-sweep-duration 2s] [-serve-scaling-min 2.5]
-//	             [-train] [-train-instance name] [-train-perturb 5]
-//	             [-train-runs 3] [-train-baseline file]
+//	             [-serve-duration 3s] [-serve-batch 64]
+//	             [-serve-sweep] [-serve-sweep-duration 2s]
+//	             [-train] [-train-instance name] [-train-perturb 5] [-train-runs 3]
 //	             [-scale] [-scale-sizes 4096,16384,50000,100000]
-//	             [-scale-baseline file]
-//	             [-users 0] [-users-duration 5s] [-users-feedback 0.3]
-//	             [-users-budget 0] [-users-cells 0] [-users-baseline file]
 //
 // -list-engines prints the registered planning engines the experiments
 // route through and exits.
 //
+// -serve, -train and -scale each measure one record, write it as
+// BENCH_<mode>.json under -benchjson, and gate it against the committed
+// record named by -baseline (see bounds in benchjson.go).
+//
 // -serve switches the harness into serving-latency mode: it mounts the
 // HTTP API in-process, trains the policy through one warm-up request,
 // then drives concurrent /api/plan (and /api/plan/batch) clients and
-// reports p50/p99 latency, throughput and allocs per request. With
-// -benchjson it writes BENCH_serve.json; with -serve-baseline it fails
-// on a >2x p99 regression against a committed record. -serve-sweep adds
-// a multi-core scaling phase: the plan phase reruns at GOMAXPROCS
-// 1/2/4/8 with mutex/block profiling on, recording req/s, latency,
-// scaling efficiency and the hottest contention frames; on a ≥4-core
-// host the run fails when 4-proc throughput is below -serve-scaling-min
-// × the 1-proc figure (the gate reports a skip on smaller hosts).
+// reports p50/p99 latency, throughput and allocs per request. The gate
+// fails on a >2x p99 regression, and on a client count that differs
+// from the baseline's. -serve-sweep adds a multi-core scaling phase: the
+// plan phase reruns at GOMAXPROCS 1/2/4/8 with mutex/block profiling on,
+// recording req/s, latency, scaling efficiency and the hottest
+// contention frames; on a ≥4-core host the run fails when 4-proc
+// throughput is below 2.5× the 1-proc figure (the gate reports a skip
+// on smaller hosts).
 //
 // -train switches the harness into training-throughput mode: it
 // cold-trains the SARSA engine at 1/2/4/8 walkers (best-of -train-runs
 // wall clock, episodes/s and speedup vs one walker), then warm-starts a
 // derivation onto a -train-perturb-item catalog revision and compares
-// it against the cold time. With -benchjson it writes BENCH_train.json;
-// with -train-baseline it fails on a >2x cold-train wall-clock
-// regression against a committed record.
+// it against the cold time. The gate fails on a >2x cold-train
+// wall-clock regression at one walker.
 //
 // -scale switches the harness into catalog-scale mode: for each size in
 // -scale-sizes it generates a synthetic geo instance, builds the tiered
@@ -46,19 +45,8 @@
 // artifact end-to-end through an in-process HTTP stack (spec upload →
 // artifact import → /api/plan). It records items vs ns/step vs resident
 // bytes (Q + distance store + topic bitsets, next to the dense-layout
-// equivalent) vs train time. With -benchjson it writes BENCH_scale.json;
-// with -scale-baseline it fails when resident bytes at any matching size
-// grew past 1.5x the committed record.
-//
-// -users N switches the harness into fleet-personalization mode: it
-// mounts the HTTP stack with a bounded per-user overlay budget and
-// drives a zipf-mixed workload from a population of N users — each
-// request is a feedback post (probability -users-feedback) or a
-// personalized plan read — then reports plan-path p50/p99, throughput
-// and the overlay fleet's resident bytes per user from the server's own
-// metrics. With -benchjson it writes BENCH_users.json; with
-// -users-baseline it fails on a >2x p99 regression or an overlay fleet
-// that outgrew its byte budget.
+// equivalent) vs train time. The gate fails when resident bytes at any
+// size the baseline shares grew past 1.5x.
 //
 // -quick trades fidelity for speed (3 runs, 150 episodes); the default
 // reproduces the paper's 10-run averages at the Table III episode counts.
@@ -99,6 +87,7 @@ func main() {
 		charts    = flag.Bool("charts", false, "render Figures 1 and 2 as text charts too")
 		workers   = flag.Int("workers", 0, "concurrent runs per experiment (0 = GOMAXPROCS, 1 = sequential)")
 		benchjson = flag.String("benchjson", "", "directory for BENCH_<id>.json perf records (empty = off)")
+		baseline  = flag.String("baseline", "", "committed BENCH_<mode>.json to gate a -serve, -train or -scale run against")
 		listEng   = flag.Bool("list-engines", false, "list registered planning engines and exit")
 
 		serve         = flag.Bool("serve", false, "serving-latency mode: benchmark the live HTTP plan path and exit")
@@ -107,29 +96,17 @@ func main() {
 		serveConc     = flag.Int("serve-conc", 0, "concurrent plan clients for -serve (0 = GOMAXPROCS)")
 		serveDuration = flag.Duration("serve-duration", 3*time.Second, "timed phase length for -serve")
 		serveBatch    = flag.Int("serve-batch", 64, "plans per /api/plan/batch request for -serve (0 = skip the batch phase)")
-		serveBaseline = flag.String("serve-baseline", "", "committed BENCH_serve.json to gate against (>2x p99 regression fails)")
 
 		serveSweep         = flag.Bool("serve-sweep", false, "with -serve: rerun the plan phase at GOMAXPROCS 1/2/4/8 and record scaling + contention profiles")
 		serveSweepDuration = flag.Duration("serve-sweep-duration", 2*time.Second, "timed phase length per GOMAXPROCS setting of -serve-sweep")
-		serveScalingMin    = flag.Float64("serve-scaling-min", 2.5, "minimum 4-proc/1-proc throughput ratio for the sweep gate (0 = no gate; skipped on <4-core hosts)")
 
 		train         = flag.Bool("train", false, "training-throughput mode: benchmark cold-train scaling and warm-start derivation, then exit")
 		trainInstance = flag.String("train-instance", "Univ-1 M.S. DS-CT", "instance for -train")
 		trainPerturb  = flag.Int("train-perturb", 5, "catalog items renamed for the warm-start phase of -train")
 		trainRuns     = flag.Int("train-runs", 3, "timed repetitions per -train configuration (best-of)")
-		trainBaseline = flag.String("train-baseline", "", "committed BENCH_train.json to gate against (>2x cold-train regression fails)")
 
-		scale         = flag.Bool("scale", false, "catalog-scale mode: generate, train and serve synthetic instances at -scale-sizes, record memory and latency, then exit")
-		scaleSizes    = flag.String("scale-sizes", "4096,16384,50000,100000", "comma-separated catalog sizes for -scale")
-		scaleBaseline = flag.String("scale-baseline", "", "committed BENCH_scale.json to gate against (>1.5x resident-bytes growth at any matching size fails)")
-
-		users         = flag.Int("users", 0, "fleet-personalization mode: zipf user population size (0 = off)")
-		usersDuration = flag.Duration("users-duration", 5*time.Second, "timed phase length for -users")
-		usersConc     = flag.Int("users-conc", 0, "concurrent clients for -users (0 = GOMAXPROCS)")
-		usersFeedback = flag.Float64("users-feedback", 0.3, "fraction of -users requests that post feedback")
-		usersBudget   = flag.Int("users-budget", 0, "overlay byte budget for -users (0 = server default, 64 MiB)")
-		usersCells    = flag.Int("users-cells", 0, "per-user overlay cell cap for -users (0 = default)")
-		usersBaseline = flag.String("users-baseline", "", "committed BENCH_users.json to gate against (>2x p99 or budget overrun fails)")
+		scale      = flag.Bool("scale", false, "catalog-scale mode: generate, train and serve synthetic instances at -scale-sizes, record memory and latency, then exit")
+		scaleSizes = flag.String("scale-sizes", "4096,16384,50000,100000", "comma-separated catalog sizes for -scale")
 	)
 	flag.Parse()
 
@@ -140,173 +117,59 @@ func main() {
 		return
 	}
 
-	if *serve {
-		conc := *serveConc
-		if conc <= 0 {
-			conc = runtime.GOMAXPROCS(0)
+	if *serve || *scale || *train {
+		var rec record
+		var err error
+		switch {
+		case *serve:
+			conc := *serveConc
+			if conc <= 0 {
+				conc = runtime.GOMAXPROCS(0)
+			}
+			rec, err = serveBench(serveConfig{
+				Instance:      *serveInstance,
+				Engine:        *serveEngine,
+				Episodes:      *episodes,
+				Seed:          *seed,
+				Conc:          conc,
+				Duration:      *serveDuration,
+				Batch:         *serveBatch,
+				Sweep:         *serveSweep,
+				SweepDuration: *serveSweepDuration,
+			})
+		case *scale:
+			var sizes []int
+			for _, s := range strings.Split(*scaleSizes, ",") {
+				n, err := strconv.Atoi(strings.TrimSpace(s))
+				if err != nil || n < 16 {
+					fmt.Fprintf(os.Stderr, "scale: bad size %q in -scale-sizes\n", s)
+					os.Exit(2)
+				}
+				sizes = append(sizes, n)
+			}
+			rec, err = scaleBench(scaleConfig{Sizes: sizes, Episodes: *episodes, Seed: *seed})
+		default:
+			rec, err = trainBench(trainConfig{
+				Instance: *trainInstance,
+				Episodes: *episodes,
+				Seed:     *seed,
+				PerturbK: *trainPerturb,
+				Runs:     *trainRuns,
+			})
 		}
-		rec, err := serveBench(serveConfig{
-			Instance:      *serveInstance,
-			Engine:        *serveEngine,
-			Episodes:      *episodes,
-			Seed:          *seed,
-			Conc:          conc,
-			Duration:      *serveDuration,
-			Batch:         *serveBatch,
-			Sweep:         *serveSweep,
-			SweepDuration: *serveSweepDuration,
-		})
+		if err == nil && *benchjson != "" {
+			err = writeRecord(*benchjson, rec)
+		}
+		if err == nil {
+			var skipped []string
+			skipped, err = gate(rec, *baseline)
+			for _, s := range skipped {
+				fmt.Printf("%s: %s\n", rec.Name, s)
+			}
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", rec.Name, err)
 			os.Exit(1)
-		}
-		fmt.Printf("serve: %d reqs in %s (%d clients): %.0f req/s, p50 %s, p99 %s, %d allocs/req\n",
-			rec.Requests, time.Duration(rec.DurationNs), rec.Conc, rec.ReqPerSec,
-			time.Duration(rec.P50Ns), time.Duration(rec.P99Ns), rec.AllocsOp)
-		if rec.BatchSize > 0 {
-			fmt.Printf("serve: batch(%d): %.0f plans/s\n", rec.BatchSize, rec.BatchReqPerSec)
-		}
-		for _, pt := range rec.Sweep {
-			fmt.Printf("serve: sweep GOMAXPROCS=%d (%d clients): %.0f req/s, p50 %s, p99 %s, efficiency %.2f\n",
-				pt.GOMAXPROCS, pt.Conc, pt.ReqPerSec,
-				time.Duration(pt.P50Ns), time.Duration(pt.P99Ns), pt.Efficiency)
-		}
-		if len(rec.Sweep) > 0 {
-			fmt.Printf("serve: sweep 4-proc scaling %.2fx on a %d-core host\n", rec.Scaling4x, rec.NumCPU)
-			for _, top := range rec.MutexTop {
-				fmt.Printf("serve: mutex hot: %s\n", top)
-			}
-			for _, top := range rec.BlockTop {
-				fmt.Printf("serve: block hot: %s\n", top)
-			}
-		}
-		if rec.WarmBootNs > 0 {
-			fmt.Printf("serve: time-to-first-plan: cold boot %s (train+persist), repo-warm boot %s (%.1fx)\n",
-				time.Duration(rec.ColdBootNs), time.Duration(rec.WarmBootNs),
-				float64(rec.ColdBootNs)/float64(rec.WarmBootNs))
-		}
-		if *benchjson != "" {
-			if err := writeServeRecord(*benchjson, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *serveBaseline != "" {
-			if err := checkServeBaseline(*serveBaseline, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *serveSweep {
-			if err := checkScalingGate(rec, *serveScalingMin); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *scale {
-		var sizes []int
-		for _, s := range strings.Split(*scaleSizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 16 {
-				fmt.Fprintf(os.Stderr, "scale: bad size %q in -scale-sizes\n", s)
-				os.Exit(2)
-			}
-			sizes = append(sizes, n)
-		}
-		rec, err := scaleBench(scaleConfig{Sizes: sizes, Episodes: *episodes, Seed: *seed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchjson != "" {
-			if err := writeScaleRecord(*benchjson, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *scaleBaseline != "" {
-			if err := checkScaleBaseline(*scaleBaseline, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *users > 0 {
-		conc := *usersConc
-		if conc <= 0 {
-			conc = runtime.GOMAXPROCS(0)
-		}
-		rec, err := usersBench(usersConfig{
-			Instance: *serveInstance,
-			Engine:   *serveEngine,
-			Episodes: *episodes,
-			Seed:     *seed,
-			Users:    *users,
-			Conc:     conc,
-			Duration: *usersDuration,
-			Feedback: *usersFeedback,
-			Budget:   *usersBudget,
-			Cells:    *usersCells,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "users: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("users: %d plans + %d feedback posts in %s (%d clients, %d-user zipf): %.0f req/s, p50 %s, p99 %s\n",
-			rec.PlanRequests, rec.FeedbackPosts, time.Duration(rec.DurationNs), rec.Conc, rec.Users,
-			rec.ReqPerSec, time.Duration(rec.P50Ns), time.Duration(rec.P99Ns))
-		fmt.Printf("users: overlay fleet: %d users resident, %d bytes (%.0f bytes/user), %d evictions, %d signals\n",
-			rec.OverlayUsers, rec.OverlayBytes, rec.BytesPerUser, rec.OverlayEvicted, rec.Signals)
-		if *benchjson != "" {
-			if err := writeUsersRecord(*benchjson, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "users: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *usersBaseline != "" {
-			if err := checkUsersBaseline(*usersBaseline, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *train {
-		rec, err := trainBench(trainConfig{
-			Instance: *trainInstance,
-			Episodes: *episodes,
-			Seed:     *seed,
-			PerturbK: *trainPerturb,
-			Runs:     *trainRuns,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "train: %v\n", err)
-			os.Exit(1)
-		}
-		for _, pt := range rec.Cold {
-			fmt.Printf("train: cold %d episodes, workers=%d: %s (%.0f episodes/s, %.2fx vs 1 worker)\n",
-				rec.Episodes, pt.Workers, time.Duration(pt.Ns), pt.EpisodesPerSec, pt.Speedup)
-		}
-		fmt.Printf("train: warm-start (%d-item revision, distance %.3f): %d of %d episodes, %s (%.2fx vs cold)\n",
-			rec.PerturbK, rec.WarmDistance, rec.WarmEpisodes, rec.ColdEpisodes,
-			time.Duration(rec.WarmNs), rec.WarmSpeedup)
-		if *benchjson != "" {
-			if err := writeTrainRecord(*benchjson, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "train: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *trainBaseline != "" {
-			if err := checkTrainBaseline(*trainBaseline, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -358,20 +221,16 @@ func main() {
 			fail(id, err)
 		}
 		if *benchjson != "" {
-			rec := benchRecord{
-				Name:       id,
-				Workers:    cfg.Workers,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-				Runs:       cfg.Runs,
-				Episodes:   cfg.Episodes,
-				Ops:        1,
-				NsOp:       ns,
-				SeqNsOp:    seqNs,
-				Speedup:    float64(seqNs) / float64(ns),
-				AllocsOp:   allocs,
-				BytesOp:    bytes,
+			rec := newRecord(id, runParams{Workers: cfg.Workers, Runs: cfg.Runs, Episodes: cfg.Episodes})
+			rec.Metrics = map[string]float64{
+				"ops":           1,
+				"ns_per_op":     float64(ns),
+				"seq_ns_per_op": float64(seqNs),
+				"speedup_ratio": float64(seqNs) / float64(ns),
+				"allocs_per_op": float64(allocs),
+				"bytes_per_op":  float64(bytes),
 			}
-			if err := writeBench(*benchjson, rec); err != nil {
+			if err := writeRecord(*benchjson, rec); err != nil {
 				fail(id, err)
 			}
 		}
@@ -530,11 +389,11 @@ func main() {
 			if err != nil {
 				fail(hp.name, err)
 			}
-			if err := writeBench(*benchjson, rec); err != nil {
+			if err := writeRecord(*benchjson, rec); err != nil {
 				fail(hp.name, err)
 			}
-			fmt.Fprintf(out, "hot path (%s): %d reward evals, %d ns/op, %d allocs/op → BENCH_%s.json\n",
-				hp.name, rec.Ops, rec.NsOp, rec.AllocsOp, hp.name)
+			fmt.Fprintf(out, "hot path (%s): %.0f reward evals, %.0f ns/op, %.0f allocs/op → BENCH_%s.json\n",
+				hp.name, rec.Metrics["ops"], rec.Metrics["ns_per_op"], rec.Metrics["allocs_per_op"], hp.name)
 		}
 	}
 

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -29,42 +26,6 @@ type scaleConfig struct {
 	Episodes int // 0 = a per-size budget that keeps every point seconds-long
 	Seed     int64
 	Serve    int // /api/plan requests per point
-}
-
-// scalePoint is one catalog size's measurements: generation, environment
-// build (distance store included), training, the per-candidate data-plane
-// step cost, end-to-end /api/plan latency, and the resident footprint of
-// the three compressed structures next to their dense-layout equivalent.
-type scalePoint struct {
-	Items          int     `json:"items"`
-	Topics         int     `json:"topics"`
-	Episodes       int     `json:"episodes"`
-	GenNs          int64   `json:"gen_ns"`
-	EnvNs          int64   `json:"env_ns"`
-	TrainNs        int64   `json:"train_ns"`
-	EpisodesPerSec float64 `json:"episodes_per_sec"`
-	StepNs         int64   `json:"step_ns"`
-	RewardEvals    int     `json:"reward_evals"`
-	ServeP50Ns     int64   `json:"serve_p50_ns"`
-	QBytes         int     `json:"q_bytes"`
-	QStored        int     `json:"q_stored"`
-	QDense         bool    `json:"q_dense"`
-	DistBytes      int     `json:"dist_bytes"`
-	TopicsBytes    int     `json:"topics_bytes"`
-	ResidentBytes  int     `json:"resident_bytes"`
-	DenseBytes     int64   `json:"dense_equiv_bytes"`
-	DistFallbacks  uint64  `json:"dist_fallbacks"`
-}
-
-// scaleRecord is the machine-readable scaling record written as
-// BENCH_scale.json: one point per catalog size, items vs ns/step vs
-// resident bytes vs train time.
-type scaleRecord struct {
-	Name       string       `json:"name"`
-	Engine     string       `json:"engine"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Seed       int64        `json:"seed"`
-	Points     []scalePoint `json:"points"`
 }
 
 // scaleEpisodeBudget keeps every size point seconds-long: the per-episode
@@ -88,38 +49,27 @@ func scaleEpisodeBudget(items int) int {
 // server, the trained artifact imported, and /api/plan driven against
 // the warm cache — so the record covers the datagen → train → /api/plan
 // pipeline end to end.
-func scaleBench(cfg scaleConfig) (scaleRecord, error) {
-	rec := scaleRecord{
-		Name:       "scale",
-		Engine:     "sarsa",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       cfg.Seed,
-	}
+func scaleBench(cfg scaleConfig) (record, error) {
+	rec := newRecord("scale", runParams{Engine: "sarsa", Seed: cfg.Seed})
 	if cfg.Serve <= 0 {
 		cfg.Serve = 10
 	}
 	ctx := context.Background()
 	for _, n := range cfg.Sizes {
-		pt, err := scalePointAt(ctx, n, cfg)
-		if err != nil {
+		if err := scalePointAt(ctx, n, cfg, rec.Metrics); err != nil {
 			return rec, fmt.Errorf("scale %d: %w", n, err)
 		}
-		rec.Points = append(rec.Points, pt)
-		fmt.Printf("scale: %6d items: gen %s, env %s, train %s (%d episodes, %.0f ep/s), step %dns, plan p50 %s, resident %s (q %s + dist %s + topics %s; dense layout %s)\n",
-			pt.Items, time.Duration(pt.GenNs).Round(time.Millisecond),
-			time.Duration(pt.EnvNs).Round(time.Millisecond),
-			time.Duration(pt.TrainNs).Round(time.Millisecond),
-			pt.Episodes, pt.EpisodesPerSec, pt.StepNs,
-			time.Duration(pt.ServeP50Ns).Round(time.Microsecond),
-			fmtBytes(int64(pt.ResidentBytes)), fmtBytes(int64(pt.QBytes)),
-			fmtBytes(int64(pt.DistBytes)), fmtBytes(int64(pt.TopicsBytes)),
-			fmtBytes(pt.DenseBytes))
 	}
 	return rec, nil
 }
 
-func scalePointAt(ctx context.Context, n int, cfg scaleConfig) (scalePoint, error) {
-	pt := scalePoint{Items: n}
+// scalePointAt records one catalog size's point under "items_<n>.":
+// generation, environment build (distance store included), training,
+// the per-candidate data-plane step cost, end-to-end /api/plan latency,
+// and the resident footprint of the three compressed structures next to
+// their dense-layout equivalent.
+func scalePointAt(ctx context.Context, n int, cfg scaleConfig, metrics map[string]float64) error {
+	pt := map[string]float64{}
 	params := synth.Params{
 		Name:  fmt.Sprintf("synthetic-%d", n),
 		Items: n,
@@ -130,10 +80,11 @@ func scalePointAt(ctx context.Context, n int, cfg scaleConfig) (scalePoint, erro
 	t0 := time.Now()
 	inst, err := synth.Generate(params)
 	if err != nil {
-		return pt, err
+		return err
 	}
-	pt.GenNs = time.Since(t0).Nanoseconds()
-	pt.Topics = inst.Catalog.Vocabulary().Len()
+	pt["gen_ns"] = float64(time.Since(t0).Nanoseconds())
+	topics := inst.Catalog.Vocabulary().Len()
+	pt["topics"] = float64(topics)
 
 	episodes := cfg.Episodes
 	if episodes <= 0 {
@@ -144,47 +95,54 @@ func scalePointAt(ctx context.Context, n int, cfg scaleConfig) (scalePoint, erro
 	t0 = time.Now()
 	env, err := engine.EnvFor(ctx, inst, opts)
 	if err != nil {
-		return pt, err
+		return err
 	}
-	pt.EnvNs = time.Since(t0).Nanoseconds()
+	pt["env_ns"] = float64(time.Since(t0).Nanoseconds())
 
 	t0 = time.Now()
 	pol, err := engine.Train(ctx, "sarsa", inst, opts)
 	if err != nil {
-		return pt, err
+		return err
 	}
-	pt.TrainNs = time.Since(t0).Nanoseconds()
-	pt.Episodes = engine.Episodes(pol)
-	pt.EpisodesPerSec = float64(pt.Episodes) / (float64(pt.TrainNs) / 1e9)
+	trainNs := time.Since(t0).Nanoseconds()
+	pt["train_ns"] = float64(trainNs)
+	pt["episodes"] = float64(engine.Episodes(pol))
+	pt["episodes_per_s"] = pt["episodes"] / (float64(trainNs) / 1e9)
 
 	// Resident footprint of the three data-plane structures, from their
 	// own accounting; the dense-layout equivalent (float64 n×n Q, float32
 	// n×n distance matrix, vocabulary-wide topic words) is arithmetic.
 	vp, ok := pol.(engine.ValuePolicy)
 	if !ok {
-		return pt, fmt.Errorf("sarsa policy carries no values")
+		return fmt.Errorf("sarsa policy carries no values")
 	}
 	q := vp.Values().Q
-	pt.QBytes = engine.PolicyBytes(pol)
-	pt.QStored = q.Stored()
-	pt.QDense = q.IsDense()
-	pt.DistBytes = env.DistStoreBytes()
+	qBytes, distBytes, topicsBytes := engine.PolicyBytes(pol), env.DistStoreBytes(), 0
 	for i := 0; i < inst.Catalog.Len(); i++ {
-		pt.TopicsBytes += inst.Catalog.At(i).Topics.SizeBytes()
+		topicsBytes += inst.Catalog.At(i).Topics.SizeBytes()
 	}
-	pt.ResidentBytes = pt.QBytes + pt.DistBytes + pt.TopicsBytes
 	nn := int64(n) * int64(n)
-	pt.DenseBytes = 8*nn + 4*nn + int64(n)*int64((pt.Topics+63)/64)*8
+	denseBytes := 8*nn + 4*nn + int64(n)*int64((topics+63)/64)*8
+	pt["q_bytes"] = float64(qBytes)
+	pt["q_stored"] = float64(q.Stored())
+	pt["q_dense"] = 0
+	if q.IsDense() {
+		pt["q_dense"] = 1
+	}
+	pt["dist_bytes"] = float64(distBytes)
+	pt["topics_bytes"] = float64(topicsBytes)
+	pt["resident_bytes"] = float64(qBytes + distBytes + topicsBytes)
+	pt["dense_equiv_bytes"] = float64(denseBytes)
 
 	// Data-plane step cost: greedy episodes over the live environment,
 	// one op per candidate-reward evaluation (the same shape as the
 	// committed hotpath records, comparable across sizes).
-	evals, ns, err := scaleStepBench(inst, env)
+	evals, stepNs, err := scaleStepBench(inst, env)
 	if err != nil {
-		return pt, err
+		return err
 	}
-	pt.RewardEvals = evals
-	pt.StepNs = ns
+	pt["reward_evals"] = float64(evals)
+	pt["step_ns"] = float64(stepNs)
 
 	// End-to-end serve: upload the instance spec and the trained
 	// artifact to an in-process HTTP server, then time /api/plan against
@@ -192,11 +150,23 @@ func scalePointAt(ctx context.Context, n int, cfg scaleConfig) (scalePoint, erro
 	fb0 := geo.FallbackTotal()
 	p50, err := scaleServe(inst.Name, params, pol, cfg.Serve)
 	if err != nil {
-		return pt, err
+		return err
 	}
-	pt.ServeP50Ns = p50
-	pt.DistFallbacks = geo.FallbackTotal() - fb0
-	return pt, nil
+	pt["serve_p50_ns"] = float64(p50)
+	pt["dist_fallbacks"] = float64(geo.FallbackTotal() - fb0)
+
+	for name, v := range pt {
+		metrics[fmt.Sprintf("items_%d.%s", n, name)] = v
+	}
+	fmt.Printf("scale: %6d items: gen %s, env %s, train %s (%d episodes, %.0f ep/s), step %dns, plan p50 %s, resident %s (q %s + dist %s + topics %s; dense layout %s)\n",
+		n, time.Duration(pt["gen_ns"]).Round(time.Millisecond),
+		time.Duration(pt["env_ns"]).Round(time.Millisecond),
+		time.Duration(trainNs).Round(time.Millisecond),
+		int(pt["episodes"]), pt["episodes_per_s"], stepNs,
+		time.Duration(p50).Round(time.Microsecond),
+		fmtBytes(int64(qBytes+distBytes+topicsBytes)), fmtBytes(int64(qBytes)),
+		fmtBytes(int64(distBytes)), fmtBytes(int64(topicsBytes)), fmtBytes(denseBytes))
+	return nil
 }
 
 // scaleStepBench runs greedy reward-maximizing episodes until enough
@@ -303,52 +273,6 @@ func scalePost(client *http.Client, url string, body interface{ Read([]byte) (in
 		return fmt.Errorf("HTTP %d (want %d): %.200s", resp.StatusCode, want, sink)
 	}
 	return nil
-}
-
-// checkScaleBaseline compares a fresh scale record against a committed
-// baseline and fails when any matching size's resident bytes grew past
-// 1.5× — the CI guardrail for the compressed data plane's memory model.
-func checkScaleBaseline(path string, rec scaleRecord) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("scale baseline: %w", err)
-	}
-	var base scaleRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("scale baseline %s: %w", path, err)
-	}
-	byItems := make(map[int]scalePoint, len(base.Points))
-	for _, pt := range base.Points {
-		byItems[pt.Items] = pt
-	}
-	matched := 0
-	for _, pt := range rec.Points {
-		b, ok := byItems[pt.Items]
-		if !ok || b.ResidentBytes <= 0 {
-			continue
-		}
-		matched++
-		if float64(pt.ResidentBytes) > 1.5*float64(b.ResidentBytes) {
-			return fmt.Errorf("scale resident-bytes regression at %d items: %s now vs %s baseline (>1.5x)",
-				pt.Items, fmtBytes(int64(pt.ResidentBytes)), fmtBytes(int64(b.ResidentBytes)))
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("scale baseline %s: no catalog size in common with this run", path)
-	}
-	return nil
-}
-
-// writeScaleRecord writes rec to dir/BENCH_scale.json.
-func writeScaleRecord(dir string, rec scaleRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_scale.json"), append(data, '\n'), 0o644)
 }
 
 // fmtBytes renders a byte count in the nearest binary unit.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -35,76 +34,24 @@ type serveConfig struct {
 	SweepDuration time.Duration
 }
 
-// serveRecord is the machine-readable serving-perf record written as
-// BENCH_serve.json. One "op" is one completed POST /api/plan request
-// against a warm policy cache — the steady-state serving shape the
-// deployment section (§IV-F) cares about. Allocations are process-wide
-// (server and harness client share the process), so allocs_op is an
-// upper bound on the server-side cost; it is comparable across runs of
-// the same harness, which is what the perf trajectory needs.
-type serveRecord struct {
-	Name           string  `json:"name"`
-	Instance       string  `json:"instance"`
-	Engine         string  `json:"engine"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	Conc           int     `json:"conc"`
-	DurationNs     int64   `json:"duration_ns"`
-	Requests       int     `json:"requests"`
-	ReqPerSec      float64 `json:"req_per_sec"`
-	P50Ns          int64   `json:"p50_ns"`
-	P99Ns          int64   `json:"p99_ns"`
-	AllocsOp       uint64  `json:"allocs_op"`
-	BytesOp        uint64  `json:"bytes_op"`
-	BatchSize      int     `json:"batch_size,omitempty"`
-	BatchReqPerSec float64 `json:"batch_req_per_sec,omitempty"`
-	// Boot phase: time-to-first-plan for a daemon with a durable policy
-	// repository. Cold is a fresh directory (the first plan trains and
-	// writes through); warm is a second process on the same directory
-	// (the first plan loads the artifact instead of training). The ratio
-	// is the restart-without-retrain win.
-	ColdBootNs int64 `json:"cold_boot_ns,omitempty"`
-	WarmBootNs int64 `json:"warm_boot_ns,omitempty"`
-	// Sweep phase: the same timed plan phase at GOMAXPROCS 1/2/4/8.
-	// NumCPU is the host's core count — efficiency numbers past it
-	// measure oversubscription, not scaling, and the 4-core gate skips
-	// below it. Scaling4x is sweep[GOMAXPROCS=4] throughput over
-	// sweep[GOMAXPROCS=1]. MutexTop/BlockTop are the hottest non-runtime
-	// frames from the contention profiles captured across the sweep.
-	NumCPU    int          `json:"num_cpu,omitempty"`
-	Sweep     []sweepPoint `json:"sweep,omitempty"`
-	Scaling4x float64      `json:"scaling_4x,omitempty"`
-	MutexTop  []string     `json:"mutex_top,omitempty"`
-	BlockTop  []string     `json:"block_top,omitempty"`
-}
-
-// sweepPoint is one GOMAXPROCS setting of the scaling sweep.
-// Efficiency is req/s divided by (single-proc req/s × procs): 1.0 is
-// perfect linear scaling, and a read path serializing on a global lock
-// shows up as efficiency collapsing toward 1/procs.
-type sweepPoint struct {
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Conc       int     `json:"conc"`
-	Requests   int     `json:"requests"`
-	ReqPerSec  float64 `json:"req_per_sec"`
-	P50Ns      int64   `json:"p50_ns"`
-	P99Ns      int64   `json:"p99_ns"`
-	Efficiency float64 `json:"efficiency"`
-}
-
 // serveBench stands up the live HTTP serving stack (the same handler
 // rlplannerd mounts), trains the policy once through a warm-up request,
 // then drives concurrent /api/plan clients for the configured duration
 // and reports latency percentiles, throughput and allocation rates. When
 // the server exposes /api/plan/batch, a second phase measures batched
-// planning throughput with the same warm policy.
-func serveBench(cfg serveConfig) (serveRecord, error) {
-	rec := serveRecord{
-		Name:       "serve",
+// planning throughput with the same warm policy. Allocations are
+// process-wide (server and harness client share the process), so
+// allocs_per_op is an upper bound on the server-side cost, comparable
+// across runs of the same harness.
+func serveBench(cfg serveConfig) (record, error) {
+	rec := newRecord("serve", runParams{
 		Instance:   cfg.Instance,
 		Engine:     cfg.Engine,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Conc:       cfg.Conc,
-	}
+		Seed:       cfg.Seed,
+		Clients:    cfg.Conc,
+		Episodes:   cfg.Episodes,
+		DurationNs: cfg.Duration.Nanoseconds(),
+	})
 	api := httpapi.New()
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
@@ -157,13 +104,14 @@ func serveBench(cfg serveConfig) (serveRecord, error) {
 	if err != nil {
 		return rec, err
 	}
-	rec.DurationNs = elapsed.Nanoseconds()
-	rec.Requests = len(all)
-	rec.ReqPerSec = float64(len(all)) / elapsed.Seconds()
-	rec.P50Ns = all[len(all)/2].Nanoseconds()
-	rec.P99Ns = all[len(all)*99/100].Nanoseconds()
-	rec.AllocsOp = (m1.Mallocs - m0.Mallocs) / uint64(len(all))
-	rec.BytesOp = (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(all))
+	m := rec.Metrics
+	m["elapsed_ns"] = float64(elapsed.Nanoseconds())
+	putLatency(m, "", all, elapsed)
+	m["allocs_per_op"] = float64((m1.Mallocs - m0.Mallocs) / uint64(len(all)))
+	m["bytes_per_op"] = float64((m1.TotalAlloc - m0.TotalAlloc) / uint64(len(all)))
+	fmt.Printf("serve: %d reqs in %s (%d clients): %.0f req/s, p50 %s, p99 %s, %d allocs/req\n",
+		len(all), elapsed, cfg.Conc, m["req_per_s"], time.Duration(m["p50_ns"]),
+		time.Duration(m["p99_ns"]), int(m["allocs_per_op"]))
 
 	if cfg.Sweep {
 		if err := serveSweepPhase(post, planBody, cfg, &rec); err != nil {
@@ -174,17 +122,29 @@ func serveBench(cfg serveConfig) (serveRecord, error) {
 		if rps, ok, err := serveBatchPhase(post, cfg, planBody); err != nil {
 			return rec, err
 		} else if ok {
-			rec.BatchSize = cfg.Batch
-			rec.BatchReqPerSec = rps
+			rec.Params.Batch = cfg.Batch
+			m["batch_plans_per_s"] = rps
+			fmt.Printf("serve: batch(%d): %.0f plans/s\n", cfg.Batch, rps)
 		}
 	}
-	if cold, warm, err := serveBootPhase(cfg, planBody); err != nil {
+	cold, warm, err := serveBootPhase(cfg, planBody)
+	if err != nil {
 		return rec, err
-	} else {
-		rec.ColdBootNs = cold.Nanoseconds()
-		rec.WarmBootNs = warm.Nanoseconds()
 	}
+	m["cold_boot_ns"] = float64(cold.Nanoseconds())
+	m["warm_boot_ns"] = float64(warm.Nanoseconds())
+	fmt.Printf("serve: time-to-first-plan: cold boot %s (train+persist), repo-warm boot %s (%.1fx)\n",
+		cold, warm, float64(cold)/float64(warm))
 	return rec, nil
+}
+
+// putLatency records a timed plan phase's request count, throughput and
+// p50/p99 latency under prefix; all is sorted ascending.
+func putLatency(m map[string]float64, prefix string, all []time.Duration, elapsed time.Duration) {
+	m[prefix+"requests"] = float64(len(all))
+	m[prefix+"req_per_s"] = float64(len(all)) / elapsed.Seconds()
+	m[prefix+"p50_ns"] = float64(all[len(all)/2].Nanoseconds())
+	m[prefix+"p99_ns"] = float64(all[len(all)*99/100].Nanoseconds())
 }
 
 // timedPlanPhase drives conc workers against /api/plan until the
@@ -242,8 +202,7 @@ func timedPlanPhase(post func(string, []byte) (int, error), planBody []byte,
 // latency, scaling efficiency and the hottest contention frames. The
 // process-wide GOMAXPROCS and profile rates are restored on return.
 func serveSweepPhase(post func(string, []byte) (int, error), planBody []byte,
-	cfg serveConfig, rec *serveRecord) error {
-	rec.NumCPU = runtime.NumCPU()
+	cfg serveConfig, rec *record) error {
 	orig := runtime.GOMAXPROCS(0)
 	prevMutex := runtime.SetMutexProfileFraction(1)
 	runtime.SetBlockProfileRate(10_000) // sample blocking events ≥10µs
@@ -253,6 +212,7 @@ func serveSweepPhase(post func(string, []byte) (int, error), planBody []byte,
 		runtime.SetBlockProfileRate(0)
 	}()
 
+	m := rec.Metrics
 	var base float64
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -261,26 +221,28 @@ func serveSweepPhase(post func(string, []byte) (int, error), planBody []byte,
 		if err != nil {
 			return fmt.Errorf("sweep GOMAXPROCS=%d: %w", procs, err)
 		}
-		rps := float64(len(all)) / elapsed.Seconds()
+		pre := fmt.Sprintf("gomaxprocs_%d.", procs)
+		putLatency(m, pre, all, elapsed)
+		m[pre+"clients"] = float64(conc)
+		rps := m[pre+"req_per_s"]
 		if procs == 1 {
 			base = rps
 		}
-		pt := sweepPoint{
-			GOMAXPROCS: procs,
-			Conc:       conc,
-			Requests:   len(all),
-			ReqPerSec:  rps,
-			P50Ns:      all[len(all)/2].Nanoseconds(),
-			P99Ns:      all[len(all)*99/100].Nanoseconds(),
-			Efficiency: rps / (base * float64(procs)),
-		}
-		if procs == 4 {
-			rec.Scaling4x = rps / base
-		}
-		rec.Sweep = append(rec.Sweep, pt)
+		m[pre+"efficiency_ratio"] = rps / (base * float64(procs))
+		fmt.Printf("serve: sweep GOMAXPROCS=%d (%d clients): %.0f req/s, p50 %s, p99 %s, efficiency %.2f\n",
+			procs, conc, rps, time.Duration(m[pre+"p50_ns"]), time.Duration(m[pre+"p99_ns"]),
+			m[pre+"efficiency_ratio"])
 	}
-	rec.MutexTop = profileTop("mutex", 5)
-	rec.BlockTop = profileTop("block", 5)
+	m["scaling_4x_ratio"] = m["gomaxprocs_4.req_per_s"] / base
+	fmt.Printf("serve: sweep 4-proc scaling %.2fx on a %d-core host\n", m["scaling_4x_ratio"], rec.Host.NumCPU)
+	mutex, block := profileTop("mutex", 5), profileTop("block", 5)
+	rec.Lists = map[string][]string{"mutex_top": mutex, "block_top": block}
+	for _, frame := range mutex {
+		fmt.Printf("serve: mutex hot: %s\n", frame)
+	}
+	for _, frame := range block {
+		fmt.Printf("serve: block hot: %s\n", frame)
+	}
 	return nil
 }
 
@@ -351,30 +313,6 @@ func profileTop(name string, n int) []string {
 		out[i] = fmt.Sprintf("%s n=%d", e.fn, e.c)
 	}
 	return out
-}
-
-// checkScalingGate is the multi-core CI guardrail: with the sweep
-// recorded on a ≥4-core host, 4-proc throughput must be at least min ×
-// the 1-proc figure. On smaller hosts the 4-proc point measures
-// oversubscription rather than parallelism, so the gate reports a skip
-// instead of failing — the same hardware-conditional treatment the
-// training harness gives its walker-scaling curve.
-func checkScalingGate(rec serveRecord, min float64) error {
-	if min <= 0 {
-		return nil
-	}
-	if len(rec.Sweep) == 0 {
-		return fmt.Errorf("scaling gate: record has no sweep (run with -serve-sweep)")
-	}
-	if rec.NumCPU < 4 {
-		fmt.Printf("serve: scaling gate skipped: host has %d CPU core(s), gate needs 4\n", rec.NumCPU)
-		return nil
-	}
-	if rec.Scaling4x < min {
-		return fmt.Errorf("serve scaling regression: 4-proc throughput is %.2fx 1-proc, gate requires %.2fx",
-			rec.Scaling4x, min)
-	}
-	return nil
 }
 
 // serveBootPhase measures time-to-first-plan twice over one durable
@@ -452,38 +390,4 @@ func serveBatchPhase(post func(string, []byte) (int, error), cfg serveConfig, pl
 		plans += cfg.Batch
 	}
 	return float64(plans) / time.Since(t0).Seconds(), true, nil
-}
-
-// checkServeBaseline compares a fresh serve record against a committed
-// baseline file and fails on a >2× p99 latency regression — the CI
-// guardrail for the serving fast path.
-func checkServeBaseline(path string, rec serveRecord) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("serve baseline: %w", err)
-	}
-	var base serveRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("serve baseline %s: %w", path, err)
-	}
-	if base.P99Ns <= 0 {
-		return fmt.Errorf("serve baseline %s: no p99 recorded", path)
-	}
-	if rec.P99Ns > 2*base.P99Ns {
-		return fmt.Errorf("serve p99 regression: %s now vs %s baseline (>2x)",
-			time.Duration(rec.P99Ns), time.Duration(base.P99Ns))
-	}
-	return nil
-}
-
-// writeServeRecord writes rec to dir/BENCH_serve.json.
-func writeServeRecord(dir string, rec serveRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_serve.json"), append(data, '\n'), 0o644)
 }

@@ -2,11 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -27,64 +23,29 @@ type trainConfig struct {
 // reference); the rest show how throughput scales with cores.
 var trainWorkerCounts = []int{1, 2, 4, 8}
 
-// trainPoint is one cold-train measurement at a fixed worker count.
-// Speedup is relative to the workers=1 point of the same record; on a
-// single-core box it hovers near 1 by construction.
-type trainPoint struct {
-	Workers        int     `json:"workers"`
-	Ns             int64   `json:"ns"`
-	EpisodesPerSec float64 `json:"episodes_per_sec"`
-	Speedup        float64 `json:"speedup"`
-}
-
-// trainRecord is the machine-readable training-perf record written as
-// BENCH_train.json: the cold-start wall-clock scaling curve over worker
-// counts, plus one warm-start derivation (a PerturbK-item catalog
-// revision) against the workers=1 cold time. GOMAXPROCS is recorded
-// because the cold curve is meaningless without it — walker parallelism
-// cannot beat the core count.
-type trainRecord struct {
-	Name         string       `json:"name"`
-	Instance     string       `json:"instance"`
-	Engine       string       `json:"engine"`
-	GOMAXPROCS   int          `json:"gomaxprocs"`
-	Episodes     int          `json:"episodes"`
-	Cold         []trainPoint `json:"cold"`
-	PerturbK     int          `json:"perturb_k"`
-	WarmDistance float64      `json:"warm_distance"`
-	ColdEpisodes int          `json:"cold_episodes"`
-	WarmEpisodes int          `json:"warm_episodes"`
-	ColdNs       int64        `json:"cold_ns"`
-	WarmNs       int64        `json:"warm_ns"`
-	WarmSpeedup  float64      `json:"warm_speedup"`
-}
-
 // trainBench measures cold-train wall clock at each worker count
 // (best-of-Runs, so scheduler noise does not masquerade as regression)
 // and then one warm-start derivation onto a PerturbK-item catalog
 // revision, comparing it against the workers=1 cold time. Every run
 // goes through the public Train/Derive API — the same path rlplannerd
 // exercises.
-func trainBench(cfg trainConfig) (trainRecord, error) {
-	rec := trainRecord{
-		Name:       "train",
-		Instance:   cfg.Instance,
-		Engine:     "sarsa",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		PerturbK:   cfg.PerturbK,
+func trainBench(cfg trainConfig) (record, error) {
+	if cfg.Runs < 1 {
+		cfg.Runs = 1
 	}
+	rec := newRecord("train", runParams{Instance: cfg.Instance, Engine: "sarsa", Seed: cfg.Seed,
+		Runs: cfg.Runs, PerturbK: cfg.PerturbK})
 	inst, err := rlplanner.InstanceByName(cfg.Instance)
 	if err != nil {
 		return rec, err
 	}
-	if cfg.Runs < 1 {
-		cfg.Runs = 1
-	}
 	ctx := context.Background()
 	opts := rlplanner.Options{Episodes: cfg.Episodes, Seed: cfg.Seed}
 
-	// Cold-start scaling curve. The workers=1 policy doubles as the
+	// Cold-start scaling curve, one point per worker count; speedup is
+	// against the workers=1 point, whose policy doubles as the
 	// warm-start source below.
+	m := rec.Metrics
 	var src *rlplanner.Policy
 	for _, w := range trainWorkerCounts {
 		o := opts
@@ -102,21 +63,17 @@ func trainBench(cfg trainConfig) (trainRecord, error) {
 				best, pol = ns, p
 			}
 		}
-		rec.Episodes = pol.EpisodesTrained()
-		pt := trainPoint{
-			Workers:        w,
-			Ns:             best,
-			EpisodesPerSec: float64(rec.Episodes) / (float64(best) / 1e9),
-		}
-		if len(rec.Cold) > 0 {
-			pt.Speedup = float64(rec.Cold[0].Ns) / float64(best)
-		} else {
-			pt.Speedup = 1
+		if src == nil {
 			src = pol
 		}
-		rec.Cold = append(rec.Cold, pt)
+		rec.Params.Episodes = pol.EpisodesTrained()
+		pre := fmt.Sprintf("workers_%d.", w)
+		m[pre+"cold_ns"] = float64(best)
+		m[pre+"episodes_per_s"] = float64(rec.Params.Episodes) / (float64(best) / 1e9)
+		m[pre+"speedup_ratio"] = m["workers_1.cold_ns"] / float64(best)
+		fmt.Printf("train: cold %d episodes, workers=%d: %s (%.0f episodes/s, %.2fx vs 1 worker)\n",
+			rec.Params.Episodes, w, time.Duration(best), m[pre+"episodes_per_s"], m[pre+"speedup_ratio"])
 	}
-	rec.ColdNs = rec.Cold[0].Ns
 
 	// Warm-start phase: derive the workers=1 policy onto a PerturbK-item
 	// revision of the same catalog and time the distance-scaled retrain.
@@ -139,12 +96,15 @@ func trainBench(cfg trainConfig) (trainRecord, error) {
 		if warmBest == 0 || ns < warmBest {
 			warmBest = ns
 		}
-		rec.WarmDistance = stats.Distance
-		rec.ColdEpisodes = stats.ColdEpisodes
-		rec.WarmEpisodes = stats.WarmEpisodes
+		m["warm_distance"] = stats.Distance
+		m["cold_episodes"] = float64(stats.ColdEpisodes)
+		m["warm_episodes"] = float64(stats.WarmEpisodes)
 	}
-	rec.WarmNs = warmBest
-	rec.WarmSpeedup = float64(rec.ColdNs) / float64(rec.WarmNs)
+	m["warm_ns"] = float64(warmBest)
+	m["warm_speedup_ratio"] = m["workers_1.cold_ns"] / m["warm_ns"]
+	fmt.Printf("train: warm-start (%d-item revision, distance %.3f): %d of %d episodes, %s (%.2fx vs cold)\n",
+		cfg.PerturbK, m["warm_distance"], int(m["warm_episodes"]), int(m["cold_episodes"]),
+		time.Duration(warmBest), m["warm_speedup_ratio"])
 	return rec, nil
 }
 
@@ -182,39 +142,4 @@ func perturbInstanceSpec(inst *rlplanner.Instance, k int) (rlplanner.InstanceSpe
 			renamed, k, inst.Name())
 	}
 	return spec, nil
-}
-
-// checkTrainBaseline compares a fresh train record against a committed
-// baseline file and fails on a >2× cold-train wall-clock regression at
-// workers=1 — the CI guardrail for training throughput, mirroring the
-// serve-path p99 gate.
-func checkTrainBaseline(path string, rec trainRecord) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("train baseline: %w", err)
-	}
-	var base trainRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("train baseline %s: %w", path, err)
-	}
-	if base.ColdNs <= 0 {
-		return fmt.Errorf("train baseline %s: no cold_ns recorded", path)
-	}
-	if rec.ColdNs > 2*base.ColdNs {
-		return fmt.Errorf("cold-train regression: %s now vs %s baseline (>2x)",
-			time.Duration(rec.ColdNs), time.Duration(base.ColdNs))
-	}
-	return nil
-}
-
-// writeTrainRecord writes rec to dir/BENCH_train.json.
-func writeTrainRecord(dir string, rec trainRecord) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_train.json"), append(data, '\n'), 0o644)
 }

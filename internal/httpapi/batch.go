@@ -121,10 +121,9 @@ func (s *Server) planBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchOne runs one start through the same ladder as /api/plan: the
-// requested engine first, then — for resilience-class faults — the
-// fallback engine with the plan tagged degraded. Unknown start items
-// short-circuit to a per-item 400 before touching any policy.
+// batchOne runs one start through planOrFallback, the same ladder as
+// /api/plan. Unknown start items short-circuit to a per-item 400 before
+// touching any policy.
 func (s *Server) batchOne(r *http.Request, inst *rlplanner.Instance, engineName string, req planRequest, start string) batchItem {
 	if start != "" && !inst.HasItem(start) {
 		return batchItem{
@@ -133,17 +132,9 @@ func (s *Server) batchOne(r *http.Request, inst *rlplanner.Instance, engineName 
 			Status: http.StatusBadRequest,
 		}
 	}
-	resp, err := s.planFrom(r.Context(), inst, engineName, req, start)
-	if err == nil {
-		return batchItem{Start: start, Plan: resp}
+	resp, err := s.planOrFallback(r.Context(), inst, engineName, req, start)
+	if err != nil {
+		return batchItem{Start: start, Error: err.Error(), Status: planErrorStatus(err)}
 	}
-	if s.fallback != "" && engineName != s.fallback && resilientFailure(err) {
-		if fb, fbErr := s.planFrom(r.Context(), inst, s.fallback, req, start); fbErr == nil {
-			s.metrics.Fallbacks.Add(1)
-			fb.Degraded = true
-			fb.DegradedReason = degradedReason(err)
-			return batchItem{Start: start, Plan: fb}
-		}
-	}
-	return batchItem{Start: start, Error: err.Error(), Status: planErrorStatus(err)}
+	return batchItem{Start: start, Plan: resp}
 }

@@ -108,6 +108,32 @@ func TestPanicFallsBackToGold(t *testing.T) {
 	if m["panics"] < 1 || m["fallbacks"] < 1 {
 		t.Fatalf("metrics = %v, want panics>=1 fallbacks>=1", m)
 	}
+
+	// Every /api/plan/batch item takes the same rung. A new seed is a new
+	// policy key, so the batch's own training run panics.
+	starts := []string{"", "CS 675", ""}
+	var batch struct {
+		Items []struct {
+			Plan  *degradedPlan `json:"plan"`
+			Error string        `json:"error"`
+		} `json:"items"`
+	}
+	if code := doJSON(t, "POST", ts.URL+"/api/plan/batch", map[string]interface{}{
+		"instance": univ1, "engine": "fault-panic", "seed": 1, "starts": starts,
+	}, &batch); code != 200 {
+		t.Fatalf("batch status %d", code)
+	}
+	if len(batch.Items) != len(starts) {
+		t.Fatalf("batch returned %d items, want %d", len(batch.Items), len(starts))
+	}
+	for i, it := range batch.Items {
+		if it.Plan == nil || it.Plan.ServedBy != "gold" || !it.Plan.Degraded || len(it.Plan.Steps) == 0 {
+			t.Fatalf("item %d = %+v, want a non-empty degraded gold plan", i, it)
+		}
+	}
+	if got := metricsSnapshot(t, ts)["fallbacks"] - m["fallbacks"]; got != int64(len(starts)) {
+		t.Fatalf("fallbacks rose by %d over the batch, want %d", got, len(starts))
+	}
 }
 
 // TestHangFallsBackWithinBudget: an engine that never returns must be

@@ -514,26 +514,12 @@ func (s *Server) plan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.planWith(r.Context(), inst, engineName, req)
-	if err == nil {
-		writeJSON(w, http.StatusOK, resp)
+	resp, err := s.planOrFallback(r.Context(), inst, engineName, req, "")
+	if err != nil {
+		s.writePlanError(w, err)
 		return
 	}
-	// Degradation ladder: a resilience-class fault of the requested
-	// engine (panic, blown deadline, backoff window, serving failure) is
-	// answered by the fallback engine's feasible plan, tagged degraded.
-	// Config errors and capacity rejections skip the ladder — the former
-	// are the client's to fix, the latter must shed load, not add more.
-	if s.fallback != "" && engineName != s.fallback && resilientFailure(err) {
-		if fb, fbErr := s.planWith(r.Context(), inst, s.fallback, req); fbErr == nil {
-			s.metrics.Fallbacks.Add(1)
-			fb.Degraded = true
-			fb.DegradedReason = degradedReason(err)
-			writeJSON(w, http.StatusOK, fb)
-			return
-		}
-	}
-	s.writePlanError(w, err)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // policyInfo describes one cached policy.

@@ -110,18 +110,35 @@ type planResponse struct {
 	Personalized bool `json:"personalized,omitempty"`
 }
 
-// planWith trains (or fetches) the engine's policy and produces a plan
-// under a panic guard. A policy that fails or panics at Recommend time
-// is evicted from the store and marked failed in the breaker — a
-// malformed artifact must never be re-served — and the error reports as
-// resilience-class so the caller's ladder can degrade to the fallback.
-func (s *Server) planWith(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest) (*planResponse, error) {
-	return s.planFrom(ctx, inst, engineName, req, "")
+// planOrFallback is the degradation ladder of /api/plan and of each
+// /api/plan/batch item: a resilience-class fault of the requested
+// engine (panic, blown deadline, backoff window, serving failure) is
+// answered by the fallback engine's feasible plan, tagged degraded.
+// Config errors and capacity rejections skip the ladder — the former
+// are the client's to fix, the latter must shed load, not add more.
+// When the fallback fails too, the requested engine's error is
+// returned.
+func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest, startID string) (*planResponse, error) {
+	resp, err := s.planFrom(ctx, inst, engineName, req, startID)
+	if err == nil || s.fallback == "" || engineName == s.fallback || !resilientFailure(err) {
+		return resp, err
+	}
+	fb, fbErr := s.planFrom(ctx, inst, s.fallback, req, startID)
+	if fbErr != nil {
+		return nil, err
+	}
+	s.metrics.Fallbacks.Add(1)
+	fb.Degraded = true
+	fb.DegradedReason = degradedReason(err)
+	return fb, nil
 }
 
-// planFrom is planWith from an explicit start item id ("" walks from
-// the policy's trained start — the /api/plan behavior). Batch items
-// share one policy and vary only the start.
+// planFrom trains (or fetches) the engine's policy and produces a plan
+// from startID ("" walks from the policy's trained start) under a panic
+// guard. A policy that fails or panics at Recommend time is evicted
+// from the store and marked failed in the breaker — a malformed
+// artifact must never be re-served — and the error reports as
+// resilience-class so planOrFallback can degrade to the fallback.
 func (s *Server) planFrom(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest, startID string) (*planResponse, error) {
 	key := req.policyKey(engineName)
 	pol, err := s.policy(ctx, inst, engineName, req)

@@ -32,11 +32,15 @@ type Compiled struct {
 }
 
 // Compile builds the per-state Q-descending action order for a frozen
-// table (dense or sparse). k bounds the eager prefix per state
-// (DefaultTopK when k <= 0, clamped to the table size).
+// dense table; sparse-backed tables are served by NewTiered instead. k
+// bounds the eager prefix per state (DefaultTopK when k <= 0, clamped to
+// the table size).
 func Compile(t *Table, k int) *Compiled {
 	if t == nil {
 		panic("qtable: compile nil table")
+	}
+	if !t.IsDense() {
+		panic("qtable: compile a sparse-backed table (serve it with NewTiered)")
 	}
 	n := t.Size()
 	if k <= 0 {
@@ -55,15 +59,6 @@ func Compile(t *Table, k int) *Compiled {
 	return c
 }
 
-// get reads Q(s, a) from the source table, preferring the dense row when
-// one was captured.
-func (c *Compiled) get(s, a int, row []float64) float64 {
-	if row != nil {
-		return row[a]
-	}
-	return c.t.Get(s, a)
-}
-
 // better reports whether action a (value qa) precedes action b (value
 // qb) in the compiled order: higher Q first, lower index on exact ties.
 func better(a int32, qa float64, b int32, qb float64) bool {
@@ -75,17 +70,17 @@ func better(a int32, qa float64, b int32, qb float64) bool {
 func (c *Compiled) fillPrefix(s int, row []float64) {
 	pr := c.prefix[s*c.k : s*c.k : s*c.k+c.k]
 	for a := 0; a < c.n; a++ {
-		qa := c.get(s, a, row)
+		qa := row[a]
 		if len(pr) == cap(pr) {
 			last := pr[len(pr)-1]
-			if !better(int32(a), qa, last, c.get(s, int(last), row)) {
+			if !better(int32(a), qa, last, row[last]) {
 				continue
 			}
 			pr = pr[:len(pr)-1]
 		}
 		i := len(pr)
 		pr = append(pr, 0)
-		for i > 0 && better(int32(a), qa, pr[i-1], c.get(s, int(pr[i-1]), row)) {
+		for i > 0 && better(int32(a), qa, pr[i-1], row[pr[i-1]]) {
 			pr[i] = pr[i-1]
 			i--
 		}
@@ -108,7 +103,7 @@ func (c *Compiled) fullRow(s int) []int32 {
 		order[a] = int32(a)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		return better(order[i], c.get(s, int(order[i]), row), order[j], c.get(s, int(order[j]), row))
+		return better(order[i], row[order[i]], order[j], row[order[j]])
 	})
 	c.tails[s].Store(&order)
 	return order
@@ -157,7 +152,7 @@ func (c *Compiled) AppendArgMaxTies(s int, allowed func(e int) bool, buf []int) 
 			}
 		}
 		a := int(row[i])
-		v := c.get(s, a, qrow)
+		v := qrow[a]
 		if found && v < best {
 			break
 		}

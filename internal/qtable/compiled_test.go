@@ -7,13 +7,10 @@ import (
 	"testing"
 )
 
-// randomValues fills a dense and an equal sparse-backed table with
-// clustered values so exact ties are common (the tie-break path is the
-// risky one).
-func randomValues(t *testing.T, rng *rand.Rand, n int) (*Table, *Table) {
-	t.Helper()
+// randomValues fills a dense table with clustered values so exact ties
+// are common (the tie-break path is the risky one).
+func randomValues(rng *rand.Rand, n int) *Table {
 	dense := New(n)
-	sparse := newSparseTable(n)
 	vals := []float64{-2, -1, 0, 0.5, 1, 1, 2.5} // duplicates on purpose
 	for s := 0; s < n; s++ {
 		for e := 0; e < n; e++ {
@@ -22,10 +19,9 @@ func randomValues(t *testing.T, rng *rand.Rand, n int) (*Table, *Table) {
 			}
 			v := vals[rng.Intn(len(vals))]
 			dense.Set(s, e, v)
-			sparse.Set(s, e, v)
 		}
 	}
-	return dense, sparse
+	return dense
 }
 
 func randomMask(rng *rand.Rand, n int) func(int) bool {
@@ -44,40 +40,33 @@ func randomMask(rng *rand.Rand, n int) func(int) bool {
 	return func(e int) bool { return allowed[e] }
 }
 
-// TestCompiledMatchesTableArgMax drives Compiled, built over dense and
-// sparse-backed tables, against the reference Table scan over random
-// tables, masks and prefix lengths — including k much smaller than n, so
-// walks regularly exhaust the eager prefix and fall back to the lazy tail.
+// TestCompiledMatchesTableArgMax drives Compiled against the reference
+// Table scan over random dense tables, masks and prefix lengths —
+// including k much smaller than n, so walks regularly exhaust the eager
+// prefix and fall back to the lazy tail.
 func TestCompiledMatchesTableArgMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(24)
-		dense, sparse := randomValues(t, rng, n)
+		dense := randomValues(rng, n)
 		k := 1 + rng.Intn(n)
-		for _, tc := range []struct {
-			name string
-			c    *Compiled
-		}{
-			{"dense", Compile(dense, k)},
-			{"sparse", Compile(sparse, k)},
-		} {
-			for q := 0; q < 30; q++ {
-				s := rng.Intn(n)
-				mask := randomMask(rng, n)
+		c := Compile(dense, k)
+		for q := 0; q < 30; q++ {
+			s := rng.Intn(n)
+			mask := randomMask(rng, n)
 
-				wantTies := dense.ArgMaxTies(s, mask)
-				gotTies := tc.c.AppendArgMaxTies(s, mask, nil)
-				if !reflect.DeepEqual(wantTies, normalize(gotTies)) {
-					t.Fatalf("%s trial %d: ArgMaxTies(s=%d,k=%d) = %v, want %v",
-						tc.name, trial, s, k, gotTies, wantTies)
-				}
+			wantTies := dense.ArgMaxTies(s, mask)
+			gotTies := c.AppendArgMaxTies(s, mask, nil)
+			if !reflect.DeepEqual(wantTies, normalize(gotTies)) {
+				t.Fatalf("trial %d: ArgMaxTies(s=%d,k=%d) = %v, want %v",
+					trial, s, k, gotTies, wantTies)
+			}
 
-				wantBest, wantOK := dense.ArgMax(s, mask)
-				gotBest, gotOK := tc.c.ArgMax(s, mask)
-				if wantOK != gotOK || (wantOK && wantBest != gotBest) {
-					t.Fatalf("%s trial %d: ArgMax(s=%d,k=%d) = (%d,%v), want (%d,%v)",
-						tc.name, trial, s, k, gotBest, gotOK, wantBest, wantOK)
-				}
+			wantBest, wantOK := dense.ArgMax(s, mask)
+			gotBest, gotOK := c.ArgMax(s, mask)
+			if wantOK != gotOK || (wantOK && wantBest != gotBest) {
+				t.Fatalf("trial %d: ArgMax(s=%d,k=%d) = (%d,%v), want (%d,%v)",
+					trial, s, k, gotBest, gotOK, wantBest, wantOK)
 			}
 		}
 	}
@@ -114,7 +103,7 @@ func TestCompiledReusesBuffer(t *testing.T) {
 // builders may race, both compute the identical row, one wins).
 func TestCompiledConcurrentTailBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	dense, _ := randomValues(t, rng, 32)
+	dense := randomValues(rng, 32)
 	c := Compile(dense, 2) // tiny prefix: every full walk needs the tail
 	none := func(int) bool { return false }
 	var wg sync.WaitGroup

@@ -198,6 +198,7 @@ func TestSparsePanics(t *testing.T) {
 		func() { q.Update(0, 0, 0.5, 1, 0.9, 3, 0) },
 		func() { q.Row(3) },
 		func() { NewWithDenseMax(-1, 1) },
+		func() { Compile(q, 0) },
 	} {
 		func() {
 			defer func() {
