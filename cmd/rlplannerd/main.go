@@ -45,7 +45,6 @@
 //	rlplannerd [-addr :8080] [-policy-cache 128] [-train-timeout 0]
 //	           [-max-training 0] [-train-workers 0] [-auto-derive]
 //	           [-overlay-budget 0] [-overlay-cells 0]
-//	           [-dist-matrix-max 0] [-dense-q-max 0]
 //	           [-policy-dir dir] [-preload manifest.json]
 //	           [-drain-timeout 10s] [-pprof addr] [-profile-contention]
 //
@@ -90,10 +89,6 @@ func main() {
 		"total bytes for per-user personalization overlays (0 = default 64 MiB); least-recently-active users evict first")
 	overlayCells := flag.Int("overlay-cells", 0,
 		"max personalized action values per user overlay (0 = default)")
-	distMatrixMax := flag.Int("dist-matrix-max", 0,
-		"catalog size up to which an exact distance matrix is precomputed (0 = default 1024); larger trip catalogs use a compressed quantized neighbor store")
-	denseQMax := flag.Int("dense-q-max", 0,
-		"catalog size up to which training allocates a dense n*n Q table (0 = default 4096); larger catalogs learn into a sparse table")
 	policyDir := flag.String("policy-dir", "",
 		"directory for the durable policy repository (empty disables); trained policies are written through crash-safely and reloaded on boot, and replicas sharing one directory train each key exactly once")
 	preload := flag.String("preload", "",
@@ -147,8 +142,6 @@ func main() {
 		httpapi.WithAutoDerive(*autoDerive),
 		httpapi.WithOverlayBudget(*overlayBudget),
 		httpapi.WithOverlayCells(*overlayCells),
-		httpapi.WithDistMatrixMax(*distMatrixMax),
-		httpapi.WithDenseQMax(*denseQMax),
 		httpapi.WithPolicyDir(*policyDir),
 	); err != nil {
 		log.Fatal(err)

@@ -47,7 +47,7 @@ func newDistCache(c *item.Catalog, active bool) distCache {
 		m := c.At(i)
 		pts[i] = geo.Point{Lat: m.Lat, Lon: m.Lon}
 	}
-	return distCache{store: geo.NewDistStore(pts, 0)}
+	return distCache{store: geo.NewDistStore(pts)}
 }
 
 // leg returns the distance between items i and j in kilometers.

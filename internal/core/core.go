@@ -76,16 +76,10 @@ type Options struct {
 	// every worker count. Not part of the environment key — a worker
 	// count never changes what is learned under the parallel protocol.
 	TrainWorkers int
-	// DistMatrixMax overrides the catalog size up to which the
-	// environment precomputes the exact n×n distance matrix (<= 0 means
-	// geo.DefaultDistMatrixMaxItems) — the -dist-matrix-max operator
-	// knob. Larger trip catalogs get exact per-call Haversine, then the
-	// quantized neighbor store (see geo.NewDistStore). Part of the
-	// environment key: different limits build different geometry.
-	DistMatrixMax int
 	// DenseQMax overrides the catalog size up to which the learned Q
 	// table uses the dense n² representation (<= 0 means
-	// qtable.DefaultDenseMaxItems) — the -dense-q-max operator knob.
+	// qtable.DefaultDenseMaxItems) — how the sparse-equivalence tests
+	// train a sparse table on a small catalog.
 	DenseQMax int
 	// InitQ warm-starts learning from an existing Q table
 	// (sarsa.Config.Init): the incremental-retraining path feeds a
@@ -180,8 +174,7 @@ func BuildEnv(inst *dataset.Instance, opts Options) (*mdp.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mdp.NewEnvWithLimits(inst.Catalog, hard, inst.Soft, rc, budgetFor(inst, hard),
-		mdp.Limits{DistMatrixMax: opts.DistMatrixMax})
+	return mdp.NewEnv(inst.Catalog, hard, inst.Soft, rc, budgetFor(inst, hard))
 }
 
 // EnvKey returns a canonical key identifying the environment that
@@ -194,10 +187,7 @@ func EnvKey(inst *dataset.Instance, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// DistMatrixMax is part of the key: the limit selects the distance
-	// representation, so environments built under different limits must
-	// not be shared.
-	return fmt.Sprintf("%d|%+v|%+v|dm%d", inst.Kind, hard, rc, opts.DistMatrixMax), nil
+	return fmt.Sprintf("%d|%+v|%+v", inst.Kind, hard, rc), nil
 }
 
 // NewWithEnv is New with a prebuilt environment — typically one shared

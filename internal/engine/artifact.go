@@ -225,9 +225,7 @@ func loadArtifact(r io.Reader, inst *dataset.Instance, opts core.Options) (Polic
 	if err != nil {
 		return nil, err
 	}
-	// Imported artifacts serve immediately: compile the action order now
-	// and rebind against the cached environment rather than a fresh one.
-	values.Compiled()
+	// Rebind against the cached environment rather than a fresh one.
 	p, err := newPlanner(context.Background(), inst, opts)
 	if err != nil {
 		return nil, err

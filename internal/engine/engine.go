@@ -91,13 +91,13 @@ type ValuePolicy interface {
 type LayeredPolicy interface {
 	Policy
 	// BaseReader returns the policy's frozen serve-time read surface (the
-	// compiled action order) — the base a per-user qtable.Overlay wraps.
-	// The returned reader must not be mutated.
+	// trained Q table) — the base a per-user qtable.Overlay wraps. The
+	// returned reader must not be mutated.
 	BaseReader() qtable.Reader
 	// RecommendOver is Recommend reading every action value through r.
 	// Passing nil or BaseReader() itself reproduces Recommend bit for
 	// bit; passing an overlay over BaseReader() serves the personalized
-	// walk with unshadowed states still on the compiled fast path.
+	// walk with unshadowed states read straight from the table.
 	RecommendOver(start int, r qtable.Reader) ([]int, error)
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/mdp"
-	"github.com/rlplanner/rlplanner/internal/qtable"
 )
 
 // DefaultEnvCacheSize bounds the process-wide environment cache. An
@@ -67,19 +66,13 @@ func EnvCacheBytes() int {
 
 // PolicyBytes estimates a policy artifact's resident memory: the Q
 // table's own backing (8n² dense, visited-cells-proportional sparse)
-// plus the compiled prefix for value-based policies, a small constant
-// for the procedural baselines (their plans are recomputed per request
-// from the shared environment).
+// for value-based policies, a small constant for the procedural
+// baselines (their plans are recomputed per request from the shared
+// environment).
 func PolicyBytes(p Policy) int {
 	vp, ok := p.(ValuePolicy)
 	if !ok || vp.Values() == nil || vp.Values().Q == nil {
 		return 1 << 10
 	}
-	q := vp.Values().Q
-	if q.IsDense() {
-		return q.MemoryBytes() + q.Size()*qtable.DefaultTopK*4
-	}
-	// Sparse-backed: the tiered reader costs ~12 bytes per stored cell on
-	// top of the table itself.
-	return q.MemoryBytes() + 12*q.Stored()
+	return vp.Values().Q.MemoryBytes()
 }

@@ -109,12 +109,11 @@ func (p *valuePolicy) Recommend(start int) ([]int, error) {
 	return p.values.RecommendGuided(p.env, start)
 }
 
-// BaseReader exposes the compiled action order as the overlay base —
-// already built at train/load time, so this never pays a compile.
-func (p *valuePolicy) BaseReader() qtable.Reader { return p.values.Compiled() }
+// BaseReader exposes the trained Q table as the overlay base.
+func (p *valuePolicy) BaseReader() qtable.Reader { return p.values.Q }
 
 // RecommendOver serves the guided walk reading action values through r
-// (nil falls back to the policy's own compiled order).
+// (nil falls back to the policy's own Q table).
 func (p *valuePolicy) RecommendOver(start int, r qtable.Reader) ([]int, error) {
 	if start == DefaultStart {
 		start = p.start
@@ -184,15 +183,11 @@ func trainTD(alg sarsa.Algorithm) TrainFunc {
 		if p.Partial() {
 			m.degraded = DegradedPartial
 		}
-		values := p.Policy()
-		// Pay the compiled-order build at train time so the first request
-		// against the artifact serves at steady-state speed.
-		values.Compiled()
 		return &valuePolicy{
 			meta:   m,
 			env:    p.Env(),
 			start:  p.SarsaConfig().Start,
-			values: values,
+			values: p.Policy(),
 			curve:  p.LearningCurve(),
 		}, nil
 	}
@@ -216,7 +211,6 @@ func trainValueIter(ctx context.Context, inst *dataset.Instance, opts core.Optio
 	if err != nil {
 		return nil, err
 	}
-	res.Policy.Compiled()
 	return &valuePolicy{
 		meta:       metaFor("valueiter", inst, p.Env().Hard()),
 		env:        p.Env(),

@@ -2,10 +2,10 @@ package geo
 
 import "fmt"
 
-// DefaultDistMatrixMaxItems is the default size guard for NewDistMatrixCapped:
-// the full n×n float32 matrix costs 4n² bytes (1024 items ≈ 4 MB), so beyond
-// this many points callers fall back to on-the-fly Haversine instead of
-// trading quadratic memory for the lookup.
+// DefaultDistMatrixMaxItems is the largest catalog NewDistStore serves
+// from the precomputed matrix: the full n×n float32 matrix costs 4n² bytes
+// (1024 items ≈ 4 MB), so beyond this many points it falls back to
+// on-the-fly Haversine instead of trading quadratic memory for the lookup.
 const DefaultDistMatrixMaxItems = 1024
 
 // DistMatrix is a precomputed pairwise great-circle distance table. Distances
@@ -32,20 +32,6 @@ func NewDistMatrix(pts []Point) *DistMatrix {
 		}
 	}
 	return m
-}
-
-// NewDistMatrixCapped is NewDistMatrix with a size guard: it returns nil when
-// len(pts) exceeds maxItems (maxItems <= 0 means DefaultDistMatrixMaxItems),
-// signalling the caller to keep computing distances on the fly rather than
-// allocate a quadratic table.
-func NewDistMatrixCapped(pts []Point, maxItems int) *DistMatrix {
-	if maxItems <= 0 {
-		maxItems = DefaultDistMatrixMaxItems
-	}
-	if len(pts) > maxItems {
-		return nil
-	}
-	return NewDistMatrix(pts)
 }
 
 // Len returns the number of points the matrix covers.

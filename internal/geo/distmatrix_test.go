@@ -49,19 +49,6 @@ func TestDistMatrixPropertyMatchesHaversine(t *testing.T) {
 	}
 }
 
-func TestDistMatrixCapped(t *testing.T) {
-	pts := make([]Point, 10)
-	if m := NewDistMatrixCapped(pts, 9); m != nil {
-		t.Fatal("size guard must refuse catalogs above the cap")
-	}
-	if m := NewDistMatrixCapped(pts, 10); m == nil || m.Len() != 10 {
-		t.Fatal("catalogs at the cap must build")
-	}
-	if m := NewDistMatrixCapped(pts, 0); m == nil {
-		t.Fatal("maxItems <= 0 must mean the default cap, not zero")
-	}
-}
-
 func TestDistMatrixPanicsOutOfRange(t *testing.T) {
 	m := NewDistMatrix([]Point{{0, 0}, {1, 1}})
 	defer func() {

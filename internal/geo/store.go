@@ -50,16 +50,12 @@ func FallbackTotal() uint64 { return fallbackTotal.Load() }
 func CountFallback() { fallbackTotal.Add(1) }
 
 // NewDistStore selects the distance representation for a catalog:
-// the exact precomputed matrix up to matrixMax points (<= 0 means
-// DefaultDistMatrixMaxItems), exact per-call Haversine up to
-// DefaultExactHaversineMaxItems, and the quantized top-K neighbor store
-// beyond — memory follows n·K instead of n², with exact fallback (and a
-// counter) for pairs outside the band.
-func NewDistStore(pts []Point, matrixMax int) Store {
-	if matrixMax <= 0 {
-		matrixMax = DefaultDistMatrixMaxItems
-	}
-	if len(pts) <= matrixMax {
+// the exact precomputed matrix up to DefaultDistMatrixMaxItems points,
+// exact per-call Haversine up to DefaultExactHaversineMaxItems, and the
+// quantized top-K neighbor store beyond — memory follows n·K instead of
+// n², with exact fallback (and a counter) for pairs outside the band.
+func NewDistStore(pts []Point) Store {
+	if len(pts) <= DefaultDistMatrixMaxItems {
 		return NewDistMatrix(pts)
 	}
 	if len(pts) <= DefaultExactHaversineMaxItems {

@@ -22,21 +22,21 @@ func randomCity(rng *rand.Rand, n int) []Point {
 }
 
 // TestNewDistStoreTiers pins representation selection by catalog size:
-// exact matrix below the matrix cap, exact per-call Haversine through
+// exact matrix through the matrix cap, exact per-call Haversine through
 // the dense threshold, quantized neighbor bands beyond.
 func TestNewDistStoreTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, ok := NewDistStore(randomCity(rng, 50), 0).(*DistMatrix); !ok {
-		t.Error("small catalog should use the exact matrix")
+	if _, ok := NewDistStore(randomCity(rng, DefaultDistMatrixMaxItems)).(*DistMatrix); !ok {
+		t.Error("catalog at the matrix cap should use the exact matrix")
 	}
-	if _, ok := NewDistStore(randomCity(rng, 50), 10).(HaversineStore); !ok {
-		t.Error("catalog above an explicit matrix cap should use per-call Haversine")
+	if _, ok := NewDistStore(randomCity(rng, DefaultDistMatrixMaxItems+1)).(HaversineStore); !ok {
+		t.Error("catalog above the matrix cap should use per-call Haversine")
 	}
 	big := make([]Point, DefaultExactHaversineMaxItems+1)
 	for i := range big {
 		big[i] = Point{Lat: float64(i%100) * 0.001, Lon: float64(i/100) * 0.001}
 	}
-	if _, ok := NewDistStore(big, 0).(*NeighborStore); !ok {
+	if _, ok := NewDistStore(big).(*NeighborStore); !ok {
 		t.Error("catalog above the exact threshold should use the neighbor store")
 	}
 }

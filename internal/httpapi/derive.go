@@ -20,15 +20,12 @@ import (
 const deriveMaxDistance = 0.3
 
 // trainOpts resolves a request's training options plus the server's
-// training knobs (worker count, data-plane size guards), which are
-// deployment configuration — not part of the policy cache key, since
-// the parallel protocol is bit-identical for any worker count and the
-// size guards hold fleet-wide.
+// training worker count, which is deployment configuration — not part
+// of the policy cache key, since the parallel protocol is bit-identical
+// for any worker count.
 func (s *Server) trainOpts(req planRequest) rlplanner.Options {
 	opts := req.options()
 	opts.TrainWorkers = s.trainWorkers
-	opts.DistMatrixMax = s.distMatrixMax
-	opts.DenseQMax = s.denseQMax
 	return opts
 }
 

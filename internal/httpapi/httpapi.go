@@ -81,14 +81,7 @@ type Server struct {
 	// from the nearest cached policy of a different catalog (fingerprint
 	// near-miss) instead of training from zeros.
 	autoDerive bool
-	// distMatrixMax and denseQMax are the data-plane size guards
-	// (-dist-matrix-max / -dense-q-max): the catalog sizes up to which an
-	// exact distance matrix and a dense Q table are precomputed. Zero
-	// keeps the library defaults (1024 and 4096). Deployment memory
-	// knobs, applied to every training run, not part of any cache key.
-	distMatrixMax int
-	denseQMax     int
-	metrics       resilience.Metrics
+	metrics    resilience.Metrics
 
 	// overlays holds the per-(user, policy) personalization overlays —
 	// the serving half of the layered-read design. overlayBudget and
@@ -107,8 +100,31 @@ type Server struct {
 }
 
 type sessionState struct {
+	// mu serializes the requests on one session: rlplanner.Session has
+	// no lock of its own, and every handler's action and the view it
+	// renders read or write the session's episode and rejection set.
+	mu       sync.Mutex
 	instance string
 	session  *rlplanner.Session
+}
+
+// do runs act (nil for a read) and renders the resulting view with
+// st.mu held across both.
+func (st *sessionState) do(id string, act func(*rlplanner.Session) error) (sessionView, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if act != nil {
+		if err := act(st.session); err != nil {
+			return sessionView{}, err
+		}
+	}
+	return sessionView{
+		ID:          id,
+		Instance:    st.instance,
+		Plan:        st.session.PlanIDs(),
+		Done:        st.session.Done(),
+		Suggestions: st.session.Suggestions(),
+	}, nil
 }
 
 // Option configures a Server.
@@ -183,33 +199,6 @@ func WithOverlayBudget(n int) Option {
 // rows.
 func WithOverlayCells(n int) Option {
 	return func(s *Server) { s.overlayCells = n }
-}
-
-// WithDistMatrixMax bounds the catalog size that precomputes an exact
-// n×n distance matrix (n <= 0 keeps geo.DefaultDistMatrixMaxItems,
-// 1024). Larger trip catalogs serve exact per-call Haversine up to 4096
-// items and a quantized neighbor store beyond; out-of-band lookups are
-// counted by the dist_fallback_total metric.
-func WithDistMatrixMax(n int) Option {
-	return func(s *Server) {
-		if n < 0 {
-			n = 0
-		}
-		s.distMatrixMax = n
-	}
-}
-
-// WithDenseQMax bounds the catalog size that trains into a dense n×n Q
-// table (n <= 0 keeps qtable.DefaultDenseMaxItems, 4096). Larger
-// catalogs learn into a sparse table whose memory follows the visited
-// state-action set instead of the catalog squared.
-func WithDenseQMax(n int) Option {
-	return func(s *Server) {
-		if n < 0 {
-			n = 0
-		}
-		s.denseQMax = n
-	}
 }
 
 // WithAutoDerive toggles warm-start derivation on fingerprint near-miss
@@ -675,13 +664,15 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	st := &sessionState{instance: req.Instance, session: sess}
 	s.mu.Lock()
 	s.nextID++
 	id := "s" + strconv.Itoa(s.nextID)
-	s.sessions[id] = &sessionState{instance: req.Instance, session: sess}
+	s.sessions[id] = st
 	s.mu.Unlock()
 
-	writeJSON(w, http.StatusCreated, s.view(id))
+	view, _ := st.do(id, nil) // a read cannot fail
+	writeJSON(w, http.StatusCreated, view)
 }
 
 // lookup finds a session by path id.
@@ -696,29 +687,14 @@ func (s *Server) lookup(r *http.Request) (string, *sessionState, error) {
 	return id, st, nil
 }
 
-// view renders the session's current state (caller need not hold the lock;
-// session methods are invoked by one request at a time in tests and the
-// CLI deployment — a production deployment would serialize per session).
-func (s *Server) view(id string) sessionView {
-	s.mu.Lock()
-	st := s.sessions[id]
-	s.mu.Unlock()
-	return sessionView{
-		ID:          id,
-		Instance:    st.instance,
-		Plan:        st.session.PlanIDs(),
-		Done:        st.session.Done(),
-		Suggestions: st.session.Suggestions(),
-	}
-}
-
 func (s *Server) getSession(w http.ResponseWriter, r *http.Request) {
-	id, _, err := s.lookup(r)
+	id, st, err := s.lookup(r)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.view(id))
+	view, _ := st.do(id, nil) // a read cannot fail
+	writeJSON(w, http.StatusOK, view)
 }
 
 // itemRequest names one item for accept/reject.
@@ -727,19 +703,15 @@ type itemRequest struct {
 }
 
 func (s *Server) sessionAccept(w http.ResponseWriter, r *http.Request) {
-	s.sessionAction(w, r, func(st *sessionState, item string) error {
-		return st.session.Accept(item)
-	})
+	s.sessionAction(w, r, (*rlplanner.Session).Accept)
 }
 
 func (s *Server) sessionReject(w http.ResponseWriter, r *http.Request) {
-	s.sessionAction(w, r, func(st *sessionState, item string) error {
-		return st.session.Reject(item)
-	})
+	s.sessionAction(w, r, (*rlplanner.Session).Reject)
 }
 
 func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request,
-	act func(*sessionState, string) error) {
+	act func(*rlplanner.Session, string) error) {
 
 	id, st, err := s.lookup(r)
 	if err != nil {
@@ -751,11 +723,14 @@ func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request,
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := act(st, req.Item); err != nil {
+	view, err := st.do(id, func(sess *rlplanner.Session) error {
+		return act(sess, req.Item)
+	})
+	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.view(id))
+	writeJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) sessionComplete(w http.ResponseWriter, r *http.Request) {
@@ -764,11 +739,15 @@ func (s *Server) sessionComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	plan := st.session.AutoComplete()
+	var plan *rlplanner.Plan
+	view, _ := st.do(id, func(sess *rlplanner.Session) error {
+		plan = sess.AutoComplete()
+		return nil
+	})
 	writeJSON(w, http.StatusOK, struct {
 		sessionView
 		Result *rlplanner.Plan `json:"result"`
-	}{s.view(id), plan})
+	}{view, plan})
 }
 
 // explainRequest asks for a step-by-step justification of a plan.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/rlplanner/rlplanner"
@@ -263,6 +265,100 @@ func TestSessionErrors(t *testing.T) {
 	code := doJSON(t, "POST", base+"/accept", map[string]string{"item": "GHOST"}, &struct{}{})
 	if code != 409 {
 		t.Fatalf("bad accept status %d", code)
+	}
+}
+
+// TestSessionConcurrentRequests interleaves reject, accept, GET and one
+// complete on one session from several goroutines through the handler.
+// The session's episode and rejection set have no lock of their own, so
+// requests must serialize per session: unserialized, a reject's map
+// write races the suggestion ranking's read (and two rejects are a
+// concurrent map write, which stops the process).
+func TestSessionConcurrentRequests(t *testing.T) {
+	h := New().Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	w := serve("POST", "/api/sessions",
+		fmt.Sprintf(`{"instance":%q,"episodes":100,"seed":5,"suggestions":4}`, instName))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body.String())
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := rlplanner.InstanceByName(instName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := inst.Items()
+	base := "/api/sessions/" + created.ID
+
+	// Each goroutine rejects one of three items, so the guided walk can
+	// always finish the plan; accepts cycle through the catalog.
+	const goroutines, rounds = 4, 24
+	var (
+		wg       sync.WaitGroup
+		complete []string // written by goroutine 0, read after wg.Wait
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var w *httptest.ResponseRecorder
+				switch {
+				case g == 0 && i == rounds/2:
+					w = serve("POST", base+"/complete", "")
+					var res struct {
+						Done   bool            `json:"done"`
+						Result *rlplanner.Plan `json:"result"`
+					}
+					if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || !res.Done || res.Result == nil {
+						t.Errorf("complete: %v: %s", err, w.Body.String())
+						continue
+					}
+					for _, st := range res.Result.Steps {
+						complete = append(complete, st.ID)
+					}
+				case (g+i)%3 == 0:
+					w = serve("POST", base+"/reject",
+						fmt.Sprintf(`{"item":%q}`, items[1+g%3].ID))
+				case (g+i)%3 == 1:
+					w = serve("POST", base+"/accept",
+						fmt.Sprintf(`{"item":%q}`, items[(g*rounds+i)%len(items)].ID))
+					if w.Code == http.StatusConflict {
+						continue // already chosen, over budget or complete
+					}
+				default:
+					w = serve("GET", base, "")
+				}
+				if w.Code != http.StatusOK {
+					t.Errorf("goroutine %d round %d: status %d: %s", g, i, w.Code, w.Body.String())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// Once complete ran, no accept could land: the session still shows
+	// the completed plan.
+	var final struct {
+		Plan []string `json:"plan"`
+		Done bool     `json:"done"`
+	}
+	if w := serve("GET", base, ""); w.Code != http.StatusOK {
+		t.Fatalf("final GET: status %d", w.Code)
+	} else if err := json.Unmarshal(w.Body.Bytes(), &final); err != nil {
+		t.Fatal(err)
+	}
+	if !final.Done || !reflect.DeepEqual(final.Plan, complete) {
+		t.Fatalf("final session plan %v (done %v), completed plan %v", final.Plan, final.Done, complete)
 	}
 }
 

@@ -68,19 +68,6 @@ func (b TimeBudget) Allows(credits float64, count int, itemCredits float64) bool
 	return !b.Done(credits, count) && credits+itemCredits <= b.Hours
 }
 
-// Limits carries the operator-configurable size guards of the data
-// plane. The zero value means defaults; NewEnv uses it. (These replace
-// the old mutable package variable DistMatrixMaxItems, so concurrent
-// engines with different limits no longer race on a global.)
-type Limits struct {
-	// DistMatrixMax is the catalog size up to which the environment
-	// precomputes the exact n×n distance matrix (<= 0 means
-	// geo.DefaultDistMatrixMaxItems). Larger trip catalogs get exact
-	// per-call Haversine up to geo.DefaultExactHaversineMaxItems and the
-	// quantized neighbor store beyond (see geo.NewDistStore).
-	DistMatrixMax int
-}
-
 // itemFacts is the flat, Env-static per-item record the per-candidate hot
 // path reads instead of copying whole item.Item values (whose strings and
 // interface fields the step loop never needs) out of the catalog.
@@ -124,7 +111,7 @@ type Env struct {
 	// dist is the pairwise distance store, non-nil only when
 	// hard.MaxDistanceKm > 0: the exact matrix for small catalogs, exact
 	// per-call Haversine mid-range, quantized neighbor bands at scale
-	// (geo.NewDistStore selects by size and Limits.DistMatrixMax).
+	// (geo.NewDistStore selects by catalog size).
 	dist geo.Store
 	// distMat aliases dist when the store is the exact matrix, so the
 	// per-candidate leg lookup in CanStep is a direct, inlinable call
@@ -147,17 +134,9 @@ type Env struct {
 	epPool sync.Pool
 }
 
-// NewEnv validates the pieces and builds an environment with default
-// Limits.
+// NewEnv validates the pieces and builds an environment.
 func NewEnv(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
 	rw reward.Config, budget Budget) (*Env, error) {
-	return NewEnvWithLimits(c, hard, soft, rw, budget, Limits{})
-}
-
-// NewEnvWithLimits is NewEnv with explicit data-plane size guards —
-// the constructor the engine threads operator configuration through.
-func NewEnvWithLimits(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
-	rw reward.Config, budget Budget, lim Limits) (*Env, error) {
 	if c == nil {
 		return nil, fmt.Errorf("mdp: nil catalog")
 	}
@@ -200,7 +179,7 @@ func NewEnvWithLimits(c *item.Catalog, hard constraints.Hard, soft constraints.S
 		exprs[i] = m.Prereq
 	}
 	if hard.MaxDistanceKm > 0 {
-		e.dist = geo.NewDistStore(e.pts, lim.DistMatrixMax)
+		e.dist = geo.NewDistStore(e.pts)
 		e.distMat, _ = e.dist.(*geo.DistMatrix)
 	}
 	compiled, err := prereq.Compile(exprs, c.Index)

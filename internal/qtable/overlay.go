@@ -34,8 +34,8 @@ const (
 //
 // An Overlay is NOT safe for concurrent use: one overlay belongs to one
 // user, and the per-user store serializes access with a per-entry lock.
-// The base it wraps must be frozen (Table, Compiled or Tiered after
-// training), exactly as the serving layer already guarantees.
+// The base it wraps must be frozen (a Table after training), exactly
+// as the serving layer already guarantees.
 type Overlay struct {
 	base     Reader
 	n        int
@@ -107,9 +107,9 @@ func (o *Overlay) Get(s, e int) float64 {
 	return o.base.Get(s, e)
 }
 
-// HasRow reports whether state s carries any overlay cells — the
-// serving walk's branch between the compiled fast path (unshadowed
-// rows) and the masked merged scan (shadowed ones).
+// HasRow reports whether state s carries any overlay cells — whether
+// its reads delegate to the base (unshadowed) or pay the masked merged
+// scan (shadowed).
 func (o *Overlay) HasRow(s int) bool {
 	_, ok := o.rows[int32(s)]
 	return ok
@@ -155,9 +155,8 @@ func (o *Overlay) evict() {
 
 // ArgMax returns the allowed action maximizing the layered Q(s, ·),
 // ties to the lowest index. Unshadowed rows delegate to the base
-// unchanged — over a Compiled base that is the prefix walk, so a user
-// with feedback on a handful of states still serves every other state
-// at the compiled fast-path cost.
+// unchanged, so a user with feedback on a handful of states still
+// serves every other state at the base table's cost.
 func (o *Overlay) ArgMax(s int, allowed func(e int) bool) (int, bool) {
 	if o.n == 0 {
 		return -1, false
@@ -176,9 +175,9 @@ func (o *Overlay) ArgMax(s int, allowed func(e int) bool) (int, bool) {
 }
 
 // AppendArgMaxTies appends every allowed action tied for the layered
-// maximum in ascending index order — the same strict q-desc/index-asc
-// contract as every other Reader. Only shadowed rows pay the masked
-// merged scan; the rest delegate to the base.
+// maximum in ascending index order — the same contract as every other
+// Reader. Only shadowed rows pay the masked merged scan; the rest
+// delegate to the base.
 func (o *Overlay) AppendArgMaxTies(s int, allowed func(e int) bool, buf []int) []int {
 	if o.n == 0 {
 		return buf

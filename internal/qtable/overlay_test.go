@@ -176,7 +176,7 @@ func TestOverlayPanics(t *testing.T) {
 }
 
 // BenchmarkOverlayArgMax contrasts the unshadowed delegation path
-// (compiled walk cost) with the shadowed merged scan.
+// (the base table's masked scan) with the shadowed merged scan.
 func BenchmarkOverlayArgMax(b *testing.B) {
 	const n = 256
 	base := New(n)
@@ -186,10 +186,9 @@ func BenchmarkOverlayArgMax(b *testing.B) {
 			base.Set(s, e, rng.NormFloat64())
 		}
 	}
-	compiled := Compile(base, 0)
 	mask := func(e int) bool { return e%7 != 0 }
 	b.Run("unshadowed", func(b *testing.B) {
-		o := NewOverlay(compiled, 0)
+		o := NewOverlay(base, 0)
 		o.Set(0, 0, 1) // some overlay content, but not on the probed rows
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -197,7 +196,7 @@ func BenchmarkOverlayArgMax(b *testing.B) {
 		}
 	})
 	b.Run("shadowed", func(b *testing.B) {
-		o := NewOverlay(compiled, 0)
+		o := NewOverlay(base, 0)
 		for s := 0; s < n; s++ {
 			o.Set(s, s, 1)
 		}

@@ -25,9 +25,8 @@ import (
 
 // DefaultDenseMaxItems is the catalog size up to which New allocates the
 // dense n² array (128 MiB of float64 at 4096 items). Beyond it the
-// sparse representation wins on memory by orders of magnitude and the
-// serve path compiles to a Tiered reader instead of a dense scan.
-// Callers with operator-configured limits use NewWithDenseMax.
+// sparse representation wins on memory by orders of magnitude.
+// Callers with a configured threshold use NewWithDenseMax.
 const DefaultDenseMaxItems = 4096
 
 // Table is an action-value table over n items. The zero Table is not
@@ -50,8 +49,8 @@ type Table struct {
 func New(n int) *Table { return NewWithDenseMax(n, 0) }
 
 // NewWithDenseMax is New with an explicit dense threshold (<= 0 means
-// DefaultDenseMaxItems) — the constructor configured callers thread the
-// -dense-q-max operator limit through.
+// DefaultDenseMaxItems) — the constructor sarsa.Config.DenseQMax
+// reaches.
 func NewWithDenseMax(n, denseMax int) *Table {
 	if n < 0 {
 		panic(fmt.Sprintf("qtable: negative size %d", n))
@@ -114,10 +113,10 @@ func (t *Table) Get(s, e int) float64 {
 
 // rowView returns Q(s, ·) as a view into the dense backing array,
 // without copying and without bounds-checking s — the accessor the
-// compiled-policy builder and the arg-max scans use on indices they
-// already validated. It returns nil for a sparse-backed table; callers
-// fall back to Get. Callers must guarantee 0 <= s < n and must not
-// mutate the returned slice.
+// arg-max scans use on indices they already validated. It returns nil
+// for a sparse-backed table; callers then read the state's oaRow.
+// Callers must guarantee 0 <= s < n and must not mutate the returned
+// slice.
 func (t *Table) rowView(s int) []float64 {
 	if t.q == nil {
 		return nil

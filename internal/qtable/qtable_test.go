@@ -66,6 +66,28 @@ func TestUpdateTerminal(t *testing.T) {
 	}
 }
 
+// TestUpdateBoundsCheck keeps Update's validation intact after the
+// single-check rewrite: out-of-range indices must still panic.
+func TestUpdateBoundsCheck(t *testing.T) {
+	tbl := New(3)
+	for _, idx := range [][4]int{
+		{-1, 0, -1, -1}, {0, 3, -1, -1}, {0, 0, 3, 0}, {0, 0, 1, 5},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Update(%v) did not panic", idx)
+				}
+			}()
+			tbl.Update(idx[0], idx[1], 0.5, 1, 0.9, idx[2], idx[3])
+		}()
+	}
+	// The no-bootstrap sentinel (-1,-1) must keep working.
+	if got := tbl.Update(0, 0, 0.5, 2, 0.9, -1, -1); got != 1 {
+		t.Fatalf("Update terminal = %g, want 1", got)
+	}
+}
+
 func TestArgMax(t *testing.T) {
 	q := New(4)
 	q.Set(0, 1, 5)

@@ -2,14 +2,12 @@ package qtable
 
 // Reader is the read surface of an action-value table — the interface
 // every Q consumer on the serving path depends on, so the concrete
-// representation (dense or sparse-backed Table, compiled action order,
-// tiered walk, per-user Overlay) stays an implementation detail of this
-// package.
+// representation (dense or sparse-backed Table, per-user Overlay) stays
+// an implementation detail of this package.
 //
 // All implementations agree exactly on semantics: absent entries read as
 // 0, ArgMax breaks ties to the lowest index, and AppendArgMaxTies
-// appends the maximal actions in strict q-descending / index-ascending
-// order (the total order Compiled materializes). The cross-
+// appends the maximal actions in ascending index order. The cross-
 // implementation equivalence property test (reader_test.go) pins this.
 //
 // Readers are safe for concurrent use once their backing storage is
@@ -31,9 +29,7 @@ type Reader interface {
 
 var (
 	_ Reader = (*Table)(nil)
-	_ Reader = (*Compiled)(nil)
 	_ Reader = (*Overlay)(nil)
-	_ Reader = (*Tiered)(nil)
 )
 
 // scanArgMax is the one allowed-scan arg-max every implementation

@@ -8,21 +8,15 @@ import (
 
 // readersFromDense builds every Reader implementation over the same
 // logical contents as the dense table: a sparse-backed Table (the
-// representation forced regardless of n), the compiled order (with a
-// small k to force lazy-tail walks), the tiered reader over the
-// sparse-backed table, an empty overlay on dense and sparse-backed
-// tables, and an overlay whose shadow cells happen to equal the base
-// values (shadowed-but-identical rows must not change results).
+// representation forced regardless of n), an empty overlay on dense and
+// sparse-backed tables, and an overlay on the dense table whose shadow
+// cells happen to equal the base values (shadowed-but-identical rows
+// must not change results).
 func readersFromDense(dense *Table, rng *rand.Rand) map[string]Reader {
 	n := dense.Size()
 	sparseTable := newSparseTable(n)
 	dense.EachStored(sparseTable.Set)
-	k := 1
-	if n > 0 {
-		k = 1 + rng.Intn(n)
-	}
-	compiled := Compile(dense, k)
-	shadow := NewOverlay(compiled, 0)
+	shadow := NewOverlay(dense, 0)
 	for s := 0; s < n; s++ {
 		if rng.Intn(2) == 0 {
 			continue
@@ -35,8 +29,6 @@ func readersFromDense(dense *Table, rng *rand.Rand) map[string]Reader {
 	return map[string]Reader{
 		"table":          dense,
 		"table/oarows":   sparseTable,
-		"compiled":       compiled,
-		"tiered":         NewTiered(sparseTable),
 		"overlay/table":  NewOverlay(dense, 0),
 		"overlay/sparse": NewOverlay(sparseTable, 0),
 		"overlay/shadow": shadow,
@@ -44,10 +36,9 @@ func readersFromDense(dense *Table, rng *rand.Rand) map[string]Reader {
 }
 
 // TestReaderEquivalence is the cross-implementation equivalence
-// property: every Reader — dense table, sparse-backed table, compiled
-// walk, tiered walk, and overlays (empty and value-identical shadows) —
-// returns the same Get, ArgMax and AppendArgMaxTies results under random
-// contents and masks.
+// property: every Reader — dense table, sparse-backed table, and
+// overlays (empty and value-identical shadows) — returns the same Get,
+// ArgMax and AppendArgMaxTies results under random contents and masks.
 func TestReaderEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -142,10 +142,6 @@ func TestSparseMemoryFollowsVisitedSet(t *testing.T) {
 	if got := q.MemoryBytes(); got > denseBytes/100 {
 		t.Fatalf("MemoryBytes = %d, want well under 1%% of dense %d", got, denseBytes)
 	}
-	tr := NewTiered(q)
-	if got := tr.MemoryBytes(); got > denseBytes/100 {
-		t.Fatalf("Tiered.MemoryBytes = %d, want well under 1%% of dense %d", got, denseBytes)
-	}
 }
 
 // TestNewSelectsRepresentation pins the constructor thresholds,
@@ -198,7 +194,6 @@ func TestSparsePanics(t *testing.T) {
 		func() { q.Update(0, 0, 0.5, 1, 0.9, 3, 0) },
 		func() { q.Row(3) },
 		func() { NewWithDenseMax(-1, 1) },
-		func() { Compile(q, 0) },
 	} {
 		func() {
 			defer func() {

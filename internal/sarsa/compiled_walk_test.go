@@ -1,16 +1,16 @@
 package sarsa
 
-// Equivalence property: the serving walk over the compiled Q-descending
-// action order (Policy.Compiled) must return sequences bit-identical to
-// the reference masked-ArgMax walk it replaced — across guided and
-// unguided modes, trained and adversarial Q tables, the compiled order of
-// a dense table and the tiered reader of a sparse-backed one, and prefix
-// lengths small enough that walks regularly exhaust the eager top-K and
-// fall back to the lazy tail.
+// Equivalence property: the serving walk, which reads the policy's Q
+// table through qtable.Reader with a reused tie buffer, must return
+// sequences bit-identical to the reference walk that answers every
+// arg-max with the dense table's allocating masked scan — across guided
+// and unguided modes, trained and adversarial Q tables, and both table
+// representations (a dense table and its sparse-backed copy).
 
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/fixture"
@@ -20,15 +20,8 @@ import (
 	"github.com/rlplanner/rlplanner/internal/seqsim"
 )
 
-// forceCompile pins the policy's compiled order to one built at prefix
-// length k, before any walk triggers the default build.
-func forceCompile(p *Policy, k int) {
-	p.compileOnce.Do(func() { p.compiled = qtable.Compile(p.Q, k) })
-}
-
-// referenceNextAction is the pre-compilation nextAction: the same tier
-// structure, with every arg-max answered by the dense table's full
-// masked scan.
+// referenceNextAction is nextAction with the same tier structure and
+// every arg-max answered by the dense table's ArgMaxTies.
 func referenceNextAction(p *Policy, env *mdp.Env, ep *mdp.Episode, guided bool, exclude func(int) bool) (int, bool) {
 	s := ep.Last()
 	allowed := func(a int) bool {
@@ -146,8 +139,8 @@ func sparseCopy(q *qtable.Table) *qtable.Table {
 }
 
 // TestCompiledRolloutMatchesReference is the bit-identical property:
-// for every environment, Q source, compiled variant, start item and
-// mode, the compiled walk and the masked-ArgMax reference produce the
+// for every environment, Q source, representation, start item and
+// mode, the serving walk and the masked-ArgMax reference produce the
 // same sequence.
 func TestCompiledRolloutMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -180,21 +173,9 @@ func TestCompiledRolloutMatchesReference(t *testing.T) {
 		ids := env.Catalog().IDs()
 		for qName, q := range tables {
 			ref := &Policy{Q: q, IDs: ids}
-			compiledAt := func(k int) *Policy {
-				p := &Policy{Q: q, IDs: ids}
-				forceCompile(p, k)
-				return p
-			}
-			// Serve-time variants: the default prefix, prefixes short enough
-			// that every multi-step walk exhausts them (k=1, k=2 exercise
-			// the lazy-tail fallback on catalogs of any size), and a
-			// sparse-backed copy of the same values, which the default
-			// Policy.Compiled serves through the tiered reader.
 			variants := map[string]*Policy{
-				"dense-default":  {Q: q, IDs: ids},
-				"dense-k1":       compiledAt(1),
-				"dense-k2":       compiledAt(2),
-				"sparse-default": {Q: sparseCopy(q), IDs: ids},
+				"dense":  {Q: q, IDs: ids},
+				"sparse": {Q: sparseCopy(q), IDs: ids},
 			}
 			for vName, pol := range variants {
 				for start := 0; start < n; start++ {
@@ -212,7 +193,7 @@ func TestCompiledRolloutMatchesReference(t *testing.T) {
 								envCase.name, qName, vName, start, guided, err)
 						}
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s/%s/%s start %d guided=%v: compiled walk %v, reference %v",
+							t.Fatalf("%s/%s/%s start %d guided=%v: serving walk %v, reference %v",
 								envCase.name, qName, vName, start, guided, got, want)
 						}
 					}
@@ -231,7 +212,6 @@ func TestNextGuidedMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomPolicyTable(rng, n)
 		pol := &Policy{Q: q, IDs: env.Catalog().IDs()}
-		forceCompile(pol, 2)
 		excluded := map[int]bool{rng.Intn(n): true, rng.Intn(n): true}
 		exclude := func(a int) bool { return excluded[a] }
 
@@ -255,6 +235,84 @@ func TestNextGuidedMatchesReference(t *testing.T) {
 			}
 			ep.Step(got)
 			refEp.Step(want)
+		}
+	}
+}
+
+// TestConcurrentWalksMatchSequential walks one dense and one
+// sparse-backed policy from several goroutines at once — every start,
+// guided and unguided, and the guided walk through a private overlay
+// per goroutine that carries feedback — and requires every plan to
+// equal the sequential walk's. Serving shares one frozen Q table
+// across all requests, so concurrent walks read the same rows (the
+// sparse table's open-addressed probes included); run it with -race.
+func TestConcurrentWalksMatchSequential(t *testing.T) {
+	const goroutines = 8
+	env := walkTripEnv(t)
+	n := env.NumItems()
+	res, err := Learn(env, Config{Episodes: 80, Alpha: 0.8, Gamma: 0.9,
+		Start: RandomStart, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []*Policy{
+		res.Policy,
+		{Q: sparseCopy(res.Policy.Q), IDs: res.Policy.IDs},
+	}
+	if !policies[0].Q.IsDense() || policies[1].Q.IsDense() {
+		t.Fatal("want one dense and one sparse-backed policy")
+	}
+	// walks serves goroutine g's requests in a fixed order: for each
+	// policy and start, the unguided, guided and overlay walks. The
+	// overlay carries seeded feedback nudges, built per call so no two
+	// goroutines share one.
+	walks := func(g int) ([][]int, error) {
+		var out [][]int
+		for _, p := range policies {
+			o := qtable.NewOverlay(p.Q, 0)
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2*n; i++ {
+				o.Bump(rng.Intn(n), rng.Intn(n), 4*rng.Float64()-2)
+			}
+			for start := 0; start < n; start++ {
+				for _, walk := range []func() ([]int, error){
+					func() ([]int, error) { return p.Recommend(env, start) },
+					func() ([]int, error) { return p.RecommendGuided(env, start) },
+					func() ([]int, error) { return p.RecommendGuidedOver(env, start, o) },
+				} {
+					seq, err := walk()
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, seq)
+				}
+			}
+		}
+		return out, nil
+	}
+	want := make([][][]int, goroutines)
+	for g := range want {
+		if want[g], err = walks(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][][]int, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = walks(g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Fatalf("goroutine %d: concurrent walks differ from the sequential ones", g)
 		}
 	}
 }

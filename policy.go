@@ -117,9 +117,8 @@ func (p *Policy) MatchDistance(inst *Instance) (float64, error) {
 }
 
 // MemoryBytes estimates the policy artifact's resident memory (the Q
-// table and compiled action order for value-based engines, a small
-// constant for the procedural baselines) — the figure the serving
-// metrics aggregate per cache.
+// table for value-based engines, a small constant for the procedural
+// baselines) — the figure the serving metrics aggregate per cache.
 func (p *Policy) MemoryBytes() int { return engine.PolicyBytes(p.p) }
 
 // Fingerprint identifies the catalog the policy was trained on; loading

@@ -221,15 +221,6 @@ type Options struct {
 	// parallel protocol — bit-identical results for every worker count,
 	// so the knob only changes throughput, never the learned policy.
 	TrainWorkers int
-	// DistMatrixMax bounds the catalog size that precomputes an exact
-	// n×n distance matrix (0 = geo.DefaultDistMatrixMaxItems, 1024);
-	// larger trip catalogs use exact per-call Haversine up to 4096 items
-	// and a quantized top-K neighbor store beyond.
-	DistMatrixMax int
-	// DenseQMax bounds the catalog size that allocates a dense n×n Q
-	// table (0 = qtable.DefaultDenseMaxItems, 4096); larger catalogs
-	// learn into a sparse table whose memory follows the visited set.
-	DenseQMax int
 }
 
 func (o Options) toCore() core.Options {
@@ -248,8 +239,6 @@ func (o Options) toCore() core.Options {
 		MaxDistanceKm: o.MaxDistanceKm,
 		TrainBudget:   o.TrainBudget,
 		TrainWorkers:  o.TrainWorkers,
-		DistMatrixMax: o.DistMatrixMax,
-		DenseQMax:     o.DenseQMax,
 	}
 	if o.Epsilon != 0 {
 		c.HasEpsilon = true
