@@ -37,8 +37,10 @@
 // Serving is personalizable per user: POST /api/feedback folds a user's
 // plan feedback into a bounded copy-on-write overlay over the shared
 // policy, and plan requests carrying that user id read through it. The
-// fleet's total overlay memory is capped by -overlay-budget (LRU user
-// eviction) and each user's overlay by -overlay-cells.
+// fleet's total overlay memory is capped by -overlay-budget (CLOCK
+// evicts the overlays least recently read or written) and each user's
+// overlay by -overlay-cells. At most 4096 interactive sessions stay
+// live; past that, the least recently used are evicted and answer 404.
 //
 // Usage:
 //
@@ -86,7 +88,7 @@ func main() {
 	autoDerive := flag.Bool("auto-derive", true,
 		"warm-start cold trainings from the nearest cached policy on catalog near-miss")
 	overlayBudget := flag.Int("overlay-budget", 0,
-		"total bytes for per-user personalization overlays (0 = default 64 MiB); least-recently-active users evict first")
+		"total bytes for per-user personalization overlays (0 = default 64 MiB); the least recently active overlays evict first")
 	overlayCells := flag.Int("overlay-cells", 0,
 		"max personalized action values per user overlay (0 = default)")
 	policyDir := flag.String("policy-dir", "",

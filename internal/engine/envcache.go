@@ -15,10 +15,10 @@ import (
 // path should pay once per configuration, not once per request.
 const DefaultEnvCacheSize = 64
 
-// envs is the process-wide environment cache: a bounded LRU with
-// per-key singleflight, so concurrent cold requests for the same
-// configuration share one build. Environments are immutable and safe to
-// share across trainers, policies and requests.
+// envs is the process-wide environment cache: a count-bounded CLOCK
+// Store with per-key singleflight, so concurrent cold requests for the
+// same configuration share one build. Environments are immutable and
+// safe to share across trainers, policies and requests.
 var envs = NewStore[*mdp.Env](DefaultEnvCacheSize)
 
 // EnvFor returns the environment for (instance, options), building and
@@ -59,9 +59,9 @@ func EnvCacheStats() CacheStats { return envs.Stats() }
 // catalog/prerequisite state; the figure is an operator-facing
 // estimate, not an accounting of every allocation.
 func EnvCacheBytes() int {
-	return envs.SumBytes(func(env *mdp.Env) int {
-		return env.NumItems()*512 + env.DistStoreBytes()
-	})
+	n := 0
+	envs.Range(func(_ string, env *mdp.Env) { n += env.NumItems()*512 + env.DistStoreBytes() })
+	return n
 }
 
 // PolicyBytes estimates a policy artifact's resident memory: the Q

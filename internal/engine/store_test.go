@@ -28,10 +28,10 @@ func TestStoreClockEviction(t *testing.T) {
 	if v, ok := s.Cached("b"); !ok || v != 2 {
 		t.Fatalf("b = %d, %v", v, ok)
 	}
-	got := s.Keys()
+	got := rangeKeys(s)
 	sort.Strings(got)
 	if want := []string{"b", "c"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Keys() = %v, want %v", got, want)
+		t.Fatalf("Range keys = %v, want %v", got, want)
 	}
 	// b's access bit is set (the hit above); the sweep spends it and
 	// evicts the untouched c.
@@ -95,11 +95,18 @@ func TestStoreShardedBound(t *testing.T) {
 		t.Fatal("most recent key missing")
 	}
 	// Every key the store reports is actually readable.
-	for _, k := range s.Keys() {
+	for _, k := range rangeKeys(s) {
 		if _, ok := s.Cached(k); !ok {
-			t.Fatalf("Keys() listed %q but Cached misses it", k)
+			t.Fatalf("Range visited %q but Cached misses it", k)
 		}
 	}
+}
+
+// rangeKeys collects the keys Range visits.
+func rangeKeys[V comparable](s *Store[V]) []string {
+	var keys []string
+	s.Range(func(key string, _ V) { keys = append(keys, key) })
+	return keys
 }
 
 func TestStoreAddOverwrites(t *testing.T) {
@@ -303,5 +310,157 @@ func TestStoreRemove(t *testing.T) {
 	close(release)
 	if v := <-done; v != 7 {
 		t.Fatalf("in-flight training returned %d", v)
+	}
+}
+
+// weight is a cost-store value whose charge its owner can change in
+// place, as an overlay grows with feedback.
+type weight struct{ n int }
+
+func newWeightStore(budget int) *Store[*weight] {
+	return NewCostStore(budget, func(w *weight) int { return w.n })
+}
+
+// TestCostStoreEvictsUntouchedFirst: an insert that takes a shard past
+// its share evicts untouched entries before any entry a reader used,
+// whatever their age.
+func TestCostStoreEvictsUntouchedFirst(t *testing.T) {
+	s := newWeightStore(10) // one shard
+	s.Add("a", &weight{3})
+	s.Add("b", &weight{3})
+	s.Add("c", &weight{3})
+	s.Cached("a")
+	s.Cached("c")
+	s.Add("d", &weight{3}) // 12 > 10: b is the only untouched entry
+	if _, ok := s.Cached("b"); ok {
+		t.Fatal("b should have been evicted: it was the one untouched entry")
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if _, ok := s.Cached(k); !ok {
+			t.Fatalf("%s lost", k)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 1 || st.Size != 3 || st.Cost != 9 {
+		t.Fatalf("stats = %+v, want 1 eviction, 3 entries, cost 9", st)
+	}
+}
+
+// TestCostStoreRechargeNeverEvictsItself: an entry that grows in place
+// and is re-charged evicts other entries until its shard fits again —
+// all of them if it alone outgrows the share — but never itself.
+func TestCostStoreRechargeNeverEvictsItself(t *testing.T) {
+	s := newWeightStore(10)
+	a := &weight{2}
+	s.Add("a", a)
+	s.Add("b", &weight{2})
+	s.Add("c", &weight{2})
+	s.Cached("b") // a second chance only delays b
+	a.n = 7
+	if !s.Recharge("a") {
+		t.Fatal("Recharge missed a cached key")
+	}
+	if _, ok := s.Cached("a"); !ok {
+		t.Fatal("the re-charged entry was evicted")
+	}
+	if st := s.Stats(); st.Cost > 10 || st.Cost != 7+2*(st.Size-1) {
+		t.Fatalf("after growing to 7: stats = %+v", st)
+	}
+	a.n = 25 // past the whole budget
+	s.Recharge("a")
+	if st := s.Stats(); st.Size != 1 || st.Cost != 25 {
+		t.Fatalf("after outgrowing the budget: stats = %+v, want only a at cost 25", st)
+	}
+	if _, ok := s.Cached("a"); !ok {
+		t.Fatal("the re-charged entry was evicted")
+	}
+	if s.Recharge("gone") {
+		t.Fatal("Recharge reported an absent key")
+	}
+}
+
+// TestStoreCompareAndRemove: the guarded remove drops a key only while
+// it still holds the value the caller saw.
+func TestStoreCompareAndRemove(t *testing.T) {
+	s := newWeightStore(10)
+	old, cur := &weight{3}, &weight{4}
+	s.Add("k", old)
+	s.Add("k", cur) // a concurrent request replaced the value
+	if s.CompareAndRemove("k", old) {
+		t.Fatal("removed a key that no longer holds the stale value")
+	}
+	if v, ok := s.Cached("k"); !ok || v != cur {
+		t.Fatal("the replacement was removed")
+	}
+	if !s.CompareAndRemove("k", cur) {
+		t.Fatal("guarded remove of the current value failed")
+	}
+	if st := s.Stats(); st.Size != 0 || st.Cost != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want empty with no evictions", st)
+	}
+	if s.CompareAndRemove("k", cur) {
+		t.Fatal("removed an absent key")
+	}
+}
+
+// TestCostStoreShardedBudget fills a striped cost store far past its
+// budget: shares sum to the budget, each shard exceeds its share by at
+// most the entry it took last, CacheStats counts every eviction and its
+// cost is the sum of the live entries' costs.
+func TestCostStoreShardedBudget(t *testing.T) {
+	const budget, maxCost, inserts = 4096, 40, 2000
+	s := newWeightStore(budget)
+	if len(s.shards) < 2 {
+		t.Fatalf("expected a striped store at budget %d, got %d shard(s)", budget, len(s.shards))
+	}
+	shares := 0
+	for i := range s.shards {
+		shares += s.shards[i].share
+	}
+	if shares != budget {
+		t.Fatalf("shares sum to %d, want %d", shares, budget)
+	}
+	for i := 0; i < inserts; i++ {
+		s.Add(fmt.Sprintf("k%d", i), &weight{1 + i*7%maxCost})
+		if i%3 == 0 {
+			s.Cached(fmt.Sprintf("k%d", i/2))
+		}
+	}
+	for i := range s.shards {
+		if sh := &s.shards[i]; sh.used > sh.share+maxCost {
+			t.Fatalf("shard %d charges %d against a share of %d", i, sh.used, sh.share)
+		}
+	}
+	sum, n := 0, 0
+	s.Range(func(_ string, w *weight) { sum, n = sum+w.n, n+1 })
+	st := s.Stats()
+	if st.Cost != sum || st.Size != n {
+		t.Fatalf("stats = %+v, Range sees %d entries costing %d", st, n, sum)
+	}
+	if st.Evictions != uint64(inserts-n) {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, inserts-n)
+	}
+	if _, ok := s.Cached(fmt.Sprintf("k%d", inserts-1)); !ok {
+		t.Fatal("most recent key missing")
+	}
+}
+
+// TestCostStoreCachedHitNoAlloc: the cost-bounded store keeps the
+// zero-alloc hit path of TestStoreCachedHitNoAlloc.
+func TestCostStoreCachedHitNoAlloc(t *testing.T) {
+	s := newWeightStore(1 << 20)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		s.Add(keys[i], &weight{100})
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if w, ok := s.Cached(keys[i%len(keys)]); !ok || w.n != 100 {
+			t.Fatal("miss on a warm key")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Cached hit allocates %.1f objects/op, want 0", allocs)
 	}
 }

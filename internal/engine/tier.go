@@ -1,5 +1,5 @@
-// The durable second tier behind the policy store: memory LRU → tier →
-// train. The Tier interface is what the store needs from a durable
+// The durable second tier behind the policy store: memory CLOCK cache →
+// tier → train. The Tier interface is what the store needs from a durable
 // artifact repository (internal/repo behind a serialization adapter);
 // keeping it an interface here avoids an engine→repo dependency and
 // lets tests drive the protocol with in-memory fakes.
@@ -41,8 +41,8 @@ type Tier[V any] interface {
 	TryClaim(key string) (release func(), claimed bool, err error)
 }
 
-// AttachTier installs a durable tier behind the in-memory LRU. Lookups
-// then resolve memory → tier → train: a tier hit fills the LRU without
+// AttachTier installs a durable tier behind the in-memory cache. Lookups
+// then resolve memory → tier → train: a tier hit fills the cache without
 // training, a miss trains under the tier's cross-process claim and
 // writes the artifact through. Attach before serving; the store does
 // not synchronize tier replacement against in-flight lookups.

@@ -52,23 +52,33 @@ func (s *Server) trainOrDerive(ctx context.Context, inst *rlplanner.Instance, en
 // policy trained on a *different* catalog (fingerprint near-miss) and
 // returns it when within deriveMaxDistance. Same-fingerprint policies
 // are skipped: a request for the same catalog under different options
-// is a cold-key decision, not a catalog change.
+// is a cold-key decision, not a catalog change. Equidistant sources
+// (one catalog trained under several seeds) resolve to the smallest
+// key, so the choice does not depend on the store's shard order. The
+// scan neither counts cache hits nor marks policies used; matching runs
+// on a snapshot, outside the store's locks.
 func (s *Server) nearestSource(inst *rlplanner.Instance, engineName string) *rlplanner.Policy {
 	targetFP := inst.Fingerprint()
-	var best *rlplanner.Policy
-	bestDist := deriveMaxDistance
-	for _, key := range s.policies.Keys() {
-		pol, ok := s.policies.Cached(key)
-		if !ok || pol.Engine() != engineName || pol.Fingerprint() == targetFP {
-			continue
-		}
-		d, err := pol.MatchDistance(inst)
-		if err != nil || d > bestDist {
-			continue
-		}
-		best, bestDist = pol, d
+	type candidate struct {
+		key string
+		pol *rlplanner.Policy
 	}
-	return best
+	var cands []candidate
+	s.policies.Range(func(key string, pol *rlplanner.Policy) {
+		if pol.Engine() == engineName && pol.Fingerprint() != targetFP {
+			cands = append(cands, candidate{key, pol})
+		}
+	})
+	var best candidate
+	bestDist := deriveMaxDistance
+	for _, c := range cands {
+		d, err := c.pol.MatchDistance(inst)
+		if err != nil || d > bestDist || d == bestDist && best.pol != nil && c.key > best.key {
+			continue
+		}
+		best, bestDist = c, d
+	}
+	return best.pol
 }
 
 // deriveInfo is the derive endpoint's response: the stored policy plus

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -201,6 +202,72 @@ func TestTrainWorkersSamePolicy(t *testing.T) {
 	for i := range a.Steps {
 		if a.Steps[i].ID != b.Steps[i].ID {
 			t.Fatalf("step %d differs: %q vs %q", i, a.Steps[i].ID, b.Steps[i].ID)
+		}
+	}
+}
+
+// TestScansCountNoCacheHits: the nearest-source scan behind every cold
+// auto-derive request and the /api/policies listing read the policy
+// store without counting hits, so three cold plans and a listing report
+// no hit at all and one miss per plan.
+func TestScansCountNoCacheHits(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	programs := []string{"Univ-1 M.S. CS", "Univ-1 M.S. DS-CT", "Univ-1 M.S. Cybersecurity"}
+	for _, name := range programs {
+		var plan rlplanner.Plan
+		body := map[string]interface{}{"instance": name, "engine": "sarsa", "episodes": 60, "seed": 1}
+		if code := doJSON(t, "POST", ts.URL+"/api/plan", body, &plan); code != 200 {
+			t.Fatalf("%s: cold plan status %d", name, code)
+		}
+	}
+	var pols []policyInfo
+	if code := doJSON(t, "GET", ts.URL+"/api/policies", nil, &pols); code != 200 || len(pols) != len(programs) {
+		t.Fatalf("policies status %d, %d listed", code, len(pols))
+	}
+	var m map[string]int64
+	doJSON(t, "GET", ts.URL+"/api/metrics", nil, &m)
+	if m["policy_cache_hits"] != 0 || m["policy_cache_misses"] != int64(len(programs)) {
+		t.Fatalf("policy_cache_hits = %d, policy_cache_misses = %d; want 0 and %d",
+			m["policy_cache_hits"], m["policy_cache_misses"], len(programs))
+	}
+}
+
+// TestNearestSourceTieBreaksByKey: policies trained on one catalog
+// under different seeds are equidistant from any target, and the
+// warm-start source among them is the smallest key, whichever the store
+// holds first. A one-shard store makes the store's own order the
+// insertion order.
+func TestNearestSourceTieBreaksByKey(t *testing.T) {
+	orig, err := rlplanner.InstanceByName(instName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := rlplanner.NewInstance(perturbSpec(t, orig, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 2)
+	pols := make([]*rlplanner.Policy, 2)
+	for i := range pols {
+		req := planRequest{Instance: instName, Episodes: 40, Seed: int64(i + 1)}
+		keys[i] = req.policyKey("sarsa")
+		if pols[i], err = rlplanner.Train(context.Background(), orig, "sarsa", req.options()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := pols[0]
+	if keys[1] < keys[0] {
+		want = pols[1]
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		s := New(WithPolicyCacheSize(8))
+		for _, i := range order {
+			s.policies.Add(keys[i], pols[i])
+		}
+		if got := s.nearestSource(target, "sarsa"); got != want {
+			t.Fatalf("insertion order %v: nearest source is not the smallest key", order)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // platforms advising thousands of users).
 //
 // The serving path separates training from serving. Policies are
-// immutable artifacts kept in a bounded LRU store with per-key
-// singleflight training: concurrent requests for the same cold
+// immutable artifacts kept in a bounded CLOCK store (engine.Store) with
+// per-key singleflight training: concurrent requests for the same cold
 // (instance, engine, options) key share one training run, different keys
 // train in parallel, and every read path (instance listing, cached-policy
 // planning, sessions) stays responsive while training runs — no global
@@ -31,27 +31,40 @@ import (
 	"github.com/rlplanner/rlplanner/internal/resilience"
 )
 
-// Server holds the HTTP state: the policy store and live interactive
-// sessions. The mutex guards the session map and custom-instance
-// *writes* — never a training run, and never the plan path's reads:
-// the custom-instance map is published as an immutable copy-on-write
-// snapshot behind an atomic pointer, so resolving an instance on every
-// plan request is lock-free.
+// sessionCapacity bounds the live interactive sessions; past it, CLOCK
+// evicts the sessions least recently used, and an evicted session
+// answers 404 like an unknown id. One session holds an mdp.Episode
+// (about 6 B per catalog item plus the plan so far) and its rejection
+// set, and keeps its policy and environment alive after the policy
+// store has evicted them.
+const sessionCapacity = 4096
+
+// Server holds the HTTP state. Everything it keeps per key — policies,
+// per-user overlays and interactive sessions — lives in a bounded
+// engine.Store, so all three share one eviction policy, one sharding
+// scheme and one singleflight. The mutex only serializes
+// custom-instance *writes* — never a training run, and never the plan
+// path's reads: the custom-instance map is published as an immutable
+// copy-on-write snapshot behind an atomic pointer, so resolving an
+// instance on every plan request is lock-free.
 type Server struct {
-	mu       sync.Mutex
-	sessions map[string]*sessionState
+	mu sync.Mutex
 	// custom is the immutable snapshot of uploaded instances. Readers
 	// Load it and index without any lock; createInstance copies the map
 	// under mu and atomically publishes the successor. Uploads are rare,
 	// plan-path reads are millions — classic copy-on-write territory.
 	custom atomic.Pointer[map[string]*rlplanner.Instance]
-	nextID int
+
+	// sessions holds the live interactive sessions (sessionCapacity of
+	// them at most); nextID numbers them.
+	sessions *engine.Store[*sessionState]
+	nextID   atomic.Uint64
 
 	policies *engine.Store[*rlplanner.Policy]
 
 	// policyDir roots the durable policy repository (WithPolicyDir, ""
 	// disables it); repo and tier are live once New opened it. The tier
-	// sits behind the policy store: memory LRU → on-disk repo → train,
+	// sits behind the policy store: memory cache → on-disk repo → train,
 	// with write-through on train and a cross-process training claim.
 	policyDir string
 	repo      *repo.Repo
@@ -84,9 +97,10 @@ type Server struct {
 	metrics    resilience.Metrics
 
 	// overlays holds the per-(user, policy) personalization overlays —
-	// the serving half of the layered-read design. overlayBudget and
-	// overlayCells configure it before New builds the store.
-	overlays      *overlayStore
+	// the serving half of the layered-read design — charged their bytes
+	// against overlayBudget. overlayBudget and overlayCells configure it
+	// before New builds the store.
+	overlays      *engine.Store[*overlayEntry]
 	overlayBudget int
 	overlayCells  int
 	// feedbackSignals counts successfully applied POST /api/feedback
@@ -130,8 +144,8 @@ func (st *sessionState) do(id string, act func(*rlplanner.Session) error) (sessi
 // Option configures a Server.
 type Option func(*Server)
 
-// WithPolicyCacheSize bounds the policy LRU store (engine.DefaultStoreSize
-// when never set or n <= 0).
+// WithPolicyCacheSize bounds the policy store to n entries
+// (engine.DefaultStoreSize when never set or n <= 0).
 func WithPolicyCacheSize(n int) Option {
 	return func(s *Server) { s.policies = engine.NewStore[*rlplanner.Policy](n) }
 }
@@ -187,8 +201,9 @@ func WithTrainWorkers(n int) Option {
 
 // WithOverlayBudget bounds the total estimated resident bytes of all
 // per-user personalization overlays (DefaultOverlayBudgetBytes when
-// never set or n <= 0). Least-recently-used users are evicted — and
-// revert to base-policy serving — when the fleet exceeds the budget.
+// never set or n <= 0). When the fleet exceeds the budget, CLOCK evicts
+// the overlays least recently read or written, and their users revert
+// to base-policy serving.
 func WithOverlayBudget(n int) Option {
 	return func(s *Server) { s.overlayBudget = n }
 }
@@ -213,7 +228,7 @@ func WithAutoDerive(enabled bool) Option {
 // New returns an empty server.
 func New(opts ...Option) *Server {
 	s := &Server{
-		sessions:   make(map[string]*sessionState),
+		sessions:   engine.NewStore[*sessionState](sessionCapacity),
 		policies:   engine.NewStore[*rlplanner.Policy](0),
 		breaker:    resilience.NewBreaker(0, 0),
 		fallback:   "gold",
@@ -223,7 +238,10 @@ func New(opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.overlays = newOverlayStore(s.overlayBudget, s.overlayCells)
+	if s.overlayBudget <= 0 {
+		s.overlayBudget = DefaultOverlayBudgetBytes
+	}
+	s.overlays = engine.NewCostStore(s.overlayBudget, overlayCost)
 	s.openRepo()
 	return s
 }
@@ -519,15 +537,10 @@ type policyInfo struct {
 }
 
 func (s *Server) listPolicies(w http.ResponseWriter, _ *http.Request) {
-	keys := s.policies.Keys()
-	out := make([]policyInfo, 0, len(keys))
-	for _, key := range keys {
-		pol, ok := s.policies.Cached(key)
-		if !ok { // evicted between Keys and Cached
-			continue
-		}
+	out := []policyInfo{}
+	s.policies.Range(func(key string, pol *rlplanner.Policy) {
 		out = append(out, policyInfo{Key: key, Engine: pol.Engine(), Fingerprint: pol.Fingerprint()})
-	}
+	})
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -665,22 +678,18 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := &sessionState{instance: req.Instance, session: sess}
-	s.mu.Lock()
-	s.nextID++
-	id := "s" + strconv.Itoa(s.nextID)
-	s.sessions[id] = st
-	s.mu.Unlock()
+	id := "s" + strconv.FormatUint(s.nextID.Add(1), 10)
+	s.sessions.Add(id, st)
 
 	view, _ := st.do(id, nil) // a read cannot fail
 	writeJSON(w, http.StatusCreated, view)
 }
 
-// lookup finds a session by path id.
+// lookup finds a session by path id; an evicted session is as unknown
+// as one never created.
 func (s *Server) lookup(r *http.Request) (string, *sessionState, error) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.sessions[id]
+	st, ok := s.sessions.Cached(id)
 	if !ok {
 		return "", nil, fmt.Errorf("unknown session %q", id)
 	}

@@ -479,3 +479,51 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("unknown item status %d", code)
 	}
 }
+
+// TestSessionFlood: sessions are bounded. Creating sessionCapacity+64
+// of them keeps at most sessionCapacity live; a session read between
+// creations survives, and an early session nobody read is evicted and
+// answers 404 like an unknown id.
+func TestSessionFlood(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	create := func() string {
+		t.Helper()
+		w := serve("POST", "/api/sessions", fmt.Sprintf(`{"instance":%q,"episodes":60,"seed":6}`, instName))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("create: status %d: %s", w.Code, w.Body.String())
+		}
+		var v struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
+			t.Fatal(err)
+		}
+		return v.ID
+	}
+	kept := create()
+	var early []string
+	for i := 0; i < sessionCapacity+64; i++ {
+		id := create()
+		if i < sessionCapacity {
+			early = append(early, id)
+		}
+		if n := s.sessions.Len(); n > sessionCapacity {
+			t.Fatalf("%d live sessions, capacity %d", n, sessionCapacity)
+		}
+		if w := serve("GET", "/api/sessions/"+kept, ""); w.Code != http.StatusOK {
+			t.Fatalf("read session %s evicted after %d creations: status %d", kept, i+1, w.Code)
+		}
+	}
+	for _, id := range early {
+		if w := serve("GET", "/api/sessions/"+id, ""); w.Code == http.StatusNotFound {
+			return
+		}
+	}
+	t.Fatal("no early session was evicted")
+}

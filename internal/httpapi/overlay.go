@@ -1,16 +1,14 @@
-// Per-user personalization over the policy store: a bounded LRU of
-// copy-on-write Q overlays keyed by (user, policy), the serving half of
-// the layered-reads architecture (DESIGN §13). The shared policy
-// artifacts stay immutable — feedback writes land only in the caller's
-// overlay, and a request without a user (or whose user has no overlay)
-// serves the base policy bit-identically at the base cost.
+// Per-user personalization over the policy store: copy-on-write Q
+// overlays keyed by (user, policy) in a byte-bounded engine.Store, the
+// serving half of the layered-reads architecture (DESIGN §13). The
+// shared policy artifacts stay immutable — feedback writes land only in
+// the caller's overlay, and a request without a user (or whose user has
+// no overlay) serves the base policy bit-identically at the base cost.
 package httpapi
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
-	"hash/maphash"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -23,238 +21,32 @@ import (
 // users over an institution-scale catalog).
 const DefaultOverlayBudgetBytes = 64 << 20
 
-// overlayShardCount stripes the lookup map. Power of two; sixteen
-// stripes is plenty for the core counts a single daemon sees.
-const overlayShardCount = 16
-
-var overlaySeed = maphash.MakeSeed()
-
-// overlayStore is the bounded per-user overlay cache. Two levels of
-// bounding compose: each overlay caps its own cells (qtable's LRU row
-// eviction), and the store caps the fleet-wide byte total by evicting
-// whole least-recently-active (user, policy) entries.
-//
-// The structure is split along the read/write boundary of the serving
-// path. The *lookup* map — hit by every personalized plan request — is
-// striped into shards, each behind an RWMutex held shared on reads; a
-// plan-path hit records recency with one atomic store on the entry's
-// access bit and takes no global lock at all. The *accounting* state
-// (write-recency list, byte total, distinct-user counts) lives behind
-// one mutex that only the write path touches: feedback posts, byte
-// reaccounting, eviction. Eviction order is CLOCK-over-LRU: the list
-// tracks feedback recency exactly, and a victim whose access bit shows
-// plan-path reads since the last sweep is granted a second chance
-// instead of being evicted — so plan-active users survive without the
-// plan path ever queueing on the accounting lock.
-type overlayStore struct {
-	shards   [overlayShardCount]overlayShard
-	maxBytes int
-	cells    int // per-overlay cell cap (0 = qtable default)
-
-	// mu guards the write-side accounting below: the recency list, the
-	// byte total, the per-user entry counts and the eviction counter.
-	// Never taken by the plan-path lookup.
-	mu      sync.Mutex
-	order   *list.List // front = most recent feedback write
-	bytes   int
-	users   map[string]int // user id → live entry count
-	evicted uint64
-}
-
-// overlayShard is one stripe of the lookup map.
-type overlayShard struct {
-	mu      sync.RWMutex
-	entries map[string]*overlayEntry
-}
+// overlayCostFloor is the least an overlay entry is charged against the
+// budget: the charge of the smallest non-empty overlay, one 48 B cell
+// plus its 160 B row. An overlay that has only seen neutral ratings
+// holds no cells, yet its entry still occupies memory and must count.
+const overlayCostFloor = 208
 
 // overlayEntry is one user's overlay for one policy. Its mutex
-// serializes that user's requests (overlays are single-writer); neither
-// the store's accounting lock nor a shard lock is ever held across a
-// recommendation walk.
+// serializes that user's requests (overlays are single-writer); no
+// store lock is ever held across a recommendation walk.
 type overlayEntry struct {
-	key, user string
-	mu        sync.Mutex
-	ov        *rlplanner.Overlay
-	// touched is the CLOCK access bit: set (one atomic store) by every
-	// plan-path lookup, spent by the eviction sweep for a second chance.
-	touched atomic.Bool
-	// bytes, elem and gone are guarded by the store's accounting mutex.
-	// gone marks an entry evicted or dropped; sticky once set.
-	bytes int
-	elem  *list.Element
-	gone  bool
+	user string
+	mu   sync.Mutex
+	ov   *rlplanner.Overlay
+	// bytes is ov's estimated size after its last feedback write: stored
+	// under mu, read without it by the store's cost function.
+	bytes atomic.Int64
 }
 
-func newOverlayStore(maxBytes, cells int) *overlayStore {
-	if maxBytes <= 0 {
-		maxBytes = DefaultOverlayBudgetBytes
-	}
-	st := &overlayStore{
-		maxBytes: maxBytes,
-		cells:    cells,
-		order:    list.New(),
-		users:    make(map[string]int),
-	}
-	for i := range st.shards {
-		st.shards[i].entries = make(map[string]*overlayEntry)
-	}
-	return st
-}
+// overlayCost charges an entry its overlay's bytes, at least
+// overlayCostFloor.
+func overlayCost(e *overlayEntry) int { return max(overlayCostFloor, int(e.bytes.Load())) }
 
 // overlayKey scopes a user's personalization to one policy artifact:
 // feedback against the sarsa policy must not leak into the qlearning
 // one, and retrained policies (different options key) start clean.
 func overlayKey(user, policyKey string) string { return user + "\x00" + policyKey }
-
-func (st *overlayStore) shard(key string) *overlayShard {
-	return &st.shards[maphash.String(overlaySeed, key)&(overlayShardCount-1)]
-}
-
-// lookup returns the user's overlay entry for the policy, nil when none
-// exists — the plan path, which must never create overlays (a user who
-// has given no feedback serves the base, allocation-free). A hit costs
-// one shard read-lock and one atomic store; concurrent plan requests
-// for different users never serialize here.
-func (st *overlayStore) lookup(user, policyKey string) *overlayEntry {
-	key := overlayKey(user, policyKey)
-	sh := st.shard(key)
-	sh.mu.RLock()
-	e := sh.entries[key]
-	sh.mu.RUnlock()
-	if e != nil {
-		e.touched.Store(true)
-	}
-	return e
-}
-
-// getOrCreate returns the user's overlay entry, building one with make
-// on first feedback. This is the write path: it may take the accounting
-// lock (to refresh feedback recency) and a shard's exclusive lock (to
-// install a new entry), but never both at once — the lock order is
-// strictly "one at a time", with identity checks and the sticky gone
-// flag resolving the races in between.
-func (st *overlayStore) getOrCreate(user, policyKey string, make func(cells int) (*rlplanner.Overlay, error)) (*overlayEntry, error) {
-	key := overlayKey(user, policyKey)
-	sh := st.shard(key)
-	for {
-		sh.mu.RLock()
-		e := sh.entries[key]
-		sh.mu.RUnlock()
-		if e != nil {
-			st.mu.Lock()
-			if !e.gone && e.elem != nil {
-				st.order.MoveToFront(e.elem)
-				st.mu.Unlock()
-				return e, nil
-			}
-			mid := !e.gone // mid-construction: creator has not linked elem yet
-			st.mu.Unlock()
-			if mid {
-				continue // about to become live; retry the fast path
-			}
-			// e was evicted or dropped: fall through and replace it.
-		}
-		ov, err := make(st.cells)
-		if err != nil {
-			return nil, err
-		}
-		ne := &overlayEntry{key: key, user: user, ov: ov}
-		sh.mu.Lock()
-		if cur := sh.entries[key]; cur != e {
-			// Another creator won the install race; loop to adopt theirs.
-			sh.mu.Unlock()
-			continue
-		}
-		sh.entries[key] = ne
-		sh.mu.Unlock()
-		st.mu.Lock()
-		ne.elem = st.order.PushFront(ne)
-		st.users[user]++
-		st.mu.Unlock()
-		return ne, nil
-	}
-}
-
-// reaccount refreshes the entry's byte charge after a mutation and
-// evicts entries while the store exceeds its byte budget. Victims come
-// off the cold end of the feedback-recency list, but an entry whose
-// CLOCK bit shows plan reads since the last sweep is moved back to the
-// warm end (its bit spent) instead of evicted. The just-touched entry
-// is never evicted. Callers must NOT hold e.mu.
-func (st *overlayStore) reaccount(e *overlayEntry, newBytes int) {
-	var victims []*overlayEntry
-	st.mu.Lock()
-	if !e.gone {
-		st.bytes += newBytes - e.bytes
-		e.bytes = newBytes
-	}
-	// The sweep budget bounds second chances: plan traffic setting bits
-	// concurrently must not be able to livelock the evictor.
-	budget := 2 * st.order.Len()
-	for st.bytes > st.maxBytes && st.order.Len() > 1 {
-		el := st.order.Back()
-		victim := el.Value.(*overlayEntry)
-		if victim == e {
-			break
-		}
-		if budget > 0 && victim.touched.CompareAndSwap(true, false) {
-			st.order.MoveToFront(el)
-			budget--
-			continue
-		}
-		victim.gone = true
-		st.order.Remove(el)
-		st.bytes -= victim.bytes
-		st.evicted++
-		if st.users[victim.user]--; st.users[victim.user] <= 0 {
-			delete(st.users, victim.user)
-		}
-		victims = append(victims, victim)
-	}
-	st.mu.Unlock()
-	// Unlink victims from their shards outside the accounting lock (the
-	// lock order forbids holding both). The identity check keeps a
-	// freshly re-created entry under the same key safe.
-	for _, v := range victims {
-		sh := st.shard(v.key)
-		sh.mu.Lock()
-		if sh.entries[v.key] == v {
-			delete(sh.entries, v.key)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// drop removes a specific entry (used when its policy was retrained and
-// the overlay went stale). A no-op if the entry was already evicted or
-// replaced.
-func (st *overlayStore) drop(e *overlayEntry) {
-	st.mu.Lock()
-	if e.gone || e.elem == nil {
-		st.mu.Unlock()
-		return
-	}
-	e.gone = true
-	st.order.Remove(e.elem)
-	st.bytes -= e.bytes
-	if st.users[e.user]--; st.users[e.user] <= 0 {
-		delete(st.users, e.user)
-	}
-	st.mu.Unlock()
-	sh := st.shard(e.key)
-	sh.mu.Lock()
-	if sh.entries[e.key] == e {
-		delete(sh.entries, e.key)
-	}
-	sh.mu.Unlock()
-}
-
-// stats reports (distinct users, entries, estimated bytes, evictions).
-func (st *overlayStore) stats() (users, entries, bytes int, evictions uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.users), st.order.Len(), st.bytes, st.evicted
-}
 
 // feedbackRequest applies one feedback signal from a user to a served
 // plan. The policy fields mirror planRequest so the signal lands on
@@ -322,13 +114,22 @@ func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 		s.writePlanError(w, err)
 		return
 	}
-	build := func(cells int) (*rlplanner.Overlay, error) { return pol.NewOverlay(cells) }
-	entry, err := s.overlays.getOrCreate(req.User, req.policyKey(engineName), build)
+	// A user's first feedback creates their overlay; concurrent first
+	// signals share one creation through the store's singleflight.
+	key := overlayKey(req.User, req.policyKey(engineName))
+	create := func() (*overlayEntry, error) {
+		ov, err := pol.NewOverlay(s.overlayCells)
+		if err != nil {
+			return nil, err
+		}
+		return &overlayEntry{user: req.User, ov: ov}, nil
+	}
+	entry, _, err := s.overlays.GetOrTrain(r.Context(), key, create)
 	if err == nil && !entry.ov.For(pol) {
 		// The policy under this key was retrained since the overlay was
 		// created; restart the user's personalization on the new artifact.
-		s.overlays.drop(entry)
-		entry, err = s.overlays.getOrCreate(req.User, req.policyKey(engineName), build)
+		s.overlays.CompareAndRemove(key, entry)
+		entry, _, err = s.overlays.GetOrTrain(r.Context(), key, create)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -353,12 +154,13 @@ func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 		OverlayBytes: entry.ov.MemoryBytes(),
 		Evictions:    entry.ov.Evictions(),
 	}
+	entry.bytes.Store(int64(resp.OverlayBytes))
 	entry.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.feedbackSignals.Add(1)
-	s.overlays.reaccount(entry, resp.OverlayBytes)
+	s.overlays.Recharge(key)
 	writeJSON(w, http.StatusOK, resp)
 }

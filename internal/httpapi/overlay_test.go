@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -252,5 +254,50 @@ func TestOverlayStaleAfterPolicyReplaced(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/api/plan", overlayPlanReq("alice"), &personal)
 	if !personal.Personalized {
 		t.Fatal("feedback after retrain did not re-personalize")
+	}
+}
+
+// TestNeutralFeedbackCountsAgainstBudget: a neutral rating writes no
+// overlay cell, yet its entry is charged the cost floor, so a 1-byte
+// budget keeps one neutral user and evicts every other.
+func TestNeutralFeedbackCountsAgainstBudget(t *testing.T) {
+	h := New(WithOverlayBudget(1)).Handler()
+	serve := func(path string, body interface{}) *httptest.ResponseRecorder {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(b)))
+		return w
+	}
+	var base overlayPlanResp
+	if w := serve("/api/plan", overlayPlanReq("")); w.Code != 200 {
+		t.Fatalf("base plan status %d", w.Code)
+	} else if err := json.Unmarshal(w.Body.Bytes(), &base); err != nil {
+		t.Fatal(err)
+	}
+	var items []string
+	for _, s := range base.Steps {
+		items = append(items, s.ID)
+	}
+	const users = 500
+	for i := 0; i < users; i++ {
+		fb := overlayPlanReq(fmt.Sprintf("u%d", i))
+		fb["items"] = items
+		fb["rating"] = 3
+		if w := serve("/api/feedback", fb); w.Code != 200 {
+			t.Fatalf("feedback u%d status %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/api/metrics", nil))
+	var m map[string]int64
+	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["overlay_entries"] > 1 || m["overlay_evictions"] != users-1 {
+		t.Fatalf("overlay_entries = %d, overlay_evictions = %d; want at most 1 and %d",
+			m["overlay_entries"], m["overlay_evictions"], users-1)
 	}
 }

@@ -1,5 +1,5 @@
 // The durable policy tier behind the serving cache: WithPolicyDir roots
-// an internal/repo repository under the policy store (memory LRU →
+// an internal/repo repository under the policy store (memory cache →
 // on-disk repo → train), so a restarted daemon warm-boots its policies
 // from disk and N replicas sharing one directory train each key exactly
 // once (the repository's cross-process claim protocol). This file is

@@ -150,14 +150,15 @@ func (s *Server) planFrom(ctx context.Context, inst *rlplanner.Instance, engineN
 	// is byte-for-byte the pre-overlay serving path.
 	var entry *overlayEntry
 	if req.User != "" {
-		if e := s.overlays.lookup(req.User, key); e != nil {
+		okey := overlayKey(req.User, key)
+		if e, ok := s.overlays.Cached(okey); ok {
 			if e.ov.For(pol) {
 				entry = e
 			} else {
 				// The policy under this key was evicted and retrained since
 				// the overlay was created; stale personalization is dropped
 				// rather than applied to the wrong artifact.
-				s.overlays.drop(e)
+				s.overlays.CompareAndRemove(okey, e)
 			}
 		}
 	}
@@ -254,13 +255,17 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Resident-memory estimates: what the caches and the personalization
 	// fleet actually hold, the capacity-planning counterpart of the
 	// hit/miss counters.
-	m["policy_cache_bytes"] = int64(s.policies.SumBytes((*rlplanner.Policy).MemoryBytes))
+	policyBytes := 0
+	s.policies.Range(func(_ string, pol *rlplanner.Policy) { policyBytes += pol.MemoryBytes() })
+	m["policy_cache_bytes"] = int64(policyBytes)
 	m["env_cache_bytes"] = int64(engine.EnvCacheBytes())
-	users, entries, bytes, evictions := s.overlays.stats()
-	m["overlay_users"] = int64(users)
-	m["overlay_entries"] = int64(entries)
-	m["overlay_bytes"] = int64(bytes)
-	m["overlay_evictions"] = int64(evictions)
+	users := make(map[string]struct{})
+	s.overlays.Range(func(_ string, e *overlayEntry) { users[e.user] = struct{}{} })
+	oc := s.overlays.Stats()
+	m["overlay_users"] = int64(len(users))
+	m["overlay_entries"] = int64(oc.Size)
+	m["overlay_bytes"] = int64(oc.Cost)
+	m["overlay_evictions"] = int64(oc.Evictions)
 	m["feedback_signals"] = int64(s.feedbackSignals.Load())
 	// Distance-accuracy observability: how many leg lookups missed the
 	// compressed neighbor band and recomputed an exact Haversine. A
