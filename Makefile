@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/experiments/... ./internal/mdp/... ./internal/sarsa/... .
 # plus the daemon's signal-drain tests.
 FAULT_PKGS = ./internal/resilience/... ./internal/httpapi/ ./cmd/rlplannerd/
 
-.PHONY: check vet build test race faults repofaults fuzz bench-hot bench-json servebench trainbench scalebench mcbench
+.PHONY: check vet build test race faults repofaults fuzz examples bench-hot bench-json servebench trainbench scalebench mcbench
 
 check: vet build test race faults
 
@@ -48,6 +48,11 @@ repofaults:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadArtifact$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bitset/
+
+# Run every example program once; the first non-zero exit fails the
+# target. go build ./... compiles the examples but never runs them.
+examples:
+	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Microbenchmarks for the per-step MDP loop; run with -benchmem so alloc
 # regressions are visible.

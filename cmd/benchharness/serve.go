@@ -119,13 +119,13 @@ func serveBench(cfg serveConfig) (record, error) {
 		}
 	}
 	if cfg.Batch > 0 {
-		if rps, ok, err := serveBatchPhase(post, cfg, planBody); err != nil {
+		rps, err := serveBatchPhase(post, cfg, planBody)
+		if err != nil {
 			return rec, err
-		} else if ok {
-			rec.Params.Batch = cfg.Batch
-			m["batch_plans_per_s"] = rps
-			fmt.Printf("serve: batch(%d): %.0f plans/s\n", cfg.Batch, rps)
 		}
+		rec.Params.Batch = cfg.Batch
+		m["batch_plans_per_s"] = rps
+		fmt.Printf("serve: batch(%d): %.0f plans/s\n", cfg.Batch, rps)
 	}
 	cold, warm, err := serveBootPhase(cfg, planBody)
 	if err != nil {
@@ -355,39 +355,34 @@ func serveBootPhase(cfg serveConfig, planBody []byte) (cold, warm time.Duration,
 }
 
 // serveBatchPhase measures /api/plan/batch throughput in plans per
-// second. ok is false when the server predates the batch endpoint (the
-// pre-fast-path baseline), so the same harness binary can measure both
-// sides of the change.
-func serveBatchPhase(post func(string, []byte) (int, error), cfg serveConfig, planBody []byte) (float64, bool, error) {
+// second.
+func serveBatchPhase(post func(string, []byte) (int, error), cfg serveConfig, planBody []byte) (float64, error) {
 	var req map[string]interface{}
 	if err := json.Unmarshal(planBody, &req); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	req["starts"] = make([]string, cfg.Batch) // "" = trained start per item
 	body, err := json.Marshal(req)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	code, err := post("/api/plan/batch", body)
 	if err != nil {
-		return 0, false, err
-	}
-	if code == http.StatusNotFound {
-		return 0, false, nil
+		return 0, err
 	}
 	if code != http.StatusOK {
-		return 0, false, fmt.Errorf("batch plan returned HTTP %d", code)
+		return 0, fmt.Errorf("batch plan returned HTTP %d", code)
 	}
 	deadline := time.Now().Add(cfg.Duration)
 	plans := 0
 	t0 := time.Now()
 	for time.Now().Before(deadline) {
 		if code, err := post("/api/plan/batch", body); err != nil {
-			return 0, false, err
+			return 0, err
 		} else if code != http.StatusOK {
-			return 0, false, fmt.Errorf("batch plan returned HTTP %d", code)
+			return 0, fmt.Errorf("batch plan returned HTTP %d", code)
 		}
 		plans += cfg.Batch
 	}
-	return float64(plans) / time.Since(t0).Seconds(), true, nil
+	return float64(plans) / time.Since(t0).Seconds(), nil
 }

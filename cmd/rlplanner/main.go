@@ -13,9 +13,10 @@
 // -engine selects any registered planning engine (default: the paper's
 // SARSA learner); -baseline is its deprecated alias. -save writes the
 // trained policy as a versioned artifact and -load serves from one
-// without retraining. With -transfer the policy learned on -instance is
-// mapped onto the target instance (the §IV-D case study). -rate runs the
-// simulated 25-rater panel over the produced plan.
+// without retraining. With -transfer the policy trained (or loaded) on
+// -instance is mapped onto the target instance without retraining (the
+// §IV-D case study; value-based engines only). -rate runs the simulated
+// 25-rater panel over the produced plan.
 package main
 
 import (
@@ -102,67 +103,43 @@ func main() {
 	engineName, err := rlplanner.EngineName(choice)
 	check(err)
 
-	var plan *rlplanner.Plan
+	// Every engine goes through the registry's train/serve split: obtain
+	// an immutable policy (trained or loaded), then recommend.
+	var pol *rlplanner.Policy
+	if *loadPath != "" {
+		f, err := os.Open(*loadPath)
+		check(err)
+		pol, err = rlplanner.LoadPolicyArtifact(f, inst, opts)
+		check(err)
+		f.Close()
+	} else {
+		pol, err = rlplanner.Train(context.Background(), inst, engineName, opts)
+		check(err)
+	}
+	if *savePath != "" {
+		f, err := os.Create(*savePath)
+		check(err)
+		check(pol.Save(f))
+		check(f.Close())
+		fmt.Printf("policy saved to %s\n", *savePath)
+	}
 	if *transfer != "" {
-		// The §IV-D case study maps a learned Q table onto another
-		// catalog; it runs on the mutable SARSA planner facade.
-		if engineName != "sarsa" {
-			check(fmt.Errorf("-transfer supports the sarsa engine only (got %s)", engineName))
-		}
-		p, err := rlplanner.NewPlanner(inst, opts)
+		// The §IV-D case study: map the learned values onto the target
+		// catalog and serve from there.
+		inst, err = rlplanner.InstanceByName(*transfer)
 		check(err)
-		if *loadPath != "" {
-			f, err := os.Open(*loadPath)
-			check(err)
-			check(p.LoadPolicy(f))
-			f.Close()
-		} else {
-			check(p.Learn())
-		}
-		if *savePath != "" {
-			f, err := os.Create(*savePath)
-			check(err)
-			check(p.SavePolicy(f))
-			check(f.Close())
-			fmt.Printf("policy saved to %s\n", *savePath)
-		}
-		target, err := rlplanner.InstanceByName(*transfer)
+		pol, err = pol.Transfer(inst, rlplanner.Options{Seed: *seed})
 		check(err)
-		moved, err := p.Transfer(target, rlplanner.Options{Seed: *seed})
+	}
+	var plan *rlplanner.Plan
+	if *repl {
+		s, err := pol.NewSession(5)
 		check(err)
-		inst = target
-		plan, err = moved.Plan()
+		plan, err = interactiveLoop(s, os.Stdin, os.Stdout)
 		check(err)
 	} else {
-		// Every engine goes through the registry's train/serve split:
-		// obtain an immutable policy (trained or loaded), then recommend.
-		var pol *rlplanner.Policy
-		if *loadPath != "" {
-			f, err := os.Open(*loadPath)
-			check(err)
-			pol, err = rlplanner.LoadPolicyArtifact(f, inst, opts)
-			check(err)
-			f.Close()
-		} else {
-			pol, err = rlplanner.Train(context.Background(), inst, engineName, opts)
-			check(err)
-		}
-		if *savePath != "" {
-			f, err := os.Create(*savePath)
-			check(err)
-			check(pol.Save(f))
-			check(f.Close())
-			fmt.Printf("policy saved to %s\n", *savePath)
-		}
-		if *repl {
-			s, err := pol.NewSession(5)
-			check(err)
-			plan, err = interactiveLoop(s, os.Stdin, os.Stdout)
-			check(err)
-		} else {
-			plan, err = pol.Recommend("")
-			check(err)
-		}
+		plan, err = pol.Recommend("")
+		check(err)
 	}
 
 	printPlan(inst, plan)

@@ -1,6 +1,7 @@
 package rlplanner_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,19 +9,16 @@ import (
 )
 
 // The basic flow: pick an instance, learn, plan.
-func ExampleNewPlanner() {
+func ExampleTrain() {
 	inst, err := rlplanner.InstanceByName("Univ-1 M.S. DS-CT")
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner, err := rlplanner.NewPlanner(inst, rlplanner.Options{Episodes: 200, Seed: 1})
+	pol, err := rlplanner.Train(context.Background(), inst, "sarsa", rlplanner.Options{Episodes: 200, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := planner.Learn(); err != nil {
-		log.Fatal(err)
-	}
-	plan, err := planner.Plan()
+	plan, err := pol.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func ExampleNewInstance() {
 }
 
 // Policies transfer across related instances (§IV-D of the paper).
-func ExamplePlanner_Transfer() {
+func ExamplePolicy_Transfer() {
 	nyc, err := rlplanner.InstanceByName("NYC")
 	if err != nil {
 		log.Fatal(err)
@@ -72,18 +70,15 @@ func ExamplePlanner_Transfer() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := rlplanner.NewPlanner(nyc, rlplanner.Options{Episodes: 100, Seed: 1})
+	pol, err := rlplanner.Train(context.Background(), nyc, "sarsa", rlplanner.Options{Episodes: 100, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		log.Fatal(err)
-	}
-	abroad, err := p.Transfer(paris, rlplanner.Options{Seed: 2})
+	abroad, err := pol.Transfer(paris, rlplanner.Options{Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := abroad.Plan()
+	plan, err := abroad.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,19 +87,16 @@ func ExamplePlanner_Transfer() {
 }
 
 // Interactive sessions alternate between the planner and the user.
-func ExamplePlanner_StartSession() {
+func ExamplePolicy_NewSession() {
 	inst, err := rlplanner.InstanceByName("Univ-1 M.S. DS-CT")
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := rlplanner.NewPlanner(inst, rlplanner.Options{Episodes: 200, Seed: 1})
+	pol, err := rlplanner.Train(context.Background(), inst, "sarsa", rlplanner.Options{Episodes: 200, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		log.Fatal(err)
-	}
-	s, err := p.StartSession(3)
+	s, err := pol.NewSession(3)
 	if err != nil {
 		log.Fatal(err)
 	}

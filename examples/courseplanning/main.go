@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -31,14 +32,11 @@ func main() {
 	fmt.Println()
 
 	// RL-Planner.
-	planner, err := rlplanner.NewPlanner(inst, rlplanner.Options{Seed: 7})
+	pol, err := rlplanner.Train(context.Background(), inst, "sarsa", rlplanner.Options{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := planner.Learn(); err != nil {
-		log.Fatal(err)
-	}
-	rl, err := planner.Plan()
+	rl, err := pol.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}

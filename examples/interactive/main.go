@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -17,15 +18,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner, err := rlplanner.NewPlanner(paris, rlplanner.Options{Episodes: 300, Seed: 21})
+	pol, err := rlplanner.Train(context.Background(), paris, "sarsa", rlplanner.Options{Episodes: 300, Seed: 21})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := planner.Learn(); err != nil {
-		log.Fatal(err)
-	}
 
-	s, err := planner.StartSession(4)
+	s, err := pol.NewSession(4)
 	if err != nil {
 		log.Fatal(err)
 	}

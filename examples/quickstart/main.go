@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,15 +17,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	planner, err := rlplanner.NewPlanner(inst, rlplanner.Options{Seed: 1})
+	pol, err := rlplanner.Train(context.Background(), inst, "sarsa", rlplanner.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := planner.Learn(); err != nil {
-		log.Fatal(err)
-	}
 
-	plan, err := planner.Plan()
+	plan, err := pol.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,14 +24,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	source, err := rlplanner.NewPlanner(cs, rlplanner.Options{Seed: 11})
+	source, err := rlplanner.Train(context.Background(), cs, "sarsa", rlplanner.Options{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := source.Learn(); err != nil {
-		log.Fatal(err)
-	}
-	srcPlan, err := source.Plan()
+	srcPlan, err := source.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dstPlan, err := moved.Plan()
+	dstPlan, err := moved.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,18 +61,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tourist, err := rlplanner.NewPlanner(nyc, rlplanner.Options{Seed: 13})
+	tourist, err := rlplanner.Train(context.Background(), nyc, "sarsa", rlplanner.Options{Seed: 13})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tourist.Learn(); err != nil {
 		log.Fatal(err)
 	}
 	abroad, err := tourist.Transfer(paris, rlplanner.Options{Seed: 14})
 	if err != nil {
 		log.Fatal(err)
 	}
-	itinerary, err := abroad.Plan()
+	itinerary, err := abroad.Recommend("")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		{8, 5}, // a longer day
 		{5, 4}, // a tight afternoon
 	} {
-		planner, err := rlplanner.NewPlanner(paris, rlplanner.Options{
+		pol, err := rlplanner.Train(context.Background(), paris, "sarsa", rlplanner.Options{
 			Seed:           3,
 			TimeLimitHours: budget.hours,
 			MaxDistanceKm:  budget.km,
@@ -35,10 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := planner.Learn(); err != nil {
-			log.Fatal(err)
-		}
-		plan, err := planner.Plan()
+		plan, err := pol.Recommend("")
 		if err != nil {
 			log.Fatal(err)
 		}

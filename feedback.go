@@ -1,9 +1,11 @@
 package rlplanner
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/feedback"
 )
@@ -110,19 +112,16 @@ func (l *FeedbackLoop) Replan(seed int64) (*Plan, error) {
 	opts.Delta, opts.Beta = cfg.Delta, cfg.Beta
 	opts.W1, opts.W2 = cfg.Weights.Primary, cfg.Weights.Secondary
 	opts.Seed = seed
-	p, err := NewPlanner(l.inst, opts)
+	pol, err := Train(context.Background(), l.inst, "sarsa", opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Learn(); err != nil {
-		return nil, err
-	}
 	l.last = ReplanStats{
-		Episodes:     p.TrainedEpisodes(),
-		MergeBatches: p.MergeBatches(),
+		Episodes:     pol.EpisodesTrained(),
+		MergeBatches: engine.MergeBatches(pol.p),
 		TrainWorkers: opts.TrainWorkers,
 	}
-	return p.Plan()
+	return pol.Recommend("")
 }
 
 // LastReplan returns statistics for the most recent Replan (zero value

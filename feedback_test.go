@@ -1,6 +1,7 @@
 package rlplanner
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -82,11 +83,11 @@ func TestFeedbackLoopTripDefaultsAndErrors(t *testing.T) {
 
 func TestSessionAcceptAndState(t *testing.T) {
 	inst, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, _ := NewPlanner(inst, Options{Episodes: 150, Seed: 30})
-	if err := p.Learn(); err != nil {
+	p, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 150, Seed: 30})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.StartSession(2)
+	s, err := p.NewSession(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,28 +111,22 @@ func TestSessionAcceptAndState(t *testing.T) {
 	if cur.SatisfiesConstraints {
 		t.Fatal("partial 2-step plan cannot satisfy the 10-course program")
 	}
-
-	// Plan before learning rejects session start.
-	fresh, _ := NewPlanner(inst, Options{Seed: 31})
-	if _, err := fresh.StartSession(3); err == nil {
-		t.Fatal("session before learning accepted")
-	}
 }
 
 func TestPlanFromPublicAPI(t *testing.T) {
 	inst, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, _ := NewPlanner(inst, Options{Episodes: 100, Seed: 32})
-	if err := p.Learn(); err != nil {
+	p, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 100, Seed: 32})
+	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.PlanFrom("CS 636")
+	plan, err := p.Recommend("CS 636")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.IDs()[0] != "CS 636" {
-		t.Fatalf("PlanFrom start = %s", plan.IDs()[0])
+		t.Fatalf("Recommend start = %s", plan.IDs()[0])
 	}
-	if _, err := p.PlanFrom("GHOST"); err == nil {
+	if _, err := p.Recommend("GHOST"); err == nil {
 		t.Fatal("unknown start accepted")
 	}
 }

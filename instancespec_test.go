@@ -2,6 +2,7 @@ package rlplanner
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -38,14 +39,11 @@ func TestNewInstanceToyEndToEnd(t *testing.T) {
 		t.Fatalf("default start = %q, want first primary", inst.DefaultStart())
 	}
 
-	p, err := NewPlanner(inst, Options{Episodes: 300, Seed: 1})
+	p, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +110,11 @@ func TestNewInstanceTripDefaults(t *testing.T) {
 	if !inst.IsTrip() || inst.GoldScore() != 5 {
 		t.Fatalf("trip derivation wrong: trip=%v gold=%v", inst.IsTrip(), inst.GoldScore())
 	}
-	p, err := NewPlanner(inst, Options{Episodes: 100, Seed: 2})
+	p, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 100, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +167,16 @@ func TestRoundTrippedInstancePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Planning on the reloaded instance matches planning on the original.
-	a, _ := NewPlanner(orig, Options{Episodes: 150, Seed: 3})
-	b, _ := NewPlanner(loaded, Options{Episodes: 150, Seed: 3})
-	if err := a.Learn(); err != nil {
+	a, err := Train(context.Background(), orig, "sarsa", Options{Episodes: 150, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Learn(); err != nil {
+	b, err := Train(context.Background(), loaded, "sarsa", Options{Episodes: 150, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := a.Plan()
-	pb, _ := b.Plan()
+	pa, _ := a.Recommend("")
+	pb, _ := b.Recommend("")
 	if strings.Join(pa.IDs(), "|") != strings.Join(pb.IDs(), "|") {
 		t.Fatalf("round-tripped instance plans differently:\n%v\n%v", pa.IDs(), pb.IDs())
 	}
@@ -217,14 +212,11 @@ func TestGenerateInstancePublicAPI(t *testing.T) {
 		t.Fatal("round trip lost items")
 	}
 	// And they plan end to end.
-	p, err := NewPlanner(loaded, Options{Episodes: 150, Seed: 5})
+	p, err := Train(context.Background(), loaded, "sarsa", Options{Episodes: 150, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,15 +361,6 @@ func (p *Planner) PlanFrom(start int) ([]int, error) {
 	return p.result.Policy.RecommendGuided(p.env, start)
 }
 
-// PlanFromID is PlanFrom with an item id.
-func (p *Planner) PlanFromID(id string) ([]int, error) {
-	i, ok := p.inst.Catalog.Index(id)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown item %q", id)
-	}
-	return p.PlanFrom(i)
-}
-
 // PlanRaw recommends with the plain Algorithm 1 walk (no validity
 // filtering) — the variant the transfer-learning study uses to surface
 // "bad" outcomes.

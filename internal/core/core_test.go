@@ -212,24 +212,6 @@ func TestSetPolicyForTransfer(t *testing.T) {
 	}
 }
 
-func TestPlanFromID(t *testing.T) {
-	inst := univ.Univ1DSCT()
-	p, _ := core.New(inst, core.Options{Episodes: 60, Seed: 9})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.PlanFromID("CS 636")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Catalog.SequenceIDs(plan)[0] != "CS 636" {
-		t.Fatal("PlanFromID ignored start")
-	}
-	if _, err := p.PlanFromID("GHOST"); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-}
-
 func TestPlanRawVsGuided(t *testing.T) {
 	inst := univ.Univ1DSCT()
 	p, _ := core.New(inst, core.Options{Episodes: 120, Seed: 10})

@@ -6,32 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/qtable"
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 )
-
-// artifactLoadFailures counts failed artifact restores process-wide —
-// truncated or corrupt gob streams, fingerprint mismatches, out-of-range
-// or non-finite payloads — surfaced as artifact_load_failures_total in
-// /api/metrics. A climbing figure means a repository (or an operator's
-// import pipeline) is feeding the daemon bad artifacts.
-var artifactLoadFailures atomic.Int64
-
-// ArtifactLoadFailures reports the cumulative failed-restore count.
-func ArtifactLoadFailures() int64 { return artifactLoadFailures.Load() }
-
-// noteLoadFailure counts err (when non-nil) as a failed artifact load
-// and passes it through.
-func noteLoadFailure(err error) error {
-	if err != nil {
-		artifactLoadFailures.Add(1)
-	}
-	return err
-}
 
 const (
 	// artifactMagic guards against feeding arbitrary gob streams (or the
@@ -204,11 +184,6 @@ func checkCell(a *artifact, s, e int, v float64) error {
 // artifact. Procedural engines (EDA, OMEGA, gold) carry no values — their
 // construction is re-run, seeded from the artifact.
 func Load(r io.Reader, inst *dataset.Instance, opts core.Options) (Policy, error) {
-	p, err := loadArtifact(r, inst, opts)
-	return p, noteLoadFailure(err)
-}
-
-func loadArtifact(r io.Reader, inst *dataset.Instance, opts core.Options) (Policy, error) {
 	a, err := decodeArtifact(r, inst)
 	if err != nil {
 		return nil, err
@@ -226,59 +201,13 @@ func loadArtifact(r io.Reader, inst *dataset.Instance, opts core.Options) (Polic
 		return nil, err
 	}
 	// Rebind against the cached environment rather than a fresh one.
-	p, err := newPlanner(context.Background(), inst, opts)
+	v, err := bindValues(d.Name, inst, opts, values)
 	if err != nil {
 		return nil, err
 	}
-	m := metaFor(d.Name, inst, p.Env().Hard())
-	m.episodes = a.Episodes
-	m.degraded = a.Degraded
-	m.warmFrom = a.WarmFrom
-	m.warmDistance = a.WarmDistance
-	return &valuePolicy{
-		meta:   m,
-		env:    p.Env(),
-		start:  p.SarsaConfig().Start,
-		values: values,
-	}, nil
-}
-
-// SaveValues writes a bare Q-table policy as an artifact of the named
-// engine — the bridge for callers that hold a *sarsa.Policy directly
-// (the public Planner facade, transfer learning).
-func SaveValues(w io.Writer, engineName string, inst *dataset.Instance, values *sarsa.Policy) error {
-	if values == nil || values.Q == nil {
-		return fmt.Errorf("engine: nil policy values")
-	}
-	d, err := lookup(engineName)
-	if err != nil {
-		return err
-	}
-	if !d.Tabular {
-		return fmt.Errorf("engine %s: procedural policies carry no values", d.Name)
-	}
-	return saveArtifact(w, artifactFor(metaFor(d.Name, inst, inst.Hard), values, 0))
-}
-
-// LoadValues reads an artifact and returns its raw Q-table policy after
-// the fingerprint check, for callers that manage their own environment.
-// It refuses procedural artifacts.
-func LoadValues(r io.Reader, inst *dataset.Instance) (*sarsa.Policy, error) {
-	p, err := loadValues(r, inst)
-	return p, noteLoadFailure(err)
-}
-
-func loadValues(r io.Reader, inst *dataset.Instance) (*sarsa.Policy, error) {
-	a, err := decodeArtifact(r, inst)
-	if err != nil {
-		return nil, err
-	}
-	d, err := lookup(a.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if !d.Tabular {
-		return nil, fmt.Errorf("engine %s: artifact is procedural, it carries no Q values", d.Name)
-	}
-	return restoreValues(a, inst)
+	v.episodes = a.Episodes
+	v.degraded = a.Degraded
+	v.warmFrom = a.WarmFrom
+	v.warmDistance = a.WarmDistance
+	return v, nil
 }

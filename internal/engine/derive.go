@@ -6,6 +6,7 @@ import (
 
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset"
+	"github.com/rlplanner/rlplanner/internal/sarsa"
 	"github.com/rlplanner/rlplanner/internal/transfer"
 )
 
@@ -37,22 +38,14 @@ type DeriveStats struct {
 // falls back to SARSA otherwise.
 func Derive(ctx context.Context, src Policy, inst *dataset.Instance, opts core.Options) (Policy, DeriveStats, error) {
 	var stats DeriveStats
-	vp, ok := src.(ValuePolicy)
-	if !ok || vp.Values() == nil {
-		return nil, stats, fmt.Errorf("engine: derive needs a tabular source policy, %s is procedural", src.Engine())
-	}
-	if inst == nil {
-		return nil, stats, fmt.Errorf("engine: derive: nil target instance")
+	mapped, m, err := mapSource("derive", src, inst)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	engineName := src.Engine()
 	if engineName != "sarsa" && engineName != "qlearning" {
 		engineName = "sarsa"
-	}
-
-	mapped, m, err := transfer.Map(vp.Values(), vp.Env().Catalog(), inst.Catalog)
-	if err != nil {
-		return nil, stats, fmt.Errorf("engine: derive: %w", err)
 	}
 
 	cold := opts.Episodes
@@ -77,4 +70,40 @@ func Derive(ctx context.Context, src Policy, inst *dataset.Instance, opts core.O
 		v.warmDistance = stats.Distance
 	}
 	return pol, stats, nil
+}
+
+// Transfer applies a tabular policy to a related instance without
+// training (the §IV-D case study: DS-CT ↔ CS, NYC ↔ Paris): the source Q
+// table is re-indexed onto the target catalog through the same mapping
+// Derive seeds from, and the result serves from the target's cached
+// environment under opts, exactly as a loaded artifact would. The
+// policy keeps the source's engine name.
+func Transfer(src Policy, inst *dataset.Instance, opts core.Options) (Policy, error) {
+	mapped, _, err := mapSource("transfer", src, inst)
+	if err != nil {
+		return nil, err
+	}
+	v, err := bindValues(src.Engine(), inst, opts, mapped)
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// mapSource checks that src is a tabular policy and inst a target, then
+// re-indexes src's Q table onto inst's catalog (exact ids first, topic
+// similarity second). op names the caller in errors.
+func mapSource(op string, src Policy, inst *dataset.Instance) (*sarsa.Policy, *transfer.Mapping, error) {
+	vp, ok := src.(ValuePolicy)
+	if !ok || vp.Values() == nil {
+		return nil, nil, fmt.Errorf("engine: %s needs a tabular source policy, %s is procedural", op, src.Engine())
+	}
+	if inst == nil {
+		return nil, nil, fmt.Errorf("engine: %s: nil target instance", op)
+	}
+	mapped, m, err := transfer.Map(vp.Values(), vp.Env().Catalog(), inst.Catalog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: %s: %w", op, err)
+	}
+	return mapped, m, nil
 }

@@ -3,11 +3,15 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset"
+	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
 	"github.com/rlplanner/rlplanner/internal/engine"
+	"github.com/rlplanner/rlplanner/internal/transfer"
 )
 
 func TestDeriveWarmStartsFromSibling(t *testing.T) {
@@ -73,6 +77,75 @@ func TestDeriveRejectsProceduralSource(t *testing.T) {
 	}
 	if _, _, err := engine.Derive(ctx, src, univ.Univ1DSCT(), core.Options{}); err == nil {
 		t.Fatal("expected error deriving from a procedural policy")
+	}
+}
+
+// TestTransferMatchesCorePath: engine.Transfer serves, from every start
+// and from the default one, exactly the plans of the reference path — a
+// core planner built on the target with the transfer-mapped Q table
+// installed — on the two §IV-D case studies. A procedural source and a
+// nil target are refused.
+func TestTransferMatchesCorePath(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		src, dst *dataset.Instance
+	}{
+		{"CS to DS-CT", univ.Univ1CS(), univ.Univ1DSCT()},
+		{"NYC to Paris", trip.NYC().Instance, trip.Paris().Instance},
+	} {
+		src, err := engine.Train(ctx, "sarsa", tc.src, core.Options{Episodes: 150, Seed: 11})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		opts := core.Options{Seed: 12}
+		moved, err := engine.Transfer(src, tc.dst, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if moved.Engine() != "sarsa" || moved.Fingerprint() != engine.Fingerprint(tc.dst) {
+			t.Fatalf("%s: transferred identity %s/%s", tc.name, moved.Engine(), moved.Fingerprint())
+		}
+
+		vp := src.(engine.ValuePolicy)
+		mapped, _, err := transfer.Map(vp.Values(), vp.Env().Catalog(), tc.dst.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.New(tc.dst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetPolicy(mapped); err != nil {
+			t.Fatal(err)
+		}
+		want, werr := ref.Plan()
+		got, gerr := moved.Recommend(engine.DefaultStart)
+		if werr != nil || gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s default start: got %v (%v), want %v (%v)", tc.name, got, gerr, want, werr)
+		}
+		for start := 0; start < tc.dst.Catalog.Len(); start++ {
+			want, werr := ref.PlanFrom(start)
+			got, gerr := moved.Recommend(start)
+			if (werr != nil) != (gerr != nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s start %d: got %v (%v), want %v (%v)", tc.name, start, got, gerr, want, werr)
+			}
+		}
+	}
+
+	gold, err := engine.Train(ctx, "gold", univ.Univ1CS(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Transfer(gold, univ.Univ1DSCT(), core.Options{}); err == nil {
+		t.Fatal("transfer from a procedural policy accepted")
+	}
+	src, err := engine.Train(ctx, "sarsa", univ.Univ1CS(), core.Options{Episodes: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Transfer(src, nil, core.Options{}); err == nil {
+		t.Fatal("transfer to a nil instance accepted")
 	}
 }
 

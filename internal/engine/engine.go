@@ -3,8 +3,8 @@
 // Algorithm 1, its Q-learning variant, the value-iteration solver, and
 // the EDA / OMEGA / gold baselines of §IV-A2).
 //
-// The central split is train versus serve. A Planner is a solver bound to
-// one (instance, options) pair; Train produces a Policy — an immutable,
+// The central split is train versus serve. Train runs a solver on one
+// (instance, options) pair and produces a Policy — an immutable,
 // versioned, serializable artifact that recommends plans without any
 // further learning. Policies are safe to share across goroutines, which
 // is what the HTTP serving path relies on: train once behind a
@@ -14,11 +14,10 @@
 //
 // Solvers register themselves in a name-keyed registry (registry.go), so
 // the HTTP API, the CLIs and the experiment harness all dispatch through
-// New/Train instead of hand-rolled string switches.
+// Train instead of hand-rolled string switches.
 package engine
 
 import (
-	"context"
 	"io"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -30,18 +29,6 @@ import (
 // DefaultStart asks Recommend to use the start item the policy was
 // trained with (Options.Start, falling back to the instance default).
 const DefaultStart = -1
-
-// Planner is the training side of a solver: one engine bound to one
-// (instance, options) configuration.
-type Planner interface {
-	// Engine returns the canonical registry name of the solver.
-	Engine() string
-	// Train runs the learning (or construction) phase and returns the
-	// immutable policy artifact. The context is consulted between
-	// coarse-grained phases; a training run that has already started its
-	// inner loop completes it.
-	Train(ctx context.Context) (Policy, error)
-}
 
 // Policy is a trained, immutable recommendation artifact. All methods
 // are safe for concurrent use; a Policy never mutates after Train.

@@ -183,9 +183,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 // TestArtifactRejectsCorruptPayload: a Q payload that is ragged, out of
-// range, doubled or non-finite is refused by Load and LoadValues, in the
-// dense (Q) and the sparse (QS/QE/QV) form, and every refusal counts in
-// artifact_load_failures_total.
+// range, doubled or non-finite is refused by Load, in the dense (Q) and
+// the sparse (QS/QE/QV) form.
 func TestArtifactRejectsCorruptPayload(t *testing.T) {
 	inst := univ.Univ1DSCT()
 	n := inst.Catalog.Len()
@@ -215,15 +214,8 @@ func TestArtifactRejectsCorruptPayload(t *testing.T) {
 			if err := saveArtifact(&buf, a); err != nil {
 				t.Fatal(err)
 			}
-			before := ArtifactLoadFailures()
 			if _, err := Load(bytes.NewReader(buf.Bytes()), inst, quick); err == nil || !strings.Contains(err.Error(), "corrupt") {
 				t.Fatalf("Load: %v, want a corrupt-artifact error", err)
-			}
-			if _, err := LoadValues(bytes.NewReader(buf.Bytes()), inst); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Fatalf("LoadValues: %v, want a corrupt-artifact error", err)
-			}
-			if got := ArtifactLoadFailures() - before; got != 2 {
-				t.Fatalf("artifact load failures rose by %d, want 2", got)
 			}
 		})
 	}
@@ -328,19 +320,5 @@ func TestFingerprint(t *testing.T) {
 	}
 	if len(Fingerprint(a)) != 16 {
 		t.Fatalf("fingerprint %q is not 16 hex chars", Fingerprint(a))
-	}
-}
-
-func TestLoadValuesRefusesProcedural(t *testing.T) {
-	pol, err := Train(context.Background(), "gold", univ.Univ1DSCT(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := pol.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadValues(&buf, univ.Univ1DSCT()); err == nil {
-		t.Fatal("LoadValues should refuse a procedural artifact")
 	}
 }

@@ -123,16 +123,13 @@ func Describe(name string) (Descriptor, error) {
 	return *d, nil
 }
 
-// binding is a solver bound to one (instance, options) pair.
-type binding struct {
-	d    *Descriptor
-	inst *dataset.Instance
-	opts core.Options
-}
-
-// New binds the named engine to an instance and options. The returned
-// Planner trains policies for exactly that configuration.
-func New(name string, inst *dataset.Instance, opts core.Options) (Planner, error) {
+// Train runs the named engine's training phase on inst inside the
+// resilience boundary: the configured training budget
+// (core.Options.TrainBudget) becomes a context deadline, and a solver
+// panic is recovered into a typed *resilience.PanicError instead of
+// unwinding into the caller — one corrupted run must poison one cache
+// key, not the process.
+func Train(ctx context.Context, name string, inst *dataset.Instance, opts core.Options) (Policy, error) {
 	d, err := lookup(name)
 	if err != nil {
 		return nil, err
@@ -140,35 +137,15 @@ func New(name string, inst *dataset.Instance, opts core.Options) (Planner, error
 	if inst == nil {
 		return nil, fmt.Errorf("engine %s: nil instance", d.Name)
 	}
-	return &binding{d: d, inst: inst, opts: opts}, nil
-}
-
-func (b *binding) Engine() string { return b.d.Name }
-
-// Train runs the solver inside the resilience boundary: the configured
-// training budget (core.Options.TrainBudget) becomes a context deadline,
-// and a solver panic is recovered into a typed *resilience.PanicError
-// instead of unwinding into the caller — one corrupted run must poison
-// one cache key, not the process.
-func (b *binding) Train(ctx context.Context) (Policy, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine %s: %w", b.d.Name, err)
+		return nil, fmt.Errorf("engine %s: %w", d.Name, err)
 	}
-	if b.opts.TrainBudget > 0 {
+	if opts.TrainBudget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.opts.TrainBudget)
+		ctx, cancel = context.WithTimeout(ctx, opts.TrainBudget)
 		defer cancel()
 	}
-	return resilience.Guard("engine "+b.d.Name, func() (Policy, error) {
-		return b.d.Train(ctx, b.inst, b.opts)
+	return resilience.Guard("engine "+d.Name, func() (Policy, error) {
+		return d.Train(ctx, inst, opts)
 	})
-}
-
-// Train is the one-shot convenience: bind the named engine and train.
-func Train(ctx context.Context, name string, inst *dataset.Instance, opts core.Options) (Policy, error) {
-	p, err := New(name, inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.Train(ctx)
 }

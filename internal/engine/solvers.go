@@ -100,6 +100,36 @@ type valuePolicy struct {
 	values     *sarsa.Policy
 	curve      []float64
 	iterations int
+	// mergeBatches counts the parallel schedule's merge rounds in the
+	// training run that produced the policy (0 for the sequential
+	// schedule, and for loaded or transferred values).
+	mergeBatches int
+}
+
+// bindValues serves a Q table from inst's cached environment under
+// opts — the rebinding an artifact load and a transfer share.
+func bindValues(engine string, inst *dataset.Instance, opts core.Options, values *sarsa.Policy) (*valuePolicy, error) {
+	p, err := newPlanner(context.Background(), inst, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &valuePolicy{
+		meta:   metaFor(engine, inst, p.Env().Hard()),
+		env:    p.Env(),
+		start:  p.SarsaConfig().Start,
+		values: values,
+	}, nil
+}
+
+// MergeBatches reports how many deterministic merge rounds the parallel
+// schedule ran while training p: 0 for the sequential schedule, for
+// restored or transferred policies and for engines without a TD
+// learner.
+func MergeBatches(p Policy) int {
+	if v, ok := p.(*valuePolicy); ok {
+		return v.mergeBatches
+	}
+	return 0
 }
 
 func (p *valuePolicy) Recommend(start int) ([]int, error) {
@@ -184,11 +214,12 @@ func trainTD(alg sarsa.Algorithm) TrainFunc {
 			m.degraded = DegradedPartial
 		}
 		return &valuePolicy{
-			meta:   m,
-			env:    p.Env(),
-			start:  p.SarsaConfig().Start,
-			values: p.Policy(),
-			curve:  p.LearningCurve(),
+			meta:         m,
+			env:          p.Env(),
+			start:        p.SarsaConfig().Start,
+			values:       p.Policy(),
+			curve:        p.LearningCurve(),
+			mergeBatches: p.MergeBatches(),
 		}, nil
 	}
 }

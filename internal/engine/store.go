@@ -60,8 +60,8 @@ type Store[V comparable] struct {
 
 	// tier is the optional durable second tier (AttachTier): consulted
 	// after a memory miss before training, written through after every
-	// successful run, quarantined alongside Remove. Attached before
-	// serving, then read-only — see AttachTier.
+	// successful run and every Add, quarantined alongside Remove.
+	// Attached before serving, then read-only — see AttachTier.
 	tier Tier[V]
 
 	// hits / misses count lookup outcomes for the metrics endpoint. A
@@ -188,13 +188,20 @@ func (sh *storeShard[V]) cached(key string) (V, bool) {
 	return v, true
 }
 
-// Add installs v under key (artifact import, sessions), evicting CLOCK
-// victims from the key's shard until it fits its share again.
+// Add installs v under key (artifact import, derivation, sessions),
+// evicting CLOCK victims from the key's shard until it fits its share
+// again. With a durable tier attached, v is written through to it like
+// a trained value — outside the shard lock, so cached reads of the
+// shard never wait on the disk — and a restarted store serves it
+// instead of training the key afresh.
 func (s *Store[V]) Add(key string, v V) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	s.add(sh, key, v)
 	sh.mu.Unlock()
+	if t := s.tier; t != nil {
+		t.Put(key, v)
+	}
 }
 
 // Recharge re-evaluates the cost of key's entry after its value changed

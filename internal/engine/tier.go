@@ -27,8 +27,8 @@ type Tier[V any] interface {
 	// Get loads the artifact stored under key ((zero, false) on miss;
 	// a corrupt entry must be quarantined internally and report a miss).
 	Get(key string) (V, bool)
-	// Put write-throughs a freshly trained artifact. Failures are the
-	// tier's to log and absorb.
+	// Put write-throughs a freshly trained or installed (Store.Add)
+	// artifact. Failures are the tier's to log and absorb.
 	Put(key string, v V)
 	// Quarantine permanently invalidates key's durable entry — called
 	// when serving detects a malformed artifact, so the bad bytes cannot
@@ -44,8 +44,9 @@ type Tier[V any] interface {
 // AttachTier installs a durable tier behind the in-memory cache. Lookups
 // then resolve memory → tier → train: a tier hit fills the cache without
 // training, a miss trains under the tier's cross-process claim and
-// writes the artifact through. Attach before serving; the store does
-// not synchronize tier replacement against in-flight lookups.
+// writes the artifact through, and so does every Add. Attach before
+// serving; the store does not synchronize tier replacement against
+// in-flight lookups.
 func (s *Store[V]) AttachTier(t Tier[V]) { s.tier = t }
 
 // runTrain resolves a confirmed memory miss for the singleflight

@@ -44,11 +44,6 @@ var fallbackTotal atomic.Uint64
 // fallbacks.
 func FallbackTotal() uint64 { return fallbackTotal.Load() }
 
-// CountFallback records one out-of-band exact recomputation. Exposed
-// for sibling caches (the gold baseline's distance cache) that fall
-// back outside this package's stores.
-func CountFallback() { fallbackTotal.Add(1) }
-
 // NewDistStore selects the distance representation for a catalog:
 // the exact precomputed matrix up to DefaultDistMatrixMaxItems points,
 // exact per-call Haversine up to DefaultExactHaversineMaxItems, and the

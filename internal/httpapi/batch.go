@@ -16,19 +16,13 @@ import (
 	"github.com/rlplanner/rlplanner"
 )
 
-// DefaultBatchWorkers bounds the per-request fan-out when the server
-// was not configured with WithBatchWorkers.
+// DefaultBatchWorkers bounds the concurrent recommendation walks of one
+// batch request.
 const DefaultBatchWorkers = 4
 
 // MaxBatchItems caps one batch request; larger batches are rejected
 // with 400 rather than silently truncated.
 const MaxBatchItems = 1024
-
-// WithBatchWorkers bounds the concurrent recommendation walks of one
-// batch request (DefaultBatchWorkers when never set or n <= 0).
-func WithBatchWorkers(n int) Option {
-	return func(s *Server) { s.batchWorkers = n }
-}
 
 // batchRequest is a plan request fanned across many start items. The
 // shared fields (instance, engine, options) resolve exactly like
@@ -85,10 +79,7 @@ func (s *Server) planBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	items := make([]batchItem, len(req.Starts))
-	workers := s.batchWorkers
-	if workers <= 0 {
-		workers = DefaultBatchWorkers
-	}
+	workers := DefaultBatchWorkers
 	if workers > len(req.Starts) {
 		workers = len(req.Starts)
 	}

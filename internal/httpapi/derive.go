@@ -94,7 +94,8 @@ type deriveInfo struct {
 // derivePolicy warm-starts a policy for the requested instance from the
 // cached policy named by the path key (the key /api/policies lists).
 // The body is a plan request selecting the target instance and options;
-// the derived policy is stored under that request's key, so subsequent
+// the derived policy is stored under that request's key (and written
+// through to the policy repository, when one is attached), so subsequent
 // identical plan requests serve from it without training.
 func (s *Server) derivePolicy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -82,9 +82,6 @@ type Server struct {
 	// fallback names the engine that serves degraded plans when the
 	// requested engine faults; "" disables the ladder's fallback rung.
 	fallback string
-	// batchWorkers bounds the concurrent recommendation walks of one
-	// /api/plan/batch request (DefaultBatchWorkers when <= 0).
-	batchWorkers int
 	// trainWorkers is the worker count every cold-start training run uses
 	// (0 = the sequential schedule). The parallel protocol is
 	// bit-identical for any count, so this is a deployment throughput
@@ -106,6 +103,12 @@ type Server struct {
 	// feedbackSignals counts successfully applied POST /api/feedback
 	// signals for the metrics endpoint.
 	feedbackSignals atomic.Uint64
+	// loadFailures counts artifacts this server failed to restore —
+	// truncated or corrupt payloads, fingerprint mismatches — from the
+	// import endpoint or the policy repository. A climbing figure means a
+	// repository (or an operator's import pipeline) is feeding the daemon
+	// bad artifacts.
+	loadFailures atomic.Uint64
 
 	// onTrain, when set, observes every actual training run (not cache
 	// hits or singleflight followers). Tests use it to count and to
@@ -577,9 +580,10 @@ func (s *Server) exportPolicy(w http.ResponseWriter, r *http.Request) {
 // importPolicy installs an uploaded artifact (the bytes exportPolicy
 // wrote) for the instance named in the query. The artifact's catalog
 // fingerprint must match. The policy is stored under the instance's
-// default-options key for its engine, so subsequent
+// default-options key for its engine (and written through to the policy
+// repository, when one is attached), so subsequent
 // {"instance": ..., "engine": ...} plan requests are served from it
-// without any training.
+// without any training — after a restart too.
 func (s *Server) importPolicy(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("instance")
 	if name == "" {
@@ -595,6 +599,7 @@ func (s *Server) importPolicy(w http.ResponseWriter, r *http.Request) {
 	// rebuilt environment shares the cache entry trained policies use.
 	pol, err := rlplanner.LoadPolicyArtifact(r.Body, inst, s.trainOpts(planRequest{Instance: name}))
 	if err != nil {
+		s.loadFailures.Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

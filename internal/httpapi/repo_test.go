@@ -7,14 +7,20 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/rlplanner/rlplanner"
 )
 
 // repoPlanReq is the one policy every test in this file trains: small
@@ -84,6 +90,100 @@ func TestRepoRestartWithoutRetrain(t *testing.T) {
 	if again := repoMetrics(t, tsB.URL); again["repo_hits"] != mb["repo_hits"] {
 		t.Fatalf("repeat plan consulted the repository: repo_hits %d -> %d",
 			mb["repo_hits"], again["repo_hits"])
+	}
+}
+
+// repoPlanIDs plans req on ts and returns the served item ids.
+func repoPlanIDs(t *testing.T, ts *httptest.Server, req map[string]interface{}) []string {
+	t.Helper()
+	var plan rlplanner.Plan
+	if code := doJSON(t, "POST", ts.URL+"/api/plan", req, &plan); code != 200 {
+		t.Fatalf("plan %v: status %d", req, code)
+	}
+	return plan.IDs()
+}
+
+// TestRepoImportWritesThrough: a policy imported on one server reaches
+// the repository, so a server restarted on the same directory serves the
+// imported artifact — same plan, no training — instead of replacing it
+// with a freshly trained one.
+func TestRepoImportWritesThrough(t *testing.T) {
+	// The artifact comes from a memory-only server under options that
+	// differ from the import key's defaults, so only the repository can
+	// hand server B these values.
+	src := httptest.NewServer(New().Handler())
+	defer src.Close()
+	resp, err := http.Post(src.URL+"/api/policies/export", "application/json",
+		strings.NewReader(`{"instance": "Univ-1 M.S. CS", "engine": "sarsa", "episodes": 60, "seed": 3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artifact bytes.Buffer
+	_, err = artifact.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("export: status %d, %v", resp.StatusCode, err)
+	}
+
+	dir := t.TempDir()
+	tsA := httptest.NewServer(New(WithPolicyDir(dir)).Handler())
+	resp, err = http.Post(tsA.URL+"/api/policies/import?instance="+url.QueryEscape("Univ-1 M.S. CS"),
+		"application/octet-stream", &artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 201 {
+		t.Fatalf("import status %d", resp.StatusCode)
+	}
+	imported := map[string]interface{}{"instance": "Univ-1 M.S. CS", "engine": "sarsa"}
+	want := repoPlanIDs(t, tsA, imported)
+	if m := repoMetrics(t, tsA.URL); m["repo_writes"] != 1 {
+		t.Fatalf("repo_writes = %d after import, want 1", m["repo_writes"])
+	}
+	tsA.Close()
+
+	b := New(WithPolicyDir(dir))
+	var trainedB atomic.Int64
+	b.onTrain = func(string) { trainedB.Add(1) }
+	tsB := httptest.NewServer(b.Handler())
+	defer tsB.Close()
+	if got := repoPlanIDs(t, tsB, imported); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted server plans %v, want the imported %v", got, want)
+	}
+	if got := trainedB.Load(); got != 0 {
+		t.Fatalf("restarted server trained %d times, want 0", got)
+	}
+}
+
+// TestRepoDeriveWritesThrough: a policy derived through
+// POST /api/policies/{id}/derive reaches the repository like a trained
+// one, so a restarted server serves it without training.
+func TestRepoDeriveWritesThrough(t *testing.T) {
+	dir := t.TempDir()
+	tsA := httptest.NewServer(New(WithPolicyDir(dir)).Handler())
+	repoPlanIDs(t, tsA, repoPlanReq)
+	srcKey := planRequest{Instance: "Univ-1 M.S. CS", Engine: "sarsa", Episodes: 60, Seed: 3}.policyKey("sarsa")
+	target := map[string]interface{}{
+		"instance": "Univ-1 M.S. DS-CT", "engine": "sarsa", "episodes": 60, "seed": 3,
+	}
+	var info deriveInfo
+	if code := doJSON(t, "POST", tsA.URL+"/api/policies/"+url.PathEscape(srcKey)+"/derive", target, &info); code != 201 {
+		t.Fatalf("derive status %d", code)
+	}
+	want := repoPlanIDs(t, tsA, target)
+	tsA.Close()
+
+	b := New(WithPolicyDir(dir))
+	var trainedB atomic.Int64
+	b.onTrain = func(string) { trainedB.Add(1) }
+	tsB := httptest.NewServer(b.Handler())
+	defer tsB.Close()
+	if got := repoPlanIDs(t, tsB, target); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted server plans %v, want the derived %v", got, want)
+	}
+	if got := trainedB.Load(); got != 0 {
+		t.Fatalf("restarted server trained %d times, want 0", got)
 	}
 }
 

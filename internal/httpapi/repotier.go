@@ -100,9 +100,9 @@ func (t *policyTier) Get(key string) (*rlplanner.Policy, bool) {
 	pol, err := rlplanner.LoadPolicyArtifact(bytes.NewReader(payload), inst, t.s.trainOpts(req))
 	if err != nil {
 		// The bytes passed their checksum but do not restore (foreign
-		// artifact, version from the future, fingerprint drift): name the
-		// file, quarantine it, retrain. engine.Load already counted it in
-		// artifact_load_failures_total.
+		// artifact, version from the future, fingerprint drift): count it,
+		// name the file, quarantine it, retrain.
+		t.s.loadFailures.Add(1)
 		log.Printf("httpapi: policy repository: quarantining %s: %v", t.r.Path(rk), err)
 		t.r.Quarantine(rk)
 		return nil, false

@@ -285,6 +285,6 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Failed artifact restores (truncated/corrupt gob, fingerprint
 	// mismatch), wherever the artifact came from — repository, import
 	// endpoint or preload.
-	m["artifact_load_failures_total"] = engine.ArtifactLoadFailures()
+	m["artifact_load_failures_total"] = int64(s.loadFailures.Load())
 	writeJSON(w, http.StatusOK, m)
 }

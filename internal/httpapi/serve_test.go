@@ -6,6 +6,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,8 +22,6 @@ import (
 	"github.com/rlplanner/rlplanner"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
 	"github.com/rlplanner/rlplanner/internal/engine"
-	"github.com/rlplanner/rlplanner/internal/qtable"
-	"github.com/rlplanner/rlplanner/internal/sarsa"
 )
 
 const instName = "Univ-1 M.S. DS-CT"
@@ -270,12 +269,26 @@ func TestPolicyImportErrors(t *testing.T) {
 	}
 
 	// Non-finite Q values: a well-formed artifact for the right catalog
-	// whose every Q cell is NaN is refused, not served.
+	// whose every Q cell is NaN is refused, not served. No trainer writes
+	// such a table, so the test forges the artifact: gob matches fields
+	// by name, and these are the artifact's.
 	dsct := univ.Univ1DSCT()
-	q := qtable.New(dsct.Catalog.Len())
-	q.Fill(math.NaN())
+	n := dsct.Catalog.Len()
+	forgedArtifact := struct {
+		Magic, Engine, Instance, Fingerprint string
+		Version, Items                       int
+		Q                                    []float64
+		IDs                                  []string
+	}{
+		Magic: "rlplanner-policy", Engine: "sarsa", Instance: dsct.Name,
+		Fingerprint: engine.Fingerprint(dsct), Version: engine.ArtifactVersion,
+		Items: n, Q: make([]float64, n*n), IDs: dsct.Catalog.IDs(),
+	}
+	for i := range forgedArtifact.Q {
+		forgedArtifact.Q[i] = math.NaN()
+	}
 	var forged bytes.Buffer
-	if err := engine.SaveValues(&forged, "sarsa", dsct, &sarsa.Policy{Q: q, IDs: dsct.Catalog.IDs()}); err != nil {
+	if err := gob.NewEncoder(&forged).Encode(forgedArtifact); err != nil {
 		t.Fatal(err)
 	}
 	w = httptest.NewRecorder()
@@ -283,6 +296,57 @@ func TestPolicyImportErrors(t *testing.T) {
 		"/api/policies/import?instance="+url.QueryEscape(dsct.Name), &forged))
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "not finite") {
 		t.Fatalf("non-finite artifact: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestArtifactLoadFailuresPerServer: artifact_load_failures_total counts
+// the restores one server failed, at both of its load sites — the import
+// endpoint and the repository tier — and no other server's.
+func TestArtifactLoadFailuresPerServer(t *testing.T) {
+	failures := func(s *Server) int64 {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/api/metrics", nil))
+		var m map[string]int64
+		if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m["artifact_load_failures_total"]
+	}
+	a, b := New(), New()
+	w := httptest.NewRecorder()
+	a.Handler().ServeHTTP(w, httptest.NewRequest("POST",
+		"/api/policies/import?instance="+url.QueryEscape(instName), strings.NewReader("junk")))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("corrupt import: status %d", w.Code)
+	}
+	if got := failures(a); got != 1 {
+		t.Fatalf("server A counts %d load failures, want 1", got)
+	}
+	if got := failures(b); got != 0 {
+		t.Fatalf("server B counts %d load failures, want 0: A's import is not B's", got)
+	}
+
+	// A repository entry whose bytes pass the checksum but do not restore.
+	c := New(WithPolicyDir(t.TempDir()))
+	_, _, rk, ok := c.tier.resolve(planRequest{Instance: instName, Engine: "gold"}.policyKey("gold"))
+	if !ok {
+		t.Fatal("tier could not resolve the test key")
+	}
+	if err := c.repo.Put(rk, []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	c.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/api/plan",
+		strings.NewReader(fmt.Sprintf(`{"instance":%q,"engine":"gold"}`, instName))))
+	if w.Code != http.StatusOK {
+		t.Fatalf("plan over a corrupt repository entry: status %d", w.Code)
+	}
+	if got := failures(c); got != 1 {
+		t.Fatalf("server C counts %d load failures, want 1", got)
+	}
+	if got := failures(a); got != 1 {
+		t.Fatalf("server A counts %d load failures after C's, want 1", got)
 	}
 }
 

@@ -83,6 +83,23 @@ func Derive(ctx context.Context, src *Policy, inst *Instance, opts Options) (*Po
 	}, nil
 }
 
+// Transfer maps the policy's learned values onto a related instance
+// without training (the §IV-D case study: DS-CT ↔ CS, NYC ↔ Paris):
+// items match by exact id first, topic similarity second. opts
+// configure the target's serving environment the same way they would
+// configure training. Only value-based policies (sarsa, qlearning,
+// valueiter) transfer; baseline policies return an error.
+func (p *Policy) Transfer(to *Instance, opts Options) (*Policy, error) {
+	if to == nil {
+		return nil, fmt.Errorf("rlplanner: nil instance")
+	}
+	pol, err := engine.Transfer(p.p, to.inner, opts.toCore())
+	if err != nil {
+		return nil, err
+	}
+	return &Policy{inst: to, p: pol}, nil
+}
+
 // Engine returns the canonical name of the engine that produced the
 // policy.
 func (p *Policy) Engine() string { return p.p.Engine() }
@@ -92,6 +109,17 @@ func (p *Policy) Engine() string { return p.p.Engine() }
 // one checkpointed at its TrainBudget deadline (see Degraded), and 0
 // for engines without an episodic learning loop.
 func (p *Policy) EpisodesTrained() int { return engine.Episodes(p.p) }
+
+// LearningCurve returns the reward collected per learning episode of
+// the policy's training run: nil for engines without an episodic
+// learning loop and for policies loaded from an artifact or transferred.
+func (p *Policy) LearningCurve() []float64 {
+	vp, ok := p.p.(engine.ValuePolicy)
+	if !ok {
+		return nil
+	}
+	return append([]float64(nil), vp.LearningCurve()...)
+}
 
 // WarmStartedFrom reports warm-start provenance for policies produced
 // by Derive: the source instance's name and the warm-start distance.
@@ -171,10 +199,10 @@ func (p *Policy) NewSession(k int) (*Session, error) {
 	return &Session{inst: p.inst, s: s}, nil
 }
 
-// LoadPolicyArtifact restores a policy saved with Policy.Save (or
-// Planner.SavePolicy) against the instance, verifying the format version
-// and the catalog fingerprint. opts rebind the serving environment the
-// same way they would configure training.
+// LoadPolicyArtifact restores a policy saved with Policy.Save against
+// the instance, verifying the format version and the catalog
+// fingerprint. opts rebind the serving environment the same way they
+// would configure training.
 func LoadPolicyArtifact(r io.Reader, inst *Instance, opts Options) (*Policy, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("rlplanner: nil instance")

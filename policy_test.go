@@ -113,20 +113,29 @@ func TestPolicyArtifactWrongInstance(t *testing.T) {
 	}
 }
 
-// TestPlannerArtifactInterop: the legacy Planner.SavePolicy output is the
-// same artifact format LoadPolicyArtifact reads.
+// TestPlannerArtifactInterop: a policy transferred onto another
+// instance is an ordinary artifact of that instance — Save writes the
+// target's fingerprint and LoadPolicyArtifact restores the same plans.
 func TestPlannerArtifactInterop(t *testing.T) {
+	cs, _ := InstanceByName("Univ-1 M.S. CS")
 	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, _ := NewPlanner(in, Options{Episodes: 100, Seed: 4})
-	if err := p.Learn(); err != nil {
+	src, err := Train(context.Background(), cs, "sarsa", Options{Episodes: 100, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Plan()
+	p, err := src.Transfer(in, Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fingerprint() != in.Fingerprint() {
+		t.Fatalf("transferred fingerprint %s, want the target's %s", p.Fingerprint(), in.Fingerprint())
+	}
+	want, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.SavePolicy(&buf); err != nil {
+	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	pol, err := LoadPolicyArtifact(&buf, in, Options{Seed: 4})

@@ -10,10 +10,14 @@
 // Quick start:
 //
 //	inst, _ := rlplanner.InstanceByName("Univ-1 M.S. DS-CT")
-//	p, _ := rlplanner.NewPlanner(inst, rlplanner.Options{Seed: 1})
-//	_ = p.Learn()
-//	plan, _ := p.Plan()
+//	pol, _ := rlplanner.Train(context.Background(), inst, "sarsa", rlplanner.Options{Seed: 1})
+//	plan, _ := pol.Recommend("")
 //	fmt.Println(plan.IDs(), plan.Score)
+//
+// Train runs the learning phase of Algorithm 1 (or any other engine of
+// the registry, see Engines) and returns a Policy: the one trained
+// artifact, which recommends plans from any start, saves and loads,
+// transfers to a related instance and drives interactive sessions.
 //
 // The built-in instances reproduce the paper's datasets: four university
 // degree programs (NJIT-style Univ-1 and Stanford-style Univ-2) and two
@@ -24,7 +28,6 @@ package rlplanner
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -38,7 +41,6 @@ import (
 	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
 	"github.com/rlplanner/rlplanner/internal/seqsim"
-	"github.com/rlplanner/rlplanner/internal/transfer"
 )
 
 // Instance is one planning problem: an item catalog with its hard and
@@ -247,103 +249,6 @@ func (o Options) toCore() core.Options {
 		c.Sim, c.HasSim = seqsim.Minimum, true
 	}
 	return c
-}
-
-// Planner learns and recommends plans for one instance.
-type Planner struct {
-	inst *Instance
-	p    *core.Planner
-}
-
-// NewPlanner builds a planner for the instance.
-func NewPlanner(inst *Instance, opts Options) (*Planner, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("rlplanner: nil instance")
-	}
-	p, err := core.New(inst.inner, opts.toCore())
-	if err != nil {
-		return nil, err
-	}
-	return &Planner{inst: inst, p: p}, nil
-}
-
-// Learn runs the SARSA learning phase (Algorithm 1 of the paper).
-func (p *Planner) Learn() error { return p.p.Learn() }
-
-// LearningCurve returns the reward collected per learning episode.
-func (p *Planner) LearningCurve() []float64 { return p.p.LearningCurve() }
-
-// TrainedEpisodes returns how many learning episodes the last Learn
-// completed (0 before Learn).
-func (p *Planner) TrainedEpisodes() int { return p.p.TrainedEpisodes() }
-
-// MergeBatches returns how many deterministic merge rounds the parallel
-// training schedule ran during the last Learn — 0 under the sequential
-// schedule (Options.TrainWorkers == 0), > 0 whenever the parallel
-// protocol actually executed.
-func (p *Planner) MergeBatches() int { return p.p.MergeBatches() }
-
-// Plan recommends a plan from the configured start item.
-func (p *Planner) Plan() (*Plan, error) {
-	seq, err := p.p.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(p.inst, p.p.Env().Hard(), seq), nil
-}
-
-// PlanFrom recommends a plan starting from a specific item.
-func (p *Planner) PlanFrom(id string) (*Plan, error) {
-	seq, err := p.p.PlanFromID(id)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(p.inst, p.p.Env().Hard(), seq), nil
-}
-
-// SavePolicy persists the learned policy as a versioned artifact (the
-// same format Policy.Save writes): a header carrying the format version,
-// the engine name and the training catalog's fingerprint, then the
-// learned values.
-func (p *Planner) SavePolicy(w io.Writer) error {
-	pol := p.p.Policy()
-	if pol == nil {
-		return fmt.Errorf("rlplanner: no learned policy (call Learn first)")
-	}
-	return engine.SaveValues(w, "sarsa", p.inst.inner, pol)
-}
-
-// LoadPolicy installs a previously saved policy artifact, skipping
-// Learn. The artifact's catalog fingerprint must match this planner's
-// instance.
-func (p *Planner) LoadPolicy(r io.Reader) error {
-	pol, err := engine.LoadValues(r, p.inst.inner)
-	if err != nil {
-		return err
-	}
-	return p.p.SetPolicy(pol)
-}
-
-// Transfer maps this planner's learned policy onto another instance
-// (the §IV-D case study: DS-CT ↔ CS, NYC ↔ Paris). The returned planner
-// is ready to Plan without learning.
-func (p *Planner) Transfer(to *Instance, opts Options) (*Planner, error) {
-	pol := p.p.Policy()
-	if pol == nil {
-		return nil, fmt.Errorf("rlplanner: no learned policy to transfer")
-	}
-	mapped, _, err := transfer.Map(pol, p.inst.inner.Catalog, to.inner.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	target, err := NewPlanner(to, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := target.p.SetPolicy(mapped); err != nil {
-		return nil, err
-	}
-	return target, nil
 }
 
 // PlanStep is one item of a recommended plan.

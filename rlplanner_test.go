@@ -2,6 +2,7 @@ package rlplanner
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -60,17 +61,14 @@ func TestItemsExposeCatalog(t *testing.T) {
 
 func TestEndToEndCoursePlanning(t *testing.T) {
 	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, err := NewPlanner(in, Options{Episodes: 200, Seed: 1})
+	p, err := Train(context.Background(), in, "sarsa", Options{Episodes: 200, Seed: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Learn(); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.LearningCurve()) != 200 {
 		t.Fatalf("learning curve = %d points", len(p.LearningCurve()))
 	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +91,11 @@ func TestEndToEndCoursePlanning(t *testing.T) {
 
 func TestEndToEndTripPlanning(t *testing.T) {
 	in, _ := InstanceByName("Paris")
-	p, err := NewPlanner(in, Options{Episodes: 150, Seed: 2})
+	p, err := Train(context.Background(), in, "sarsa", Options{Episodes: 150, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,60 +137,64 @@ func TestBaselinesAndGold(t *testing.T) {
 
 func TestPolicySaveLoad(t *testing.T) {
 	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, _ := NewPlanner(in, Options{Episodes: 100, Seed: 4})
-	if err := p.Learn(); err != nil {
+	p, err := Train(context.Background(), in, "sarsa", Options{Episodes: 100, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Plan()
+	want, err := p.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := p.SavePolicy(&buf); err != nil {
+	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	fresh, _ := NewPlanner(in, Options{Seed: 4})
-	if err := fresh.LoadPolicy(&buf); err != nil {
+	fresh, err := LoadPolicyArtifact(&buf, in, Options{Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.Plan()
+	got, err := fresh.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(got.IDs(), "|") != strings.Join(want.IDs(), "|") {
 		t.Fatalf("loaded policy plans differently:\n%v\n%v", got.IDs(), want.IDs())
 	}
-
-	unlearned, _ := NewPlanner(in, Options{Seed: 4})
-	if err := unlearned.SavePolicy(&bytes.Buffer{}); err == nil {
-		t.Fatal("saved a policy before learning")
-	}
 }
 
 func TestTransferAcrossCities(t *testing.T) {
 	nyc, _ := InstanceByName("NYC")
 	paris, _ := InstanceByName("Paris")
-	p, _ := NewPlanner(nyc, Options{Episodes: 100, Seed: 5})
-	if err := p.Learn(); err != nil {
+	p, err := Train(context.Background(), nyc, "sarsa", Options{Episodes: 100, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
 	moved, err := p.Transfer(paris, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := moved.Plan()
+	plan, err := moved.Recommend("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Steps) == 0 {
-		t.Fatal("transferred planner produced nothing")
+		t.Fatal("transferred policy produced nothing")
+	}
+	if moved.LearningCurve() != nil || moved.EpisodesTrained() != 0 {
+		t.Fatal("a transferred policy reports training it did not run")
 	}
 
-	unlearned, _ := NewPlanner(nyc, Options{Seed: 5})
-	if _, err := unlearned.Transfer(paris, Options{}); err == nil {
-		t.Fatal("transfer before learning accepted")
+	if _, err := p.Transfer(nil, Options{}); err == nil {
+		t.Fatal("transfer to a nil instance accepted")
+	}
+	gold, err := Train(context.Background(), nyc, "gold", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gold.Transfer(paris, Options{}); err == nil {
+		t.Fatal("transfer of a procedural policy accepted")
 	}
 }
 
@@ -215,29 +214,26 @@ func TestRatePlanAPI(t *testing.T) {
 
 func TestMinimumSimilarityOption(t *testing.T) {
 	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	p, err := NewPlanner(in, Options{Episodes: 100, Seed: 8, MinimumSimilarity: true})
+	p, err := Train(context.Background(), in, "sarsa", Options{Episodes: 100, Seed: 8, MinimumSimilarity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Plan(); err != nil {
+	if _, err := p.Recommend(""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestNilAndBadInputs(t *testing.T) {
-	if _, err := NewPlanner(nil, Options{}); err == nil {
+	ctx := context.Background()
+	if _, err := Train(ctx, nil, "sarsa", Options{}); err == nil {
 		t.Fatal("nil instance accepted")
 	}
 	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
-	if _, err := NewPlanner(in, Options{Start: "GHOST 1"}); err == nil {
+	if _, err := Train(ctx, in, "sarsa", Options{Start: "GHOST 1"}); err == nil {
 		t.Fatal("unknown start accepted")
 	}
-	p, _ := NewPlanner(in, Options{Episodes: 50, Seed: 9})
-	if _, err := p.Plan(); err == nil {
-		t.Fatal("plan before learn accepted")
+	if _, err := Train(ctx, in, "oracle", Options{}); err == nil {
+		t.Fatal("unknown engine accepted")
 	}
 }
 

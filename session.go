@@ -1,10 +1,6 @@
 package rlplanner
 
-import (
-	"fmt"
-
-	"github.com/rlplanner/rlplanner/internal/session"
-)
+import "github.com/rlplanner/rlplanner/internal/session"
 
 // Suggestion is one proposed next item of an interactive session.
 type Suggestion struct {
@@ -25,21 +21,6 @@ type Suggestion struct {
 type Session struct {
 	inst *Instance
 	s    *session.Session
-}
-
-// StartSession begins an interactive session from the planner's start
-// item with k suggestions per round (k ≤ 0 selects 3). Learn (or
-// LoadPolicy) must have run first.
-func (p *Planner) StartSession(k int) (*Session, error) {
-	pol := p.p.Policy()
-	if pol == nil {
-		return nil, fmt.Errorf("rlplanner: no learned policy (call Learn first)")
-	}
-	s, err := session.New(p.p.Env(), pol, p.p.SarsaConfig().Start, k)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{inst: p.inst, s: s}, nil
 }
 
 // Suggestions returns the next candidates in preference order.
