@@ -57,7 +57,7 @@ examples:
 # Microbenchmarks for the per-step MDP loop; run with -benchmem so alloc
 # regressions are visible.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction' -benchmem ./internal/mdp/... ./internal/sarsa/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk' -benchmem ./internal/mdp/... ./internal/sarsa/...
 
 # Machine-readable perf records (BENCH_<id>.json) under results/.
 bench-json:

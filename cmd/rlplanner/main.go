@@ -33,48 +33,62 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, reads interactive commands from
+// in and prints to out.
+func run(args []string, in io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("rlplanner", flag.ExitOnError)
 	var (
-		list      = flag.Bool("list", false, "list built-in instances and exit")
-		engines   = flag.Bool("engines", false, "list registered planning engines and exit")
-		items     = flag.Bool("items", false, "print the instance catalog and exit")
-		instance  = flag.String("instance", "Univ-1 M.S. DS-CT", "instance name")
-		start     = flag.String("start", "", "starting item id (default: instance's)")
-		episodes  = flag.Int("episodes", 0, "learning episodes N (0 = Table III default)")
-		minSim    = flag.Bool("min-sim", false, "use the minimum-similarity reward variant")
-		seed      = flag.Int64("seed", 1, "random seed")
-		savePath  = flag.String("save", "", "save the trained policy artifact to this file")
-		loadPath  = flag.String("load", "", "load a policy artifact instead of training")
-		engineFl  = flag.String("engine", "", "planning engine (see -engines; default sarsa)")
-		baseline  = flag.String("baseline", "", "deprecated alias of -engine")
-		transfer  = flag.String("transfer", "", "transfer the learned policy to this instance")
-		rate      = flag.Bool("rate", false, "run the simulated rater panel on the plan")
-		repl      = flag.Bool("interactive", false, "plan step by step: accept/reject suggestions")
-		explain   = flag.Bool("explain", false, "justify every plan step (antecedents, topics)")
-		timeLimit = flag.Float64("time", 0, "trip time threshold t in hours (0 = default)")
-		maxDist   = flag.Float64("distance", 0, "trip distance threshold d in km (0 = default)")
+		list      = fs.Bool("list", false, "list built-in instances and exit")
+		engines   = fs.Bool("engines", false, "list registered planning engines and exit")
+		items     = fs.Bool("items", false, "print the instance catalog and exit")
+		instance  = fs.String("instance", "Univ-1 M.S. DS-CT", "instance name")
+		start     = fs.String("start", "", "starting item id (default: instance's)")
+		episodes  = fs.Int("episodes", 0, "learning episodes N (0 = Table III default)")
+		minSim    = fs.Bool("min-sim", false, "use the minimum-similarity reward variant")
+		seed      = fs.Int64("seed", 1, "random seed")
+		savePath  = fs.String("save", "", "save the trained policy artifact to this file")
+		loadPath  = fs.String("load", "", "load a policy artifact instead of training")
+		engineFl  = fs.String("engine", "", "planning engine (see -engines; default sarsa)")
+		baseline  = fs.String("baseline", "", "deprecated alias of -engine")
+		transfer  = fs.String("transfer", "", "transfer the learned policy to this instance")
+		rate      = fs.Bool("rate", false, "run the simulated rater panel on the plan")
+		repl      = fs.Bool("interactive", false, "plan step by step: accept/reject suggestions")
+		explain   = fs.Bool("explain", false, "justify every plan step (antecedents, topics)")
+		timeLimit = fs.Float64("time", 0, "trip time threshold t in hours (0 = default)")
+		maxDist   = fs.Float64("distance", 0, "trip distance threshold d in km (0 = default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		for _, in := range rlplanner.Instances() {
+		for _, b := range rlplanner.Instances() {
 			kind := "course"
-			if in.IsTrip() {
+			if b.IsTrip() {
 				kind = "trip"
 			}
-			fmt.Printf("%-28s %-6s %3d items, start %q\n",
-				in.Name(), kind, in.NumItems(), in.DefaultStart())
+			fmt.Fprintf(out, "%-28s %-6s %3d items, start %q\n",
+				b.Name(), kind, b.NumItems(), b.DefaultStart())
 		}
-		return
+		return nil
 	}
 	if *engines {
 		for _, name := range rlplanner.Engines() {
-			fmt.Println(name)
+			fmt.Fprintln(out, name)
 		}
-		return
+		return nil
 	}
 
 	inst, err := rlplanner.InstanceByName(*instance)
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	if *items {
 		for _, m := range inst.Items() {
@@ -82,9 +96,9 @@ func main() {
 			if m.Primary {
 				role = "primary"
 			}
-			fmt.Printf("%-36s %-9s %4.2g cr  pre=%s\n", m.ID, role, m.Credits, m.Prerequisite)
+			fmt.Fprintf(out, "%-36s %-9s %4.2g cr  pre=%s\n", m.ID, role, m.Credits, m.Prerequisite)
 		}
-		return
+		return nil
 	}
 
 	opts := rlplanner.Options{
@@ -101,87 +115,112 @@ func main() {
 		choice = *baseline
 	}
 	engineName, err := rlplanner.EngineName(choice)
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	// Every engine goes through the registry's train/serve split: obtain
 	// an immutable policy (trained or loaded), then recommend.
 	var pol *rlplanner.Policy
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
-		check(err)
+		if err != nil {
+			return err
+		}
 		pol, err = rlplanner.LoadPolicyArtifact(f, inst, opts)
-		check(err)
 		f.Close()
-	} else {
-		pol, err = rlplanner.Train(context.Background(), inst, engineName, opts)
-		check(err)
+		if err != nil {
+			return err
+		}
+	} else if pol, err = rlplanner.Train(context.Background(), inst, engineName, opts); err != nil {
+		return err
 	}
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
-		check(err)
-		check(pol.Save(f))
-		check(f.Close())
-		fmt.Printf("policy saved to %s\n", *savePath)
+		if err != nil {
+			return err
+		}
+		if err := pol.Save(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "policy saved to %s\n", *savePath)
 	}
 	if *transfer != "" {
 		// The §IV-D case study: map the learned values onto the target
-		// catalog and serve from there.
-		inst, err = rlplanner.InstanceByName(*transfer)
-		check(err)
-		pol, err = pol.Transfer(inst, rlplanner.Options{Seed: *seed})
-		check(err)
+		// catalog and serve from there, under the same thresholds and
+		// reward options. -start names an item of the source catalog,
+		// so the target walks from its own default start.
+		if inst, err = rlplanner.InstanceByName(*transfer); err != nil {
+			return err
+		}
+		target := opts
+		target.Start = ""
+		if pol, err = pol.Transfer(inst, target); err != nil {
+			return err
+		}
 	}
 	var plan *rlplanner.Plan
 	if *repl {
 		s, err := pol.NewSession(5)
-		check(err)
-		plan, err = interactiveLoop(s, os.Stdin, os.Stdout)
-		check(err)
-	} else {
-		plan, err = pol.Recommend("")
-		check(err)
+		if err != nil {
+			return err
+		}
+		if plan, err = interactiveLoop(s, in, out); err != nil {
+			return err
+		}
+	} else if plan, err = pol.Recommend(""); err != nil {
+		return err
 	}
 
-	printPlan(inst, plan)
+	printPlan(out, inst, plan)
 
 	if *explain {
 		lines, err := rlplanner.ExplainPlan(inst, plan)
-		check(err)
-		fmt.Println("\nStep-by-step justification:")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "\nStep-by-step justification:")
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(out, l)
 		}
 	}
 
 	if *rate {
 		r, err := rlplanner.RatePlan(inst, plan, 25, *seed)
-		check(err)
-		fmt.Printf("\nSimulated 25-rater panel (1–5):\n")
-		fmt.Printf("  overall       %.2f\n", r.Overall)
-		fmt.Printf("  ordering      %.2f\n", r.Ordering)
-		fmt.Printf("  coverage      %.2f\n", r.Coverage)
-		fmt.Printf("  interleaving  %.2f\n", r.Interleaving)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "\nSimulated 25-rater panel (1–5):\n")
+		fmt.Fprintf(out, "  overall       %.2f\n", r.Overall)
+		fmt.Fprintf(out, "  ordering      %.2f\n", r.Ordering)
+		fmt.Fprintf(out, "  coverage      %.2f\n", r.Coverage)
+		fmt.Fprintf(out, "  interleaving  %.2f\n", r.Interleaving)
 	}
+	return nil
 }
 
-func printPlan(inst *rlplanner.Instance, plan *rlplanner.Plan) {
-	fmt.Printf("Plan for %s (score %.2f of gold %.2f):\n",
+func printPlan(out io.Writer, inst *rlplanner.Instance, plan *rlplanner.Plan) {
+	fmt.Fprintf(out, "Plan for %s (score %.2f of gold %.2f):\n",
 		inst.Name(), plan.Score, inst.GoldScore())
 	for i, s := range plan.Steps {
 		role := "secondary"
 		if s.Primary {
 			role = "primary"
 		}
-		fmt.Printf("%2d. %-36s (%s, %.2g)\n", i+1, s.ID, role, s.Credits)
+		fmt.Fprintf(out, "%2d. %-36s (%s, %.2g)\n", i+1, s.ID, role, s.Credits)
 	}
-	fmt.Printf("total credits/hours: %.2f, ideal-topic coverage: %.0f%%\n",
+	fmt.Fprintf(out, "total credits/hours: %.2f, ideal-topic coverage: %.0f%%\n",
 		plan.TotalCredits, 100*plan.CoverageRatio)
 	if plan.SatisfiesConstraints {
-		fmt.Println("all hard constraints satisfied")
+		fmt.Fprintln(out, "all hard constraints satisfied")
 	} else {
-		fmt.Println("hard-constraint violations:")
+		fmt.Fprintln(out, "hard-constraint violations:")
 		for _, v := range plan.Violations {
-			fmt.Printf("  - %s\n", v)
+			fmt.Fprintf(out, "  - %s\n", v)
 		}
 	}
 }
@@ -245,11 +284,4 @@ func interactiveLoop(s *rlplanner.Session, in io.Reader, out io.Writer) (*rlplan
 		}
 	}
 	return s.Current(), nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,5 +101,30 @@ func TestSessionRequiresValueEngine(t *testing.T) {
 	}
 	if _, err := pol.NewSession(5); err == nil {
 		t.Fatal("NewSession on a gold policy should fail")
+	}
+}
+
+// TestTransferKeepsThresholds plans NYC → Paris with a 3-hour time
+// threshold: the transferred policy must serve Paris under the same
+// threshold, as a policy trained on Paris directly does.
+func TestTransferKeepsThresholds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-instance", "NYC", "-transfer", "Paris", "-time", "3"},
+		{"-instance", "Paris", "-time", "3"},
+	} {
+		var out strings.Builder
+		if err := run(args, strings.NewReader(""), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.HasPrefix(out.String(), "Plan for Paris") {
+			t.Fatalf("%v printed:\n%s", args, out.String())
+		}
+		m := regexp.MustCompile(`total credits/hours: ([0-9.]+)`).FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("%v: no total hours in:\n%s", args, out.String())
+		}
+		if hours, err := strconv.ParseFloat(m[1], 64); err != nil || hours > 3 {
+			t.Errorf("%v: itinerary takes %s h, want at most 3:\n%s", args, m[1], out.String())
+		}
 	}
 }

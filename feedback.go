@@ -41,7 +41,14 @@ func NewFeedbackLoop(inst *Instance, opts Options, rate float64) (*FeedbackLoop,
 	if inst == nil {
 		return nil, fmt.Errorf("rlplanner: nil instance")
 	}
-	p, err := core.New(inst.inner, opts.toCore())
+	// The loop needs only the resolved reward config: take the
+	// environment from the engine's cache, which Replan trains on too.
+	copts := opts.toCore()
+	env, err := engine.EnvFor(context.Background(), inst.inner, copts)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.NewWithEnv(inst.inner, copts, env)
 	if err != nil {
 		return nil, err
 	}

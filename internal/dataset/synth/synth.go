@@ -50,9 +50,10 @@ type Params struct {
 	// exercise the environment's distance store. Off by default.
 	Geo bool
 	// MaxDistanceKm is the hard distance budget when Geo is set
-	// (default 1e6 km — effectively unbounded, so feasibility matches
-	// the non-geo instance while every candidate still pays a distance
-	// lookup).
+	// (default 1e6 km — unbounded, since no great-circle leg exceeds
+	// π·R ≈ 20 015 km, so feasibility matches the non-geo instance; the
+	// episode then skips every per-candidate leg check and reads the
+	// distance store only for the legs it admits).
 	MaxDistanceKm float64
 	// Seed drives generation; equal Params generate equal instances.
 	Seed int64

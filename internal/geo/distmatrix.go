@@ -14,8 +14,9 @@ const DefaultDistMatrixMaxItems = 1024
 // per-candidate feasibility loop. The matrix is symmetric with a zero
 // diagonal and, once built, immutable and safe for concurrent use.
 type DistMatrix struct {
-	n int
-	d []float32 // row-major n×n
+	n     int
+	d     []float32 // row-major n×n
+	maxKm float64   // MaxDist
 }
 
 // NewDistMatrix precomputes the Haversine distance between every pair of
@@ -23,12 +24,17 @@ type DistMatrix struct {
 // one float32 load.
 func NewDistMatrix(pts []Point) *DistMatrix {
 	n := len(pts)
-	m := &DistMatrix{n: n, d: make([]float32, n*n)}
+	m := &DistMatrix{n: n, d: make([]float32, n*n), maxKm: maxHaversineKm()}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := float32(Haversine(pts[i], pts[j]))
 			m.d[i*n+j] = d
 			m.d[j*n+i] = d
+			// Rounding to float32 can land just above the Haversine
+			// ceiling.
+			if float64(d) > m.maxKm {
+				m.maxKm = float64(d)
+			}
 		}
 	}
 	return m
@@ -36,6 +42,10 @@ func NewDistMatrix(pts []Point) *DistMatrix {
 
 // Len returns the number of points the matrix covers.
 func (m *DistMatrix) Len() int { return m.n }
+
+// MaxDist returns the largest value Dist can return: the Haversine
+// ceiling, or the largest float32 entry when rounding put one above it.
+func (m *DistMatrix) MaxDist() float64 { return m.maxKm }
 
 // Dist returns the precomputed distance between points i and j in kilometers.
 func (m *DistMatrix) Dist(i, j int) float64 {

@@ -14,6 +14,7 @@ type Point struct {
 }
 
 // Haversine returns the great-circle distance between a and b in kilometers.
+// It never exceeds half a great circle, π·R ≈ 20 015 km.
 func Haversine(a, b Point) float64 {
 	const degToRad = math.Pi / 180
 	lat1 := a.Lat * degToRad
@@ -26,6 +27,12 @@ func Haversine(a, b Point) float64 {
 	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
+
+// maxHaversineKm returns the largest value Haversine can return: half a
+// great circle, π·R ≈ 20 015 km. It evaluates the same expression as
+// Haversine at its largest argument, asin(1), so no rounding of a real
+// leg lands above it.
+func maxHaversineKm() float64 { return 2 * EarthRadiusKm * math.Asin(1) }
 
 // PathLength returns the total distance of visiting the points in order.
 func PathLength(pts []Point) float64 {

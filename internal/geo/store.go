@@ -17,6 +17,10 @@ type Store interface {
 	Len() int
 	// Dist returns the distance between points i and j in kilometers.
 	Dist(i, j int) float64
+	// MaxDist returns an upper bound, fixed when the store is built, on
+	// every value Dist returns. A distance budget with more than MaxDist
+	// left cannot be exceeded by any one leg.
+	MaxDist() float64
 	// SizeBytes estimates the store's resident backing bytes.
 	SizeBytes() int
 }
@@ -79,6 +83,9 @@ func (h HaversineStore) Dist(i, j int) float64 {
 	return Haversine(h[i], h[j])
 }
 
+// MaxDist returns the Haversine ceiling.
+func (h HaversineStore) MaxDist() float64 { return maxHaversineKm() }
+
 // SizeBytes reports the point slice backing the store.
 func (h HaversineStore) SizeBytes() int { return 16 * len(h) }
 
@@ -96,6 +103,7 @@ type NeighborStore struct {
 	code     []uint16
 	bucketKm float64
 	k        int
+	maxKm    float64 // MaxDist
 }
 
 // NewNeighborStore builds the quantized K-nearest-neighbor store
@@ -110,7 +118,7 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 	if k > n-1 {
 		k = n - 1
 	}
-	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k}
+	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k, maxKm: maxHaversineKm()}
 	if n == 0 || k <= 0 {
 		s.bucketKm = 1
 		return s
@@ -265,6 +273,18 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 		row, codes := s.idx[lo:hi], s.code[lo:hi]
 		sort.Sort(&neighborRow{idx: row, code: codes})
 	}
+	// A code rounds to the nearest bucket, so an in-band value can sit
+	// up to half a bucket above its exact distance, and so above the
+	// Haversine ceiling when the pair is antipodal.
+	var maxCode uint16
+	for _, c := range s.code {
+		if c > maxCode {
+			maxCode = c
+		}
+	}
+	if d := float64(maxCode) * s.bucketKm; d > s.maxKm {
+		s.maxKm = d
+	}
 	return s
 }
 
@@ -314,6 +334,10 @@ func (s *NeighborStore) Dist(i, j int) float64 {
 	fallbackTotal.Add(1)
 	return Haversine(s.pts[i], s.pts[j])
 }
+
+// MaxDist returns the Haversine ceiling, raised to the largest in-band
+// value when quantization rounded one above it.
+func (s *NeighborStore) MaxDist() float64 { return s.maxKm }
 
 // BucketKm returns the quantization step in kilometers.
 func (s *NeighborStore) BucketKm() float64 { return s.bucketKm }

@@ -206,3 +206,66 @@ func TestNeighborStoreDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxDistBoundsEveryTier checks the leg ceiling every store reports:
+// no Dist exceeds MaxDist on any tier, over random points on the whole
+// globe, antipodal pairs, polar points and a catalog of one repeated
+// point — and in-band quantized values that round above their exact
+// distance, up to one that rounds above the Haversine ceiling itself.
+func TestMaxDistBoundsEveryTier(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sets := map[string][]Point{}
+	var global, antipodal, polar, same []Point
+	for i := 0; i < 120; i++ {
+		p := Point{Lat: -90 + 180*rng.Float64(), Lon: -180 + 360*rng.Float64()}
+		global = append(global, p)
+		antipodal = append(antipodal, p, Point{Lat: -p.Lat, Lon: p.Lon + 180})
+		polar = append(polar, Point{Lat: 90 - 1e-3*rng.Float64(), Lon: p.Lon}, Point{Lat: -90, Lon: p.Lon})
+		same = append(same, Point{Lat: 48.85, Lon: 2.35})
+	}
+	sets["global"], sets["antipodal"], sets["polar"], sets["coincident"] = global, antipodal, polar, same
+	// Three points whose bounding-box diagonal falls just short of half a
+	// great circle: the antipodal pair's code then rounds up, to a value
+	// above the Haversine ceiling.
+	var raised []Point
+	for off := 0.0; off < 0.01; off += 1e-4 {
+		pts := []Point{{Lat: -10, Lon: 0}, {Lat: 10, Lon: 180}, {Lat: -10 - off, Lon: 0.5}}
+		if NewNeighborStore(pts, 0).MaxDist() > maxHaversineKm() {
+			raised = pts
+			break
+		}
+	}
+	if raised == nil {
+		t.Fatal("no three-point catalog quantized an antipodal pair above the Haversine ceiling")
+	}
+	sets["raised"] = raised
+
+	roundedUp := 0
+	for name, pts := range sets {
+		stores := map[string]Store{
+			"matrix":    NewDistMatrix(pts),
+			"haversine": HaversineStore(pts),
+			"neighbor":  NewNeighborStore(pts, 8),
+		}
+		for tier, s := range stores {
+			ceil := s.MaxDist()
+			if ceil < maxHaversineKm() {
+				t.Errorf("%s/%s: MaxDist %v below the Haversine ceiling %v", name, tier, ceil, maxHaversineKm())
+			}
+			for i := range pts {
+				for j := range pts {
+					d := s.Dist(i, j)
+					if d > ceil {
+						t.Fatalf("%s/%s: Dist(%d,%d) = %v above MaxDist %v", name, tier, i, j, d, ceil)
+					}
+					if ns, ok := s.(*NeighborStore); ok && i != j && ns.InBand(i, j) && d > Haversine(pts[i], pts[j]) {
+						roundedUp++
+					}
+				}
+			}
+		}
+	}
+	if roundedUp == 0 {
+		t.Error("no in-band value rounded above its exact distance")
+	}
+}

@@ -118,6 +118,10 @@ type Env struct {
 	// instead of interface dispatch — the matrix tier is exactly the
 	// catalog range where that lookup dominates the step profile.
 	distMat *geo.DistMatrix
+	// legMax is dist.MaxDist(), the longest leg the store can report.
+	// While more than legMax of the distance budget remains, no leg can
+	// exceed it, and CanStep skips the per-candidate lookup.
+	legMax float64
 	// prereqs are the compiled prerequisite programs + reverse dependencies.
 	prereqs *prereq.Compiled
 	// prereqInit[i] is item i's prerequisite status with nothing placed —
@@ -164,6 +168,11 @@ func NewEnv(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
 	exprs := make([]prereq.Expr, n)
 	for i := 0; i < n; i++ {
 		m := c.At(i)
+		// Episodes score the similarity term once per type per step
+		// (Episode.simByType), so only the two types have a slot.
+		if m.Type != item.Primary && m.Type != item.Secondary {
+			return nil, fmt.Errorf("mdp: item %q has %v, want primary or secondary", m.ID, m.Type)
+		}
 		e.facts[i] = itemFacts{
 			// Catalog topic vectors arrive density-compacted; the per-item
 			// ideal intersection is compacted too, so the fact table costs
@@ -181,6 +190,7 @@ func NewEnv(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
 	if hard.MaxDistanceKm > 0 {
 		e.dist = geo.NewDistStore(e.pts)
 		e.distMat, _ = e.dist.(*geo.DistMatrix)
+		e.legMax = e.dist.MaxDist()
 	}
 	compiled, err := prereq.Compile(exprs, c.Index)
 	if err != nil {
@@ -275,6 +285,18 @@ type Episode struct {
 	// per step (in admit), so evaluating a candidate only writes the final
 	// slot — no per-candidate copy of the type sequence.
 	candTypes []item.Type
+	// simByType[t] is Equation 2's similarity term for a candidate of
+	// type t. The term depends on the candidate only through its type,
+	// so admit scores it once per type and Reward reads it.
+	simByType [2]float64
+	// themeBlock is the category the trip theme-gap rule forbids next:
+	// the last item's category when the rule is on, else NoCategory.
+	themeBlock int
+	// legCheck reports that the distance budget can still bind: a
+	// threshold d is set and distance + legMax > d. While it is false,
+	// no leg can overrun the budget, so CanStep skips the lookup
+	// (floating-point addition is monotone).
+	legCheck bool
 	// scratch is the reusable Transition TransitionScratch hands out.
 	scratch reward.Transition
 }
@@ -371,6 +393,13 @@ func (ep *Episode) admit(idx int) {
 	ep.current.UnionInPlace(f.topics)
 	ep.credits += f.credits
 	ep.chosen[idx] = true
+	ep.themeBlock = item.NoCategory
+	if ep.env.hard.ThemeGap {
+		ep.themeBlock = f.category
+	}
+	if d := ep.env.hard.MaxDistanceKm; d > 0 {
+		ep.legCheck = ep.distance+ep.env.legMax > d
+	}
 
 	// Advance the incremental prerequisite cache to the new frontier
 	// position p+1. Between frontiers p and p+1 exactly one placement
@@ -393,6 +422,10 @@ func (ep *Episode) admit(idx int) {
 	}
 	ep.candTypes = ep.candTypes[:n+1]
 	copy(ep.candTypes, ep.seqTypes)
+	for t := range ep.simByType {
+		ep.candTypes[n] = item.Type(t)
+		ep.simByType[t] = ep.env.reward.Similarity(ep.candTypes)
+	}
 }
 
 // Len returns the number of items in the trajectory so far.
@@ -423,6 +456,7 @@ func (ep *Episode) Done() bool {
 
 // CanStep reports whether item idx may be added: not yet chosen, within
 // the trajectory budget and, for trips, within the distance threshold d.
+// The leg is looked up only while the threshold can bind (legCheck).
 func (ep *Episode) CanStep(idx int) bool {
 	if idx < 0 || idx >= len(ep.chosen) || ep.chosen[idx] {
 		return false
@@ -430,10 +464,8 @@ func (ep *Episode) CanStep(idx int) bool {
 	if !ep.env.budget.Allows(ep.credits, len(ep.seq), ep.env.facts[idx].credits) {
 		return false
 	}
-	if d := ep.env.hard.MaxDistanceKm; d > 0 {
-		if ep.distance+ep.env.Dist(ep.Last(), idx) > d {
-			return false
-		}
+	if ep.legCheck && ep.distance+ep.env.Dist(ep.Last(), idx) > ep.env.hard.MaxDistanceKm {
+		return false
 	}
 	return true
 }
@@ -457,28 +489,20 @@ func (ep *Episode) Candidates() []int { return ep.AppendCandidates(nil) }
 // TransitionScratch computes the Equation 2 facts for adding item idx
 // without mutating the episode and without allocating. The returned
 // Transition aliases episode-owned scratch buffers (SeqTypes in
-// particular) and is only valid until the next TransitionScratch, Reward
-// or Step call on the same episode; it must not be retained or shared
-// across goroutines. Hot loops (learning, baselines) use this; Transition
-// returns a stable copy for everyone else. Callers should ensure
-// CanStep(idx).
+// particular) and is only valid until the next TransitionScratch,
+// Transition or Step call on the same episode; it must not be retained
+// or shared across goroutines. Loops that need only the reward call
+// Reward, which builds no Transition; Transition returns a stable copy.
+// Callers should ensure CanStep(idx).
 func (ep *Episode) TransitionScratch(idx int) *reward.Transition {
 	f := &ep.env.facts[idx]
-	themeOK := true
-	if ep.env.hard.ThemeGap && len(ep.seq) > 0 {
-		if f.category != item.NoCategory && f.category == ep.env.facts[ep.Last()].category {
-			themeOK = false
-		}
-	}
 	ep.candTypes[len(ep.seqTypes)] = f.typ
 	ep.scratch = reward.Transition{
-		SeqTypes: ep.candTypes,
-		// |T_ideal ∩ (T^m \ T_current)| = |(T^m ∩ T_ideal) \ T_current|,
-		// with the intersection precomputed per item in NewEnv.
-		CoverageGain: bitset.CountDifference(&f.idealTopics, &ep.current),
+		SeqTypes:     ep.candTypes,
+		CoverageGain: ep.coverageGain(f),
 		IdealSize:    ep.env.idealSize,
 		PrereqOK:     ep.prereqOK[idx],
-		ThemeOK:      themeOK,
+		ThemeOK:      ep.themeOK(f),
 		Type:         f.typ,
 		Category:     f.category,
 		Popularity:   f.popularity,
@@ -495,10 +519,36 @@ func (ep *Episode) Transition(idx int) reward.Transition {
 	return tr
 }
 
-// Reward returns R(s_i, e, s_{i+1}) for adding item idx, without stepping.
-// It evaluates through the scratch transition, so it allocates nothing.
+// coverageGain is |T_ideal ∩ (T^m \ T_current)| = |(T^m ∩ T_ideal) \
+// T_current|, with the intersection precomputed per item in NewEnv.
+func (ep *Episode) coverageGain(f *itemFacts) int {
+	return bitset.CountDifference(&f.idealTopics, &ep.current)
+}
+
+// themeOK reports the trip theme-gap rule for a candidate: it may not
+// repeat the last item's category.
+func (ep *Episode) themeOK(f *itemFacts) bool {
+	return f.category == item.NoCategory || f.category != ep.themeBlock
+}
+
+// Reward returns R(s_i, e, s_{i+1}) for adding item idx, without stepping,
+// bit for bit what env.RewardConfig().Reward(ep.Transition(idx)) returns.
+// It builds no Transition: it reads the r2 gate (Eq. 4) first and
+// counts the coverage gain for r1 (Eq. 3) only when r2 is open, returns
+// 0 when θ = 0 under the multiplicative gate, and otherwise combines θ
+// with the similarity term admit scored for the candidate's type. It
+// allocates nothing.
 func (ep *Episode) Reward(idx int) float64 {
-	return ep.env.reward.Reward(*ep.TransitionScratch(idx))
+	f := &ep.env.facts[idx]
+	rw := &ep.env.reward
+	theta := 0.0
+	if ep.prereqOK[idx] && ep.themeOK(f) {
+		theta = rw.R1(ep.coverageGain(f), ep.env.idealSize)
+	}
+	if theta == 0 && !rw.SoftGate {
+		return 0
+	}
+	return rw.Combine(theta, ep.simByType[f.typ], f.typ, f.category, f.popularity)
 }
 
 // Step adds item idx to the trajectory and returns its reward. It panics

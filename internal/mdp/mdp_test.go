@@ -68,6 +68,19 @@ func TestNewEnvValidation(t *testing.T) {
 	if _, err := mdp.NewEnv(c, fixture.CourseHard(), soft, rw, mdp.CountBudget{H: 6}); err == nil {
 		t.Fatal("mismatched template accepted")
 	}
+	// Episodes keep one similarity slot per item type.
+	items := make([]item.Item, c.Len())
+	for i := range items {
+		items[i] = c.At(i)
+	}
+	items[0].Type = item.Secondary + 1
+	third, err := item.NewCatalog(c.Vocabulary(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mdp.NewEnv(third, fixture.CourseHard(), fixture.CourseSoft(), rw, mdp.CountBudget{H: 6}); err == nil {
+		t.Fatal("third item type accepted")
+	}
 }
 
 func TestPaperRewardExampleM2ToM4VsM5(t *testing.T) {

@@ -208,10 +208,24 @@ func (c Config) Reward(tr Transition) float64 {
 	if theta == 0 && !c.SoftGate {
 		return 0
 	}
-	sim := seqsim.Aggregate(c.Sim, tr.SeqTypes, c.Template)
-	w := c.Weights.Of(tr.Type, tr.Category)
-	if c.PopularityScale && tr.Popularity > 0 {
-		w *= tr.Popularity / 5
+	return c.Combine(theta, c.Similarity(tr.SeqTypes), tr.Type, tr.Category, tr.Popularity)
+}
+
+// Similarity returns Sim_agg(s_{i+1}, IT), Equation 2's interleaving
+// term for the type sequence after an action.
+func (c *Config) Similarity(seqTypes []item.Type) float64 {
+	return seqsim.Aggregate(c.Sim, seqTypes, c.Template)
+}
+
+// Combine evaluates Equation 2 from its parts: the gate θ, the
+// similarity term and the added item's type, category and popularity.
+// Reward calls it, and so does the MDP's per-candidate scan, which
+// scores the similarity once per item type per step; sharing the
+// arithmetic keeps the two bit-identical.
+func (c *Config) Combine(theta, sim float64, t item.Type, category int, popularity float64) float64 {
+	w := c.Weights.Of(t, category)
+	if c.PopularityScale && popularity > 0 {
+		w *= popularity / 5
 	}
 	base := c.Delta*sim + c.Beta*w
 	if c.SoftGate {

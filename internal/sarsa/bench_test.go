@@ -4,18 +4,27 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/rlplanner/rlplanner/internal/dataset"
+	"github.com/rlplanner/rlplanner/internal/dataset/synth"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/mdp"
 	"github.com/rlplanner/rlplanner/internal/qtable"
 	"github.com/rlplanner/rlplanner/internal/reward"
 )
 
 // benchEnv builds the Univ-1 DS-CT environment with its Table III
-// defaults, mirroring core.New without importing it (an in-package test
-// cannot depend on core, which imports sarsa).
+// defaults.
 func benchEnv(b *testing.B) (*mdp.Env, int) {
 	b.Helper()
-	inst := univ.Univ1DSCT()
+	return courseEnv(b, univ.Univ1DSCT())
+}
+
+// courseEnv builds a course-planning instance's environment with its
+// Table III defaults, mirroring core.New without importing it (an
+// in-package test cannot depend on core, which imports sarsa).
+func courseEnv(b *testing.B, inst *dataset.Instance) (*mdp.Env, int) {
+	b.Helper()
 	d := inst.Defaults
 	rw := reward.Config{
 		Delta:    d.Delta,
@@ -57,6 +66,34 @@ func BenchmarkSelectAction(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGuidedWalk measures one guided recommendation walk at
+// catalog scale: an 8192-item synthetic geo catalog, above the dense-Q
+// and exact-distance limits, so the walk reads a sparse Q table and
+// the quantized neighbor store, under a short training run. Each walk
+// scores every item at every step; fallbacks/walk counts the exact
+// Haversine recomputations the neighbor store made per walk.
+func BenchmarkGuidedWalk(b *testing.B) {
+	inst, err := synth.Generate(synth.Params{Name: "catalog-8k", Items: 8192, Geo: true, Seed: 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, start := courseEnv(b, inst)
+	res, err := Learn(env, Config{Episodes: 16, Alpha: 0.75, Gamma: 0.95, Start: start, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	starts := rand.New(rand.NewSource(8192)).Perm(env.NumItems())[:64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := geo.FallbackTotal()
+	for i := 0; i < b.N; i++ {
+		if _, err := res.Policy.RecommendGuided(env, starts[i%len(starts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(geo.FallbackTotal()-before)/float64(b.N), "fallbacks/walk")
 }
 
 // BenchmarkLearn measures a short end-to-end learning run, the unit the
