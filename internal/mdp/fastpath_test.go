@@ -17,14 +17,16 @@ import (
 	"github.com/rlplanner/rlplanner/internal/seqsim"
 )
 
-// TestFastPathsMatchReference pins the episode's two shortcuts to their
+// TestFastPathsMatchReference pins the episode's shortcuts to their
 // definitions. Reward skips the Transition, reads the r2 gate before
 // the r1 popcount and takes the similarity term scored once per type
 // per step; CanStep skips the leg lookup while the distance budget
-// cannot bind. Random walks, which now and then step past a candidate
-// filter to overrun the budget, compare every item at every step with
-// Equation 2 evaluated on the full Transition (bit for bit) and with
-// CanStep's definition over env.Dist.
+// cannot bind; RewardLevels gives every open item's reward per reward
+// group. Random walks, which now and then step past a candidate filter
+// to overrun the budget, compare every item at every step with
+// Equation 2 evaluated on the full Transition (bit for bit), with
+// CanStep's definition over env.Dist and, under the multiplicative
+// gate, with its group's level (θ open) or 0 (θ closed).
 func TestFastPathsMatchReference(t *testing.T) {
 	type envCase struct {
 		name string
@@ -127,11 +129,29 @@ func checkFastPaths(t *testing.T, env *mdp.Env, walks int, rng *rand.Rand) (refu
 		var cands, open []int
 		for !ep.Done() {
 			cands, open = cands[:0], open[:0]
+			levels, leveled := ep.RewardLevels(nil)
+			if leveled == cfg.SoftGate {
+				t.Fatalf("RewardLevels ok = %v under SoftGate = %v", leveled, cfg.SoftGate)
+			}
+			if leveled {
+				checkGroups(t, env, levels)
+			}
 			for i := 0; i < n; i++ {
-				want := cfg.Reward(ep.Transition(i))
+				tr := ep.Transition(i)
+				want := cfg.Reward(tr)
 				if got := ep.Reward(i); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("walk %d len %d item %d: Reward %v (%#x), Equation 2 on the Transition %v (%#x)",
 						walk, ep.Len(), i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if leveled {
+					level := 0.0
+					if cfg.Theta(tr) == 1 {
+						level = levels[env.RewardGroup(i)]
+					}
+					if math.Float64bits(want) != math.Float64bits(level) {
+						t.Fatalf("walk %d len %d item %d: Reward %v, level of group %d %v (θ = %v)",
+							walk, ep.Len(), i, want, env.RewardGroup(i), level, cfg.Theta(tr))
+					}
 				}
 				want2 := canStep(ep, chosen, i)
 				if got := ep.CanStep(i); got != want2 {
@@ -165,6 +185,35 @@ func checkFastPaths(t *testing.T, env *mdp.Env, walks int, rng *rand.Rand) (refu
 		}
 	}
 	return refused
+}
+
+// checkGroups checks that GroupsByWeight lists every reward group once,
+// under its members' type, in non-increasing order of level, and that
+// GroupMembers lists every item once, under its own group, in index
+// order.
+func checkGroups(t *testing.T, env *mdp.Env, levels []float64) {
+	t.Helper()
+	listed, members := 0, 0
+	for _, typ := range []item.Type{item.Primary, item.Secondary} {
+		gs := env.GroupsByWeight(typ)
+		for k, g := range gs {
+			if k > 0 && levels[g] > levels[gs[k-1]] {
+				t.Fatalf("%v groups out of order: level %v after %v", typ, levels[g], levels[gs[k-1]])
+			}
+			ms := env.GroupMembers(int(g))
+			for j, i := range ms {
+				if env.RewardGroup(int(i)) != int(g) || env.ItemType(int(i)) != typ || j > 0 && i <= ms[j-1] {
+					t.Fatalf("%v group %d lists item %d of group %d, type %v, members %v",
+						typ, g, i, env.RewardGroup(int(i)), env.ItemType(int(i)), ms)
+				}
+			}
+			members += len(ms)
+		}
+		listed += len(gs)
+	}
+	if listed != len(levels) || members != env.NumItems() {
+		t.Fatalf("%d groups listed of %d, %d members of %d items", listed, len(levels), members, env.NumItems())
+	}
 }
 
 // globeInstance is a synthetic geo instance of n items moved onto the

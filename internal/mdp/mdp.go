@@ -12,7 +12,10 @@
 package mdp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
@@ -122,6 +125,18 @@ type Env struct {
 	// While more than legMax of the distance budget remains, no leg can
 	// exceed it, and CanStep skips the per-candidate lookup.
 	legMax float64
+	// group is each item's reward group: items of one type whose static
+	// weight reward.Config.Weight is the same float score the same reward
+	// whenever their θ gates are open (Episode.RewardLevels).
+	group []int32
+	// members lists every group's items in increasing index order, group
+	// g's at members[memberStart[g]:memberStart[g+1]].
+	members     []int32
+	memberStart []int32
+	// byWeight[t] lists type t's groups in decreasing order of weight (NaN
+	// last): the order their levels fall in at every step, since a level
+	// is δ·sim(t) + β·w with β ≥ 0.
+	byWeight [2][]int32
 	// prereqs are the compiled prerequisite programs + reverse dependencies.
 	prereqs *prereq.Compiled
 	// prereqInit[i] is item i's prerequisite status with nothing placed —
@@ -187,6 +202,7 @@ func NewEnv(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
 		e.pts[i] = geo.Point{Lat: m.Lat, Lon: m.Lon}
 		exprs[i] = m.Prereq
 	}
+	e.groupByWeight()
 	if hard.MaxDistanceKm > 0 {
 		e.dist = geo.NewDistStore(e.pts)
 		e.distMat, _ = e.dist.(*geo.DistMatrix)
@@ -213,6 +229,69 @@ func NewEnv(c *item.Catalog, hard constraints.Hard, soft constraints.Soft,
 	}
 	return e, nil
 }
+
+// groupByWeight assigns every item its reward group, lists each group's
+// members and orders each type's groups by weight.
+func (e *Env) groupByWeight() {
+	type key struct {
+		typ item.Type
+		w   uint64
+	}
+	ids := make(map[key]int32)
+	var weights []float64
+	e.group = make([]int32, len(e.facts))
+	for i := range e.facts {
+		f := &e.facts[i]
+		w := e.reward.Weight(f.typ, f.category, f.popularity)
+		k := key{f.typ, math.Float64bits(w)}
+		g, ok := ids[k]
+		if !ok {
+			g = int32(len(weights))
+			ids[k] = g
+			weights = append(weights, w)
+			e.byWeight[f.typ] = append(e.byWeight[f.typ], g)
+		}
+		e.group[i] = g
+	}
+	for _, gs := range e.byWeight {
+		slices.SortFunc(gs, func(a, b int32) int { return cmp.Compare(weights[b], weights[a]) })
+	}
+	e.memberStart = make([]int32, len(weights)+1)
+	for _, g := range e.group {
+		e.memberStart[g+1]++
+	}
+	for g := range weights {
+		e.memberStart[g+1] += e.memberStart[g]
+	}
+	e.members = make([]int32, len(e.group))
+	fill := slices.Clone(e.memberStart[:len(weights)])
+	for i, g := range e.group {
+		e.members[fill[g]] = int32(i)
+		fill[g]++
+	}
+}
+
+// RewardGroup returns item i's reward group, an index into the levels
+// Episode.RewardLevels fills.
+func (e *Env) RewardGroup(i int) int { return int(e.group[i]) }
+
+// GroupMembers returns the items of reward group g in increasing index
+// order. The slice is shared and must not be modified.
+func (e *Env) GroupMembers(g int) []int32 {
+	return e.members[e.memberStart[g]:e.memberStart[g+1]]
+}
+
+// GroupsByWeight returns the reward groups of type t in decreasing order
+// of static weight, so in non-increasing order of level at every step.
+// The slice is shared and must not be modified.
+func (e *Env) GroupsByWeight(t item.Type) []int32 { return e.byWeight[t] }
+
+// ItemType returns item i's type without copying its catalog entry.
+func (e *Env) ItemType(i int) item.Type { return e.facts[i].typ }
+
+// ItemCredits returns item i's credits (hours, for a POI) without copying
+// its catalog entry.
+func (e *Env) ItemCredits(i int) float64 { return e.facts[i].credits }
 
 // Dist returns the great-circle distance in kilometers between items i and
 // j, served from the environment's distance store when a distance
@@ -549,6 +628,25 @@ func (ep *Episode) Reward(idx int) float64 {
 		return 0
 	}
 	return rw.Combine(theta, ep.simByType[f.typ], f.typ, f.category, f.popularity)
+}
+
+// RewardLevels appends to dst, for every reward group g in order, the
+// group's level at this step: the reward, bit for bit, of each of its
+// items whose θ gate is open. Under the multiplicative gate an open item
+// scores Combine(1, sim(type), …) and a closed one 0, so a step's
+// rewards take only these values and 0. ok is false under SoftGate,
+// where a closed item's reward is not 0; dst is then returned as given.
+func (ep *Episode) RewardLevels(dst []float64) (levels []float64, ok bool) {
+	e := ep.env
+	rw := &e.reward
+	if rw.SoftGate {
+		return dst, false
+	}
+	for g := 0; g+1 < len(e.memberStart); g++ {
+		f := &e.facts[e.members[e.memberStart[g]]] // the group's first member
+		dst = append(dst, rw.Combine(1, ep.simByType[f.typ], f.typ, f.category, f.popularity))
+	}
+	return dst, true
 }
 
 // Step adds item idx to the trajectory and returns its reward. It panics

@@ -93,16 +93,17 @@ func TestPaperRewardExampleM2ToM4VsM5(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	rw := env.RewardConfig()
 	trM4 := ep.Transition(idx(t, c, "Linear Algebra"))
 	if trM4.CoverageGain < 1 {
 		t.Fatalf("m4 coverage gain = %d, want ≥ 1", trM4.CoverageGain)
 	}
-	if env.RewardConfig().R1(trM4.CoverageGain, trM4.IdealSize) != 1 {
+	if rw.R1(trM4.CoverageGain, trM4.IdealSize) != 1 {
 		t.Fatal("r1(m4) should be 1")
 	}
 
 	trM5 := ep.Transition(idx(t, c, "Big Data"))
-	if env.RewardConfig().R1(trM5.CoverageGain, trM5.IdealSize) != 0 {
+	if rw.R1(trM5.CoverageGain, trM5.IdealSize) != 0 {
 		t.Fatalf("r1(m5) should be 0, coverage gain = %d", trM5.CoverageGain)
 	}
 	// m5's reward is zero regardless of its prerequisite state.

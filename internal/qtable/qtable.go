@@ -181,37 +181,60 @@ func (t *Table) Update(s, e int, alpha, r, gamma float64, sNext, eNext int) floa
 // the mask (allowed == nil means every action). Ties resolve to the lowest
 // index for determinism; callers wanting random tie-breaks use ArgMaxTies.
 // ok is false when no action is allowed.
+//
+// It asks the mask first only about the row's positive cells: the stored
+// ones of a sparse row, a pass over the values of a dense one. The best
+// allowed one of those is the answer. When none is allowed, no allowed
+// value exceeds 0, so the first allowed cell holding 0 is the answer and
+// the scan stops there (firstZeroArgMax); only a row whose every allowed
+// cell is negative is scanned to the end. An allowed NaN sends the row
+// to the plain masked scan, whose order it follows.
 func (t *Table) ArgMax(s int, allowed func(e int) bool) (e int, ok bool) {
 	if t.n == 0 {
 		return -1, false
 	}
 	t.check(s, 0)
-	if row := t.rowView(s); row != nil {
-		return scanArgMax(t.n, func(a int) float64 { return row[a] }, allowed)
-	}
-	// Sparse fast path: scan only the stored slots; when the best allowed
-	// stored value is positive it beats every absent (0) cell, so the O(n)
-	// merged scan is skipped. Stored zeros read as 0 and never qualify,
-	// exactly like absent cells.
-	r := &t.rows[s]
-	best, found := math.Inf(-1), false
+	best := 0.0
 	e = -1
+	if row := t.rowView(s); row != nil {
+		for a, v := range row {
+			if v <= 0 || (allowed != nil && !allowed(a)) {
+				continue
+			}
+			if v != v {
+				return scanArgMax(t.n, func(a int) float64 { return row[a] }, allowed)
+			}
+			if v > best {
+				best, e = v, a
+			}
+		}
+		if e >= 0 {
+			return e, true
+		}
+		return firstZeroArgMax(t.n, func(a int) float64 { return row[a] }, allowed)
+	}
+	r := &t.rows[s]
+	val := func(a int) float64 { return r.get(int32(a)) }
 	for i, k := range r.keys {
-		if k < 0 {
+		v := r.vals[i]
+		if k < 0 || v <= 0 {
 			continue
 		}
 		a := int(k)
 		if allowed != nil && !allowed(a) {
 			continue
 		}
-		if v := r.vals[i]; !found || v > best || (v == best && a < e) {
-			best, e, found = v, a, true
+		if v != v {
+			return scanArgMax(t.n, val, allowed)
+		}
+		if v > best || (v == best && a < e) {
+			best, e = v, a
 		}
 	}
-	if found && best > 0 {
+	if e >= 0 {
 		return e, true
 	}
-	return scanArgMax(t.n, func(a int) float64 { return r.get(int32(a)) }, allowed)
+	return firstZeroArgMax(t.n, val, allowed)
 }
 
 // ArgMaxTies returns every action tied for the maximum Q(s, e) among the

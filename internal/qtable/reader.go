@@ -51,6 +51,30 @@ func scanArgMax(n int, val func(e int) float64, allowed func(e int) bool) (int, 
 	return e, found
 }
 
+// firstZeroArgMax is scanArgMax over a row whose positive cells the
+// caller has shown the mask rejects, with no allowed NaN. The maximum is
+// then 0 if any allowed cell holds 0, and its lowest index is the first
+// allowed zero, where the scan returns. Positive cells are skipped
+// without asking the mask again. Only when every allowed cell is
+// negative does the scan reach n.
+func firstZeroArgMax(n int, val func(e int) float64, allowed func(e int) bool) (int, bool) {
+	var best float64
+	e, found := -1, false
+	for a := 0; a < n; a++ {
+		v := val(a)
+		if v > 0 || (allowed != nil && !allowed(a)) {
+			continue
+		}
+		if v == 0 {
+			return a, true
+		}
+		if !found || v > best {
+			best, e, found = v, a, true
+		}
+	}
+	return e, found
+}
+
 // scanAppendArgMaxTies is the shared allowed-scan tie collector: it
 // appends every allowed action tied for the maximal value to buf in
 // ascending index order. When a new maximum appears, the earlier ties

@@ -155,3 +155,99 @@ func TestReaderZeroAllocReads(t *testing.T) {
 		}
 	}
 }
+
+// referenceArgMax is the masked arg-max by definition: the allowed
+// action of largest value, the lowest index on ties, every allowed cell
+// read.
+func referenceArgMax(r Reader, s int, allowed func(int) bool) (int, bool) {
+	var best float64
+	e, found := -1, false
+	for a := 0; a < r.Size(); a++ {
+		if allowed != nil && !allowed(a) {
+			continue
+		}
+		if v := r.Get(s, a); !found || v > best {
+			best, e, found = v, a, true
+		}
+	}
+	return e, found
+}
+
+// TestArgMaxMatchesMaskedScan checks ArgMax's early exits against the
+// masked scan on every Reader, over rows that are all negative, negative
+// and zero, mixed, or all positive, under masks that admit everything, a
+// random subset, only non-positive cells (rejecting every positive one),
+// only negative cells, or nothing.
+func TestArgMaxMatchesMaskedScan(t *testing.T) {
+	rowKinds := [][]float64{
+		{-2, -1, -0.5},
+		{-1, -0.5, 0},
+		{-1, 0, 0.5, 1, 2},
+		{0.5, 1, 2},
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		dense := New(n)
+		for s := 0; s < n; s++ {
+			vals := rowKinds[rng.Intn(len(rowKinds))]
+			for e := 0; e < n; e++ {
+				dense.Set(s, e, vals[rng.Intn(len(vals))])
+			}
+		}
+		readers := readersFromDense(dense, rng)
+		for trial := 0; trial < 2*n; trial++ {
+			s := rng.Intn(n)
+			subset := make([]bool, n)
+			for a := range subset {
+				subset[a] = rng.Intn(3) > 0
+			}
+			masks := map[string]func(int) bool{
+				"all":          nil,
+				"subset":       func(a int) bool { return subset[a] },
+				"non-positive": func(a int) bool { return subset[a] && dense.Get(s, a) <= 0 },
+				"negative":     func(a int) bool { return dense.Get(s, a) < 0 },
+				"none":         func(int) bool { return false },
+			}
+			for mName, mask := range masks {
+				wantE, wantOK := referenceArgMax(dense, s, mask)
+				for name, r := range readers {
+					if e, ok := r.ArgMax(s, mask); e != wantE || ok != wantOK {
+						t.Logf("%s, mask %s: ArgMax(%d) = (%d,%v), masked scan (%d,%v), row %v",
+							name, mName, s, e, ok, wantE, wantOK, dense.Row(s))
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArgMaxStopsAtFirstAllowedZero pins the early exit's cost: on a row
+// with no positive cell ArgMax returns the first allowed zero and asks
+// the mask nothing past it — on an empty sparse row, the first allowed
+// index. Row 7 holds one negative cell, which the scan passes over.
+func TestArgMaxStopsAtFirstAllowedZero(t *testing.T) {
+	const n = 1000
+	dense, sparse := New(n), newSparseTable(n)
+	dense.Set(7, 1, -1)
+	sparse.Set(7, 1, -1)
+	for name, r := range map[string]Reader{
+		"table":          dense,
+		"table/oarows":   sparse,
+		"overlay/oarows": NewOverlay(sparse, 0),
+	} {
+		for _, tc := range []struct{ s, from, want int }{{9, 3, 3}, {7, 1, 2}} {
+			calls := 0
+			e, ok := r.ArgMax(tc.s, func(a int) bool { calls++; return a >= tc.from })
+			if e != tc.want || !ok || calls > tc.want+1 {
+				t.Errorf("%s row %d: ArgMax = (%d,%v) after %d mask calls, want (%d,true) after at most %d",
+					name, tc.s, e, ok, calls, tc.want, tc.want+1)
+			}
+		}
+	}
+}

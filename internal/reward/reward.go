@@ -169,8 +169,9 @@ type Transition struct {
 // fraction of |T_ideal| is (see Config.Epsilon). With ε < 1 a zero gain
 // never passes, so adding an item that covers nothing new is always
 // invalid — the paper's elimination of "items that are poor in topic
-// coverage".
-func (c Config) R1(coverageGain, idealSize int) float64 {
+// coverage". It takes a pointer so the per-candidate callers copy no
+// Config.
+func (c *Config) R1(coverageGain, idealSize int) float64 {
 	if c.Epsilon >= 1 {
 		if float64(coverageGain) >= c.Epsilon {
 			return 1
@@ -217,17 +218,25 @@ func (c *Config) Similarity(seqTypes []item.Type) float64 {
 	return seqsim.Aggregate(c.Sim, seqTypes, c.Template)
 }
 
+// Weight returns Equation 2's static item weight: the type or category
+// weight, scaled by popularity/5 under PopularityScale. Combine reads it
+// the same way, so items with equal type and Weight score bit-identical
+// rewards whenever their gates agree.
+func (c *Config) Weight(t item.Type, category int, popularity float64) float64 {
+	w := c.Weights.Of(t, category)
+	if c.PopularityScale && popularity > 0 {
+		w *= popularity / 5
+	}
+	return w
+}
+
 // Combine evaluates Equation 2 from its parts: the gate θ, the
 // similarity term and the added item's type, category and popularity.
 // Reward calls it, and so does the MDP's per-candidate scan, which
 // scores the similarity once per item type per step; sharing the
 // arithmetic keeps the two bit-identical.
 func (c *Config) Combine(theta, sim float64, t item.Type, category int, popularity float64) float64 {
-	w := c.Weights.Of(t, category)
-	if c.PopularityScale && popularity > 0 {
-		w *= popularity / 5
-	}
-	base := c.Delta*sim + c.Beta*w
+	base := c.Delta*sim + c.Beta*c.Weight(t, category, popularity)
 	if c.SoftGate {
 		return base - (1-theta)*SoftGatePenalty
 	}

@@ -44,10 +44,10 @@ func referenceNextAction(p *Policy, env *mdp.Env, ep *mdp.Episode, guided bool, 
 		return best, true
 	}
 	if guided {
-		typeOK := guidedMask(env, ep)
+		typeOK, _ := guidedMask(env, ep)
 		if e, ok := bestRewardThenQ(ep, p.Q, s, func(a int) bool {
 			return allowed(a) && typeOK(a)
-		}); ok {
+		}, &walkScratch{}); ok {
 			return e, true
 		}
 		if e, ok := argmax(func(a int) bool {

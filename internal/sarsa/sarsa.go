@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -366,15 +367,15 @@ func selectAction(ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps fl
 
 // cheapestCompletionFits reports whether, after taking item a, the k
 // cheapest remaining steppable items still fit within the credit ceiling.
-func cheapestCompletionFits(ep *mdp.Episode, catalog *item.Catalog, hard constraints.Hard, a, k int) bool {
-	budget := hard.Credits - ep.Credits() - catalog.At(a).Credits
+func cheapestCompletionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, a, k int) bool {
+	budget := ceiling - ep.Credits() - env.ItemCredits(a)
 	if budget < 0 {
 		return false
 	}
 	var costs []float64
 	for _, c := range ep.Candidates() {
 		if c != a {
-			costs = append(costs, catalog.At(c).Credits)
+			costs = append(costs, env.ItemCredits(c))
 		}
 	}
 	if len(costs) < k {
@@ -388,13 +389,18 @@ func cheapestCompletionFits(ep *mdp.Episode, catalog *item.Catalog, hard constra
 	return need <= budget
 }
 
+// rewardTol is the margin within which bestRewardThenQ counts two
+// immediate rewards as tied.
+const rewardTol = 1e-9
+
 // bestRewardThenQ returns, among the allowed actions with strictly
 // positive immediate reward, the maximal-reward ones refined by the
-// highest Q value (lowest index on exact Q ties, for determinism).
-func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) bool) (int, bool) {
-	const tol = 1e-9
+// highest Q value (lowest index on exact Q ties, for determinism). It
+// scores every item; tierOne answers the same question level by level
+// and falls back to it. The tie list reuses sc.ties.
+func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) bool, sc *walkScratch) (int, bool) {
 	bestR := 0.0
-	var ties []int
+	ties := sc.ties[:0]
 	for a := 0; a < q.Size(); a++ {
 		if !allowed(a) {
 			continue
@@ -404,14 +410,15 @@ func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) 
 			continue
 		}
 		switch {
-		case r > bestR+tol:
+		case r > bestR+rewardTol:
 			bestR = r
 			ties = ties[:0]
 			ties = append(ties, a)
-		case r >= bestR-tol:
+		case r >= bestR-rewardTol:
 			ties = append(ties, a)
 		}
 	}
+	sc.ties = ties
 	if len(ties) == 0 {
 		return -1, false
 	}
@@ -422,6 +429,66 @@ func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) 
 		}
 	}
 	return best, true
+}
+
+// tierOne is the guided walk's first tier: what bestRewardThenQ returns,
+// found without scoring every item. Under the multiplicative gate an
+// open item's reward is its reward group's level at this step and a
+// closed item's is 0 (mdp.Episode.RewardLevels). tierOne visits the
+// positive levels in decreasing order, merging the two per-type group
+// lists, and stops at the first level with an allowed open member. It
+// returns Q's arg-max over that level's allowed open items: the highest
+// Q, lowest index on exact ties, as bestRewardThenQ breaks them;
+// qtable.Table.ArgMax stops at the first allowed zero once no allowed
+// cell is positive. primaryOnly (the split rule, guidedMask) drops the
+// secondary groups, whose items allowed refuses. It defers to
+// bestRewardThenQ under SoftGate, and when the level it reaches and the
+// next lower one (or 0) fail either of that scan's two tolerance
+// comparisons: there its tie set can take in lower levels, depending on
+// catalog order. When both hold, its ties are exactly the level's items.
+func tierOne(env *mdp.Env, ep *mdp.Episode, r qtable.Reader, s int, allowed func(int) bool, primaryOnly bool, sc *walkScratch) (int, bool) {
+	lv, ok := ep.RewardLevels(sc.levels[:0])
+	sc.levels = lv
+	if !ok {
+		return bestRewardThenQ(ep, r, s, allowed, sc)
+	}
+	pri, sec := env.GroupsByWeight(item.Primary), env.GroupsByWeight(item.Secondary)
+	if primaryOnly {
+		sec = nil
+	}
+	open := func(a int) bool { return allowed(a) && ep.Reward(a) > 0 }
+	isOpen := func(a int32) bool { return open(int(a)) }
+	// take consumes the groups at level from the head of gs and reports
+	// whether hit is set or one of them has an open member.
+	take := func(gs []int32, level float64, hit bool) ([]int32, bool) {
+		for ; len(gs) > 0 && lv[gs[0]] == level; gs = gs[1:] {
+			hit = hit || slices.ContainsFunc(env.GroupMembers(int(gs[0])), isOpen)
+		}
+		return gs, hit
+	}
+	// top is the highest level left in a list, 0 when none is positive.
+	top := func(gs []int32) float64 {
+		if len(gs) > 0 && lv[gs[0]] > 0 {
+			return lv[gs[0]]
+		}
+		return 0
+	}
+	for level := max(top(pri), top(sec)); level > 0; {
+		var hit bool
+		pri, hit = take(pri, level, false)
+		sec, hit = take(sec, level, hit)
+		next := max(top(pri), top(sec))
+		if !(level > next+rewardTol && next < level-rewardTol) {
+			return bestRewardThenQ(ep, r, s, allowed, sc)
+		}
+		if hit {
+			return r.ArgMax(s, func(a int) bool {
+				return lv[env.RewardGroup(a)] == level && open(a)
+			})
+		}
+		level = next
+	}
+	return -1, false
 }
 
 // bestByReward filters cands down to those with the maximal immediate
@@ -508,11 +575,12 @@ func (p *Policy) recommend(env *mdp.Env, start int, guided bool, r qtable.Reader
 	return ep.Sequence(), nil
 }
 
-// walkScratch carries the per-walk reusable tie buffer so one
-// recommendation allocates at most once for it regardless of length.
+// walkScratch carries the per-walk reusable tie and level buffers so one
+// recommendation allocates at most once for each regardless of length.
 // A walkScratch belongs to one goroutine.
 type walkScratch struct {
-	ties []int
+	ties   []int
+	levels []float64
 }
 
 // compatible checks that the policy covers the environment's catalog.
@@ -540,13 +608,13 @@ func (p *Policy) NextGuided(env *mdp.Env, ep *mdp.Episode, exclude func(int) boo
 }
 
 // guidedMask builds the split/budget pacing filter of the guided walk for
-// the episode's current position.
-func guidedMask(env *mdp.Env, ep *mdp.Episode) func(int) bool {
+// the episode's current position. primaryOnly reports that the split
+// rule is in force: the filter then refuses every secondary item.
+func guidedMask(env *mdp.Env, ep *mdp.Episode) (typeOK func(int) bool, primaryOnly bool) {
 	hard := env.Hard()
-	catalog := env.Catalog()
-	typeOK := func(int) bool { return true }
+	typeOK = func(int) bool { return true }
 	if hard.Length() == 0 {
-		return typeOK
+		return typeOK, false
 	}
 
 	// Split-awareness: when the remaining slots are exactly enough for the
@@ -562,7 +630,8 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) func(int) bool {
 	needPrimary := hard.Primary - primaries
 	left := hard.Length() - ep.Len()
 	if needPrimary > 0 && needPrimary >= left {
-		typeOK = func(a int) bool { return catalog.At(a).Type == item.Primary }
+		primaryOnly = true
+		typeOK = func(a int) bool { return env.ItemType(a) == item.Primary }
 	}
 
 	// Budget-awareness under a credit ceiling (trips): the time and
@@ -581,7 +650,7 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) func(int) bool {
 			if !inner(a) {
 				return false
 			}
-			if catalog.At(a).Credits > slack*remTime/float64(left) {
+			if env.ItemCredits(a) > slack*remTime/float64(left) {
 				return false
 			}
 			// env.Dist serves legs from the environment's precomputed
@@ -589,10 +658,10 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) func(int) bool {
 			if hard.MaxDistanceKm > 0 && env.Dist(last, a) > slack*remDist/float64(left) {
 				return false
 			}
-			return cheapestCompletionFits(ep, catalog, hard, a, left-1)
+			return cheapestCompletionFits(env, ep, hard.Credits, a, left-1)
 		}
 	}
-	return typeOK
+	return typeOK, primaryOnly
 }
 
 // nextAction picks one action for the episode's current state, reading
@@ -627,16 +696,16 @@ func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude 
 	}
 
 	if guided {
-		typeOK := guidedMask(env, ep)
+		typeOK, primaryOnly := guidedMask(env, ep)
 		// Tier 1: actions with an open θ gate (full Equation 2 validity).
 		// The learned policy prefers, like its training selection rule
 		// (Algorithm 1 lines 4 and 9), the actions with the maximal
 		// immediate reward, and uses the learned Q values to pick among
 		// them — Q supplies the lookahead that distinguishes RL-Planner
 		// from the purely myopic EDA baseline.
-		if e, ok := bestRewardThenQ(ep, r, s, func(a int) bool {
+		if e, ok := tierOne(env, ep, r, s, func(a int) bool {
 			return allowed(a) && typeOK(a)
-		}); ok {
+		}, primaryOnly, sc); ok {
 			return e, true
 		}
 		// Tier 2: actions that at least respect the hard gap rules (r2),
@@ -683,7 +752,7 @@ func (p *Policy) RankActions(env *mdp.Env, ep *mdp.Episode, k int, exclude func(
 		return nil
 	}
 	s := ep.Last()
-	typeOK := guidedMask(env, ep)
+	typeOK, _ := guidedMask(env, ep)
 	var out []Ranked
 	for a := 0; a < env.NumItems(); a++ {
 		if !ep.CanStep(a) || (exclude != nil && exclude(a)) {
