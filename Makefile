@@ -54,10 +54,11 @@ fuzz:
 examples:
 	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-# Microbenchmarks for the per-step MDP loop; run with -benchmem so alloc
+# Microbenchmarks for the per-step MDP loop and the one-start batch
+# request around a catalog-scale walk; run with -benchmem so alloc
 # regressions are visible.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk' -benchmem ./internal/mdp/... ./internal/sarsa/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/
 
 # Machine-readable perf records (BENCH_<id>.json) under results/.
 bench-json:

@@ -24,8 +24,9 @@
 // by -train-timeout (the SARSA engines checkpoint a partial policy at
 // the deadline), concurrent cold starts are capped by -max-training
 // (excess requests get 503 + Retry-After), solver panics degrade the one
-// faulting policy key instead of the process, and SIGTERM/SIGINT drains
-// in-flight requests before exiting.
+// faulting policy key instead of the process, a client gets 5 s to send
+// a request header and an idle keep-alive connection closes after two
+// minutes, and SIGTERM/SIGINT drains in-flight requests before exiting.
 //
 // Training throughput is tunable: -train-workers runs each cold start's
 // episode walkers in parallel (bit-identical results for any worker
@@ -75,6 +76,17 @@ import (
 
 	"github.com/rlplanner/rlplanner/internal/httpapi"
 )
+
+// readHeaderTimeout bounds how long a client may take to send a
+// request's header. Without it, a client that never finishes its header
+// holds a connection and a goroutine for as long as it likes. Bodies
+// and responses are not bounded: catalog uploads and cold trains can
+// legitimately run long, and -train-timeout already bounds training.
+const readHeaderTimeout = 5 * time.Second
+
+// idleTimeout closes a keep-alive connection that has sent no new
+// request for this long.
+const idleTimeout = 2 * time.Minute
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -189,7 +201,11 @@ func serve(ln net.Listener, stop <-chan os.Signal, drainTimeout time.Duration, p
 			log.Printf("rlplannerd: preload: %d policies ready", n)
 		}
 	}
-	srv := &http.Server{Handler: api.Handler()}
+	srv := &http.Server{
+		Handler:           api.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

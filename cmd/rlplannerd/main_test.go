@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -145,5 +146,39 @@ func TestServeDrainTimeoutForcesExit(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve hung past its drain timeout")
+	}
+}
+
+// TestServeCutsOffHalfSentHeader: a client that opens a connection and
+// stops halfway through its request header is answered 400 and
+// disconnected once readHeaderTimeout has passed, instead of holding the
+// connection and its goroutine forever.
+func TestServeCutsOffHalfSentHeader(t *testing.T) {
+	t.Parallel()
+	url, stop, done := startServe(t, time.Second)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /api/plan HTTP/1.1\r\nHost: rlplannerd\r\nContent-")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("connection still open after %v: %v", elapsed.Round(time.Millisecond), err)
+	}
+	if elapsed < readHeaderTimeout-time.Second || len(got) > 0 && !strings.HasPrefix(string(got), "HTTP/1.1 400 ") {
+		t.Fatalf("after %v the server answered %q and closed, want a 400 or nothing after %v",
+			elapsed.Round(time.Millisecond), got, readHeaderTimeout)
+	}
+	stop <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("serve = %v", err)
 	}
 }

@@ -2,8 +2,10 @@
 // options) configuration across many start items. The policy is trained
 // (or fetched) once through the store's singleflight; the fan-out then
 // runs Recommend walks concurrently over the shared immutable policy
-// and its cached environment. Each item carries its own result, error
-// and degradation tag, so one infeasible start never fails the batch.
+// and its cached environment, with the request goroutine as one of the
+// workers, so a one-start batch runs entirely on it. Each item carries
+// its own result, error and degradation tag, so one infeasible start
+// never fails the batch.
 package httpapi
 
 import (
@@ -17,7 +19,7 @@ import (
 )
 
 // DefaultBatchWorkers bounds the concurrent recommendation walks of one
-// batch request.
+// batch request, the request goroutine's own included.
 const DefaultBatchWorkers = 4
 
 // MaxBatchItems caps one batch request; larger batches are rejected
@@ -78,29 +80,31 @@ func (s *Server) planBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	key := req.policyKey(engineName)
 	items := make([]batchItem, len(req.Starts))
-	workers := DefaultBatchWorkers
-	if workers > len(req.Starts) {
-		workers = len(req.Starts)
-	}
 	// Work-stealing fan-out: a shared cursor instead of pre-partitioned
 	// ranges, so one slow item (a cold policy, a fallback train) does not
-	// idle the other workers.
+	// idle the other workers. The request goroutine is worker 0: a batch
+	// of one start spawns nothing and hands nothing to another thread.
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(req.Starts) {
+				return
+			}
+			items[i] = s.batchOne(r, inst, engineName, key, req.planRequest, req.Starts[i])
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	for g := 1; g < min(DefaultBatchWorkers, len(req.Starts)); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Starts) {
-					return
-				}
-				items[i] = s.batchOne(r, inst, engineName, req.planRequest, req.Starts[i])
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	resp := batchResponse{Instance: req.Instance, Engine: engineName, Items: items}
@@ -113,9 +117,9 @@ func (s *Server) planBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchOne runs one start through planOrFallback, the same ladder as
-// /api/plan. Unknown start items short-circuit to a per-item 400 before
-// touching any policy.
-func (s *Server) batchOne(r *http.Request, inst *rlplanner.Instance, engineName string, req planRequest, start string) batchItem {
+// /api/plan, under the batch's policy key. Unknown start items
+// short-circuit to a per-item 400 before touching any policy.
+func (s *Server) batchOne(r *http.Request, inst *rlplanner.Instance, engineName, key string, req planRequest, start string) batchItem {
 	if start != "" && !inst.HasItem(start) {
 		return batchItem{
 			Start:  start,
@@ -123,7 +127,7 @@ func (s *Server) batchOne(r *http.Request, inst *rlplanner.Instance, engineName 
 			Status: http.StatusBadRequest,
 		}
 	}
-	resp, err := s.planOrFallback(r.Context(), inst, engineName, req, start)
+	resp, err := s.planOrFallback(r.Context(), inst, engineName, key, req, start)
 	if err != nil {
 		return batchItem{Start: start, Error: err.Error(), Status: planErrorStatus(err)}
 	}

@@ -1,8 +1,15 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/rlplanner/rlplanner"
@@ -173,5 +180,119 @@ func TestBatchMetricsExposeCaches(t *testing.T) {
 	}
 	if m["env_cache_misses"]+m["env_cache_hits"] == 0 {
 		t.Fatalf("env cache never consulted: %v", m)
+	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the header
+// line of its stack trace ("goroutine 17 [running]:").
+func goroutineID(t *testing.T) uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		t.Fatalf("goroutine id from %q: %v", f, err)
+	}
+	return id
+}
+
+// serve runs one request through the handler on the calling goroutine
+// and decodes the response into out.
+func serve(t *testing.T, h http.Handler, method, path string, body, out interface{}) int {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(b)))
+	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+		t.Fatalf("%s %s: decode %q: %v", method, path, rec.Body.String(), err)
+	}
+	return rec.Code
+}
+
+// TestOneStartBatchRunsOnRequestGoroutine checks that a batch of one
+// start runs on the goroutine serving the request: its cold policy
+// trains there, so the onTrain hook sees the caller's goroutine.
+func TestOneStartBatchRunsOnRequestGoroutine(t *testing.T) {
+	s := New()
+	var trainedOn atomic.Uint64
+	s.onTrain = func(string) { trainedOn.Store(goroutineID(t)) }
+	var out batchResponse
+	caller := goroutineID(t)
+	code := serve(t, s.Handler(), "POST", "/api/plan/batch", map[string]interface{}{
+		"instance": "Univ-1 M.S. DS-CT", "episodes": 40, "seed": 9, "starts": []string{""},
+	}, &out)
+	if code != 200 || out.Errors != 0 {
+		t.Fatalf("status %d, %d item errors", code, out.Errors)
+	}
+	if got := trainedOn.Load(); got != caller {
+		t.Fatalf("the policy trained on goroutine %d, the request was served on %d", got, caller)
+	}
+}
+
+// TestFullBatchMatchesSingleStarts runs a batch of MaxBatchItems starts,
+// which fans out over every worker, and checks each item, index-aligned,
+// against the same start served on its own. /api/plan walks only from
+// the policy's trained start (its "start" field selects another policy),
+// so a start is served on its own as a one-start batch, and the trained
+// start through /api/plan as well. Run it under -race.
+func TestFullBatchMatchesSingleStarts(t *testing.T) {
+	h := New().Handler()
+	const inst = "Paris"
+	var detail struct {
+		Items []rlplanner.Item `json:"items"`
+	}
+	if code := serve(t, h, "GET", "/api/instances/"+inst, nil, &detail); code != 200 {
+		t.Fatalf("instance %s: status %d", inst, code)
+	}
+	starts := make([]string, MaxBatchItems)
+	for i := range starts {
+		switch {
+		case i%97 == 0:
+			starts[i] = ""
+		case i%89 == 0:
+			starts[i] = "No Such POI"
+		default:
+			starts[i] = detail.Items[i%len(detail.Items)].ID
+		}
+	}
+	req := map[string]interface{}{"instance": inst, "episodes": 40, "seed": 4}
+	type rawBatch struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	var full rawBatch
+	req["starts"] = starts
+	if code := serve(t, h, "POST", "/api/plan/batch", req, &full); code != 200 {
+		t.Fatalf("full batch: status %d", code)
+	}
+	if len(full.Items) != len(starts) {
+		t.Fatalf("%d items for %d starts", len(full.Items), len(starts))
+	}
+	var plan json.RawMessage
+	delete(req, "starts")
+	if code := serve(t, h, "POST", "/api/plan", req, &plan); code != 200 {
+		t.Fatalf("plan: status %d", code)
+	}
+	for i, start := range starts {
+		var one rawBatch
+		req["starts"] = []string{start}
+		if code := serve(t, h, "POST", "/api/plan/batch", req, &one); code != 200 || len(one.Items) != 1 {
+			t.Fatalf("start %q alone: status %d, %d items", start, code, len(one.Items))
+		}
+		if !bytes.Equal(full.Items[i], one.Items[0]) {
+			t.Fatalf("item %d (start %q):\n batch %s\n alone %s", i, start, full.Items[i], one.Items[0])
+		}
+		if start == "" {
+			var it struct {
+				Plan json.RawMessage `json:"plan"`
+			}
+			if err := json.Unmarshal(full.Items[i], &it); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(it.Plan, bytes.TrimSpace(plan)) {
+				t.Fatalf("item %d (trained start):\n batch %s\n /api/plan %s", i, it.Plan, plan)
+			}
+		}
 	}
 }

@@ -456,10 +456,29 @@ func (r planRequest) engineName() (string, error) {
 }
 
 // policyKey identifies one (instance, engine, options) policy in the
-// store. engineName must be canonical so aliases share an entry.
+// store. engineName must be canonical so aliases share an entry. The
+// key also names the policy's entry in the repository on disk, so its
+// bytes must not change: they are those of the format
+// "%s|%s|%d|%d|%s|%v|%g|%g" over the same fields. A request builds its
+// key once and passes it down.
 func (r planRequest) policyKey(engineName string) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%s|%v|%g|%g",
-		r.Instance, engineName, r.Episodes, r.Seed, r.Start, r.MinSim, r.Time, r.Distance)
+	var buf [128]byte // on the stack; a longer key grows onto the heap
+	b := append(buf[:0], r.Instance...)
+	b = append(b, '|')
+	b = append(b, engineName...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(r.Episodes), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, r.Seed, 10)
+	b = append(b, '|')
+	b = append(b, r.Start...)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, r.MinSim)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, r.Time, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, r.Distance, 'g', -1, 64)
+	return string(b)
 }
 
 // policy returns the trained policy for the request: from the store when
@@ -472,8 +491,9 @@ func (r planRequest) policyKey(engineName string) string {
 // request (a canceled request must not abort a run that concurrent
 // followers are waiting on) yet bounded by the training budget, so an
 // abandoned run cannot hold a training slot forever.
-func (s *Server) policy(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest) (*rlplanner.Policy, error) {
-	key := req.policyKey(engineName)
+//
+// key is req.policyKey(engineName), built once by the caller.
+func (s *Server) policy(ctx context.Context, inst *rlplanner.Instance, engineName, key string, req planRequest) (*rlplanner.Policy, error) {
 	if pol, ok := s.policies.Cached(key); ok {
 		return pol, nil
 	}
@@ -524,7 +544,7 @@ func (s *Server) plan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.planOrFallback(r.Context(), inst, engineName, req, "")
+	resp, err := s.planOrFallback(r.Context(), inst, engineName, req.policyKey(engineName), req, "")
 	if err != nil {
 		s.writePlanError(w, err)
 		return
@@ -566,7 +586,7 @@ func (s *Server) exportPolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pol, err := s.policy(r.Context(), inst, engineName, req)
+	pol, err := s.policy(r.Context(), inst, engineName, req.policyKey(engineName), req)
 	if err != nil {
 		s.writePlanError(w, err)
 		return
@@ -672,7 +692,7 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// Sessions have no fallback rung: only value-based policies can drive
 	// them, so a fault maps straight to its status.
-	pol, err := s.policy(r.Context(), inst, engineName, req.planRequest)
+	pol, err := s.policy(r.Context(), inst, engineName, req.policyKey(engineName), req.planRequest)
 	if err != nil {
 		s.writePlanError(w, err)
 		return

@@ -109,14 +109,15 @@ func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pol, err := s.policy(r.Context(), inst, engineName, req.planRequest)
+	pkey := req.policyKey(engineName)
+	pol, err := s.policy(r.Context(), inst, engineName, pkey, req.planRequest)
 	if err != nil {
 		s.writePlanError(w, err)
 		return
 	}
 	// A user's first feedback creates their overlay; concurrent first
 	// signals share one creation through the store's singleflight.
-	key := overlayKey(req.User, req.policyKey(engineName))
+	key := overlayKey(req.User, pkey)
 	create := func() (*overlayEntry, error) {
 		ov, err := pol.NewOverlay(s.overlayCells)
 		if err != nil {

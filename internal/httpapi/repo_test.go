@@ -9,6 +9,9 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -384,6 +387,58 @@ func TestParsePolicyKeyRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "a|b", "i|e|x|0||false|0|0", strings.Repeat("|", 7)} {
 		if _, ok := parsePolicyKey(bad); ok {
 			t.Fatalf("parsePolicyKey(%q) accepted a malformed key", bad)
+		}
+	}
+}
+
+// TestPolicyKeyGolden pins the exact bytes of policy keys. Repository
+// entries on disk are named by them, so a key whose bytes changed would
+// orphan every stored policy. The table covers shortest-form floats in
+// and out of exponent form, negative zero, both min_sim values and an
+// instance name holding the separator; random requests, NaN and the
+// infinities among their values, must match the format the keys were
+// first written in.
+func TestPolicyKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		req  planRequest
+		want string
+	}{
+		{planRequest{Instance: "Univ-1 M.S. CS", Engine: "sarsa"},
+			"Univ-1 M.S. CS|sarsa|0|0||false|0|0"},
+		{planRequest{Instance: "NYC", Engine: "qlearning", Episodes: 500, Seed: -3,
+			Start: "Central Park", MinSim: true, Time: 0.5, Distance: 2.5e-07},
+			"NYC|qlearning|500|-3|Central Park|true|0.5|2.5e-07"},
+		{planRequest{Instance: "odd|name", Engine: "sarsa", Time: 1e+21, Distance: math.Copysign(0, -1)},
+			"odd|name|sarsa|0|0||false|1e+21|-0"},
+		{planRequest{Instance: "Paris", Engine: "gold", Seed: math.MaxInt64, Time: 6, Distance: 12.25},
+			"Paris|gold|0|9223372036854775807||false|6|12.25"},
+		{planRequest{Instance: "catalog-8k", Engine: "sarsa", Episodes: 64, Seed: 5, MinSim: true,
+			Time: 123456789012, Distance: 1e-05},
+			"catalog-8k|sarsa|64|5||true|1.23456789012e+11|1e-05"},
+	} {
+		if got := tc.req.policyKey(tc.req.Engine); got != tc.want {
+			t.Errorf("policyKey(%+v) = %q, want %q", tc.req, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 2000; i++ {
+		req := planRequest{
+			Instance: fmt.Sprintf("inst|%d", rng.Intn(100)),
+			Engine:   "sarsa",
+			Episodes: rng.Intn(1<<20) - 1<<19,
+			Seed:     int64(rng.Uint64()),
+			Start:    fmt.Sprintf("item %d", rng.Intn(10)),
+			MinSim:   rng.Intn(2) == 0,
+			Time:     math.Float64frombits(rng.Uint64()),
+			Distance: float64(rng.Intn(1000)) / 8,
+		}
+		if i%3 == 0 {
+			req.Time = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[i%4]
+		}
+		want := fmt.Sprintf("%s|%s|%d|%d|%s|%v|%g|%g",
+			req.Instance, req.Engine, req.Episodes, req.Seed, req.Start, req.MinSim, req.Time, req.Distance)
+		if got := req.policyKey(req.Engine); got != want {
+			t.Fatalf("policyKey(%+v) = %q, format %q", req, got, want)
 		}
 	}
 }

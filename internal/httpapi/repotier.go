@@ -203,7 +203,7 @@ func (s *Server) Preload(ctx context.Context, manifest io.Reader) (loaded int, e
 			err = errors.Join(err, fmt.Errorf("preload[%d]: %w", i, eerr))
 			continue
 		}
-		if _, perr := s.policy(ctx, inst, engineName, req); perr != nil {
+		if _, perr := s.policy(ctx, inst, engineName, req.policyKey(engineName), req); perr != nil {
 			err = errors.Join(err, fmt.Errorf("preload[%d] %s/%s: %w", i, req.Instance, engineName, perr))
 			continue
 		}

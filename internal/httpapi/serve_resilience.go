@@ -117,13 +117,13 @@ type planResponse struct {
 // Config errors and capacity rejections skip the ladder — the former
 // are the client's to fix, the latter must shed load, not add more.
 // When the fallback fails too, the requested engine's error is
-// returned.
-func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest, startID string) (*planResponse, error) {
-	resp, err := s.planFrom(ctx, inst, engineName, req, startID)
+// returned. key is req.policyKey(engineName).
+func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, engineName, key string, req planRequest, startID string) (*planResponse, error) {
+	resp, err := s.planFrom(ctx, inst, engineName, key, req, startID)
 	if err == nil || s.fallback == "" || engineName == s.fallback || !resilientFailure(err) {
 		return resp, err
 	}
-	fb, fbErr := s.planFrom(ctx, inst, s.fallback, req, startID)
+	fb, fbErr := s.planFrom(ctx, inst, s.fallback, req.policyKey(s.fallback), req, startID)
 	if fbErr != nil {
 		return nil, err
 	}
@@ -139,9 +139,8 @@ func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, e
 // from the store and marked failed in the breaker — a malformed
 // artifact must never be re-served — and the error reports as
 // resilience-class so planOrFallback can degrade to the fallback.
-func (s *Server) planFrom(ctx context.Context, inst *rlplanner.Instance, engineName string, req planRequest, startID string) (*planResponse, error) {
-	key := req.policyKey(engineName)
-	pol, err := s.policy(ctx, inst, engineName, req)
+func (s *Server) planFrom(ctx context.Context, inst *rlplanner.Instance, engineName, key string, req planRequest, startID string) (*planResponse, error) {
+	pol, err := s.policy(ctx, inst, engineName, key, req)
 	if err != nil {
 		return nil, err
 	}

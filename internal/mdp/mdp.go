@@ -400,7 +400,11 @@ func (e *Env) Start(start int) (*Episode, error) {
 	flags := make([]bool, 2*n)
 	ep.chosen = flags[:n:n]
 	ep.prereqOK = flags[n:]
-	ep.reset(start)
+	for i := range ep.positions {
+		ep.positions[i] = -1
+	}
+	copy(ep.prereqOK, e.prereqInit)
+	ep.admit(start)
 	return ep, nil
 }
 
@@ -435,28 +439,30 @@ func (e *Env) ReleaseEpisode(ep *Episode) {
 // reusing every internal buffer. Training loops that run thousands of
 // episodes against one Env call this instead of Env.Start so the steady
 // state allocates nothing per episode.
+//
+// The rewind costs O(plan + dependents), not O(catalog): admit is the
+// only writer of positions, chosen and prereqOK, and it writes them only
+// for the items in seq and the prerequisite dependents of those items,
+// so undoing exactly those entries restores what Env.Start builds. That
+// holds for an episode abandoned mid-walk too.
 func (ep *Episode) Reset(start int) error {
 	if start < 0 || start >= len(ep.chosen) {
 		return fmt.Errorf("mdp: start item %d out of range [0,%d)", start, len(ep.chosen))
 	}
-	ep.reset(start)
-	return nil
-}
-
-// reset clears the trajectory state in place and admits the start item.
-func (ep *Episode) reset(start int) {
+	e := ep.env
+	for _, i := range ep.seq {
+		ep.positions[i] = -1
+		ep.chosen[i] = false
+		for _, d := range e.prereqs.Dependents(i) {
+			ep.prereqOK[d] = e.prereqInit[d]
+		}
+	}
 	ep.seq = ep.seq[:0]
 	ep.seqTypes = ep.seqTypes[:0]
-	for i := range ep.positions {
-		ep.positions[i] = -1
-	}
 	ep.current.ClearAll()
 	ep.credits, ep.distance = 0, 0
-	for i := range ep.chosen {
-		ep.chosen[i] = false
-	}
-	copy(ep.prereqOK, ep.env.prereqInit)
 	ep.admit(start)
+	return nil
 }
 
 // admit appends an item to the trajectory and updates the derived state.

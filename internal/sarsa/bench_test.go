@@ -85,7 +85,10 @@ func BenchmarkSelectAction(b *testing.B) {
 //     the quantized neighbor store;
 //   - dense-2048: a 2048-item one, whose Q table is dense (32 MiB);
 //   - trip-Paris: the built-in city, whose popularity-scaled weights
-//     make 69 reward levels, under the time budget's pacing filter;
+//     make 69 reward levels, under its time budget;
+//   - trip-Paris-paced: the same city with a 2-primary/3-secondary
+//     split, as an uploaded trip spec may state it, so every step runs
+//     the MaxCredits pacing filter;
 //   - catalog-8k-softgate: catalog-8k under the SoftGate variant, where
 //     rewards have no levels and every step scores every item.
 //
@@ -105,6 +108,7 @@ func BenchmarkGuidedWalk(b *testing.B) {
 		{"catalog-8k", synthetic("catalog-8k", 8192), false},
 		{"dense-2048", synthetic("catalog-2k", 2048), false},
 		{"trip-Paris", func() (*dataset.Instance, error) { return trip.Paris().Instance, nil }, false},
+		{"trip-Paris-paced", func() (*dataset.Instance, error) { return pacedTrip(trip.Paris().Instance), nil }, false},
 		{"catalog-8k-softgate", synthetic("catalog-8k", 8192), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -263,8 +263,8 @@ func LearnContext(ctx context.Context, env *mdp.Env, cfg Config) (*Result, error
 		if start == RandomStart {
 			start = rng.Intn(n)
 		}
-		// One Episode serves the whole run: Reset reuses its buffers, so
-		// the per-episode cost is O(n) clears with no allocation.
+		// One Episode serves the whole run: Reset reuses its buffers and
+		// rewinds only what the last episode wrote, with no allocation.
 		var err error
 		if ep == nil {
 			ep, err = env.Start(start)
@@ -365,28 +365,47 @@ func selectAction(ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps fl
 	return ties[rng.Intn(len(ties))]
 }
 
-// cheapestCompletionFits reports whether, after taking item a, the k
-// cheapest remaining steppable items still fit within the credit ceiling.
-func cheapestCompletionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, a, k int) bool {
-	budget := ceiling - ep.Credits() - env.ItemCredits(a)
-	if budget < 0 {
-		return false
-	}
-	var costs []float64
-	for _, c := range ep.Candidates() {
-		if c != a {
-			costs = append(costs, env.ItemCredits(c))
+// completionFits returns, for the episode's current step, the test of
+// whether, after taking item a, the k cheapest remaining steppable items
+// still fit within the credit ceiling. It sorts the step's candidate
+// credits once, on the first call, and keeps the k+1 cheapest: the k
+// cheapest candidates other than a are those with one copy of a's own
+// credit removed when a is a candidate, summed in the same ascending
+// order as a sort of the other candidates' credits would give.
+func completionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, k int) func(a int) bool {
+	var cheapest []float64 // the k+1 cheapest candidate credits, ascending
+	cands := -1
+	return func(a int) bool {
+		own := env.ItemCredits(a)
+		budget := ceiling - ep.Credits() - own
+		if budget < 0 {
+			return false
 		}
+		if cands < 0 {
+			for i := 0; i < env.NumItems(); i++ {
+				if ep.CanStep(i) {
+					cheapest = append(cheapest, env.ItemCredits(i))
+				}
+			}
+			cands = len(cheapest)
+			sort.Float64s(cheapest)
+			cheapest = cheapest[:min(k+1, cands)]
+		}
+		skip := ep.CanStep(a)
+		if skip && cands-1 < k || !skip && cands < k {
+			return false
+		}
+		var need float64
+		for i, taken := 0, 0; taken < k; i++ {
+			if skip && cheapest[i] == own {
+				skip = false
+				continue
+			}
+			need += cheapest[i]
+			taken++
+		}
+		return need <= budget
 	}
-	if len(costs) < k {
-		return false
-	}
-	sort.Float64s(costs)
-	var need float64
-	for i := 0; i < k; i++ {
-		need += costs[i]
-	}
-	return need <= budget
 }
 
 // rewardTol is the margin within which bestRewardThenQ counts two
@@ -645,6 +664,7 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) (typeOK func(int) bool, primaryOn
 		remTime := hard.Credits - ep.Credits()
 		remDist := hard.MaxDistanceKm - ep.Distance()
 		last := ep.Last()
+		fits := completionFits(env, ep, hard.Credits, left-1)
 		const slack = 1.6
 		typeOK = func(a int) bool {
 			if !inner(a) {
@@ -658,7 +678,7 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) (typeOK func(int) bool, primaryOn
 			if hard.MaxDistanceKm > 0 && env.Dist(last, a) > slack*remDist/float64(left) {
 				return false
 			}
-			return cheapestCompletionFits(env, ep, hard.Credits, a, left-1)
+			return fits(a)
 		}
 	}
 	return typeOK, primaryOnly
