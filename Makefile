@@ -55,10 +55,12 @@ examples:
 	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Microbenchmarks for the per-step MDP loop and the one-start batch
-# request around a catalog-scale walk; run with -benchmem so alloc
-# regressions are visible.
+# request around a catalog-scale walk, and for the set-up path a first
+# plan pays: the built-in cities' photo-log simulation, the neighbor
+# store build and a catalog-scale training run. Run with -benchmem so
+# alloc regressions are visible.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/
+	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch|BenchmarkTripCities|BenchmarkNeighborStore|BenchmarkLearn' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/ ./internal/dataset/trip/ ./internal/geo/
 
 # Machine-readable perf records (BENCH_<id>.json) under results/.
 bench-json:

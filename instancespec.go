@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -37,7 +38,9 @@ type ItemSpec struct {
 	// Category is an optional grouping index (sub-discipline or dominant
 	// theme); -1 / omitted = none. Required when ThemeGap is set.
 	Category *int `json:"category,omitempty"`
-	// Lat and Lon position POIs for the distance threshold.
+	// Lat and Lon position POIs for the distance threshold, in degrees:
+	// NewInstance refuses a latitude outside [-90, 90] and a longitude
+	// outside [-180, 180].
 	Lat float64 `json:"lat,omitempty"`
 	Lon float64 `json:"lon,omitempty"`
 	// Popularity is the POI popularity on 1–5 (trips).
@@ -103,6 +106,9 @@ func NewInstance(spec InstanceSpec) (*Instance, error) {
 
 	items := make([]item.Item, len(spec.Items))
 	for i, s := range spec.Items {
+		if err := checkItemNumbers(s); err != nil {
+			return nil, fmt.Errorf("rlplanner: item %q: %w", s.ID, err)
+		}
 		ty := item.Secondary
 		switch s.Type {
 		case "primary":
@@ -224,6 +230,29 @@ func NewInstance(spec InstanceSpec) (*Instance, error) {
 		return nil, fmt.Errorf("rlplanner: %w", err)
 	}
 	return &Instance{inner: inner}, nil
+}
+
+// checkItemNumbers rejects the numbers no item may carry: a credit,
+// popularity or coordinate that is not finite, a latitude outside
+// [-90, 90] and a longitude outside [-180, 180]. The distance store
+// grids a catalog by its coordinates' span, and a span it cannot divide
+// by would index outside the grid when the first plan is trained.
+func checkItemNumbers(s ItemSpec) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"credits", s.Credits}, {"popularity", s.Popularity}, {"lat", s.Lat}, {"lon", s.Lon}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v is not finite", f.name, f.v)
+		}
+	}
+	if math.Abs(s.Lat) > 90 {
+		return fmt.Errorf("lat %v outside [-90, 90]", s.Lat)
+	}
+	if math.Abs(s.Lon) > 180 {
+		return fmt.Errorf("lon %v outside [-180, 180]", s.Lon)
+	}
+	return nil
 }
 
 // Spec exports the instance back into its spec form (usable with

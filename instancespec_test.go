@@ -3,6 +3,7 @@ package rlplanner
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,14 @@ func TestNewInstanceValidation(t *testing.T) {
 		{"unknown ideal topic", func(s *InstanceSpec) { s.IdealTopics = []string{"ghost"} }},
 		{"unknown start", func(s *InstanceSpec) { s.DefaultStart = "GHOST" }},
 		{"negative credits", func(s *InstanceSpec) { s.Items[0].Credits = -1 }},
+		{"NaN credits", func(s *InstanceSpec) { s.Items[0].Credits = math.NaN() }},
+		{"infinite popularity", func(s *InstanceSpec) { s.Items[0].Popularity = math.Inf(1) }},
+		{"NaN latitude", func(s *InstanceSpec) { s.Items[0].Lat = math.NaN() }},
+		{"infinite longitude", func(s *InstanceSpec) { s.Items[0].Lon = math.Inf(-1) }},
+		{"latitude past a pole", func(s *InstanceSpec) { s.Items[1].Lat = 90.5 }},
+		{"latitude past the south pole", func(s *InstanceSpec) { s.Items[1].Lat = -91 }},
+		{"longitude past the antimeridian", func(s *InstanceSpec) { s.Items[1].Lon = 1e308 }},
+		{"longitude past the antimeridian westward", func(s *InstanceSpec) { s.Items[1].Lon = -180.001 }},
 	}
 	for _, tc := range cases {
 		spec := toySpec()
@@ -88,6 +97,18 @@ func TestNewInstanceValidation(t *testing.T) {
 		if _, err := NewInstance(spec); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestNewInstanceAcceptsCoordinateBounds: the poles and the
+// antimeridian themselves are valid positions.
+func TestNewInstanceAcceptsCoordinateBounds(t *testing.T) {
+	spec := toySpec()
+	for i, p := range [][2]float64{{90, 180}, {-90, -180}, {0, 0}} {
+		spec.Items[i].Lat, spec.Items[i].Lon = p[0], p[1]
+	}
+	if _, err := NewInstance(spec); err != nil {
+		t.Fatal(err)
 	}
 }
 

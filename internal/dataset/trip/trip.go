@@ -114,21 +114,33 @@ func simulate(defs []poiDef, nItineraries int, seed int64) ([]Photo, []Itinerary
 		}
 	}
 
+	// decay[p*n+i] is the distance decay of a step from POI p to POI i,
+	// ~2 km half-weight. A pair's decay is the same float64 on every
+	// draw, so it is computed once per ordered pair rather than per draw.
+	decay := make([]float64, n*n)
+	for p, from := range defs {
+		for i, to := range defs {
+			d := geo.Haversine(geo.Point{Lat: from.lat, Lon: from.lon}, geo.Point{Lat: to.lat, Lon: to.lon})
+			decay[p*n+i] = 1 / (1 + d/2)
+		}
+	}
+
 	var photos []Photo
 	counts := make([]int, n)
 	itineraries := make([]Itinerary, 0, nItineraries)
 	const itinerariesPerUser = 2
+	weights := make([]float64, n)
+	visited := make([]bool, n) // the current itinerary's POIs
 
 	for itIdx := 0; itIdx < nItineraries; itIdx++ {
 		user := itIdx / itinerariesPerUser
 		day := itIdx % itinerariesPerUser
 		length := 2 + rng.Intn(4) // 2–5 POIs per day
 		var it Itinerary
-		visited := make(map[int]bool, length)
 		prev := -1
 		hour := 9 + rng.Float64()*2
 		for len(it) < length {
-			poi := samplePOI(rng, defs, base, visited, prev)
+			poi := samplePOI(rng, defs, base, decay, visited, prev, weights)
 			if poi < 0 {
 				break
 			}
@@ -143,17 +155,23 @@ func simulate(defs []poiDef, nItineraries int, seed int64) ([]Photo, []Itinerary
 			hour += 0.5 + rng.Float64()
 			prev = poi
 		}
+		for _, poi := range it {
+			visited[poi] = false
+		}
 		itineraries = append(itineraries, it)
 	}
 	return photos, itineraries, counts
 }
 
-// samplePOI draws the next POI for an itinerary.
-func samplePOI(rng *rand.Rand, defs []poiDef, base []float64, visited map[int]bool, prev int) int {
-	weights := make([]float64, len(defs))
+// samplePOI draws the next POI for an itinerary, weighing each unvisited
+// POI by its base attractiveness, the theme-diversity penalty and the
+// distance decay from prev. weights is scratch space of one slot per POI.
+func samplePOI(rng *rand.Rand, defs []poiDef, base, decay []float64, visited []bool, prev int, weights []float64) int {
+	n := len(defs)
 	var total float64
 	for i := range defs {
 		if visited[i] {
+			weights[i] = 0
 			continue
 		}
 		w := base[i]
@@ -161,10 +179,7 @@ func samplePOI(rng *rand.Rand, defs []poiDef, base []float64, visited map[int]bo
 			if defs[i].cat == defs[prev].cat {
 				w *= 0.2 // theme diversity
 			}
-			d := geo.Haversine(
-				geo.Point{Lat: defs[prev].lat, Lon: defs[prev].lon},
-				geo.Point{Lat: defs[i].lat, Lon: defs[i].lon})
-			w *= 1 / (1 + d/2) // distance decay, ~2 km half-weight
+			w *= decay[prev*n+i]
 		}
 		weights[i] = w
 		total += w
@@ -179,7 +194,7 @@ func samplePOI(rng *rand.Rand, defs []poiDef, base []float64, visited map[int]bo
 			return i
 		}
 	}
-	return len(defs) - 1
+	return n - 1
 }
 
 // popularity maps itinerary visit counts onto the 1–5 scale; the most

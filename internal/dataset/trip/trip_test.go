@@ -1,8 +1,16 @@
 package trip
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
 )
@@ -228,6 +236,196 @@ func TestVisitTimesArePositive(t *testing.T) {
 			if m.Type == item.Primary && m.Popularity < 1 {
 				t.Errorf("%s: primary %s popularity %v", city.Instance.Name, m.ID, m.Popularity)
 			}
+		}
+	}
+}
+
+// cityDigest hashes everything the photo-log simulation produces for a
+// city: every photo (user, POI, day, hour bits), every itinerary, the
+// visit counts and the popularity each POI derives from them.
+func cityDigest(c *CityData) string {
+	h := sha256.New()
+	var buf []byte
+	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	put(uint64(len(c.Photos)))
+	for _, p := range c.Photos {
+		put(uint64(p.User))
+		put(uint64(p.POI))
+		put(uint64(p.Day))
+		put(math.Float64bits(p.Hour))
+	}
+	put(uint64(len(c.Itineraries)))
+	for _, it := range c.Itineraries {
+		put(uint64(len(it)))
+		for _, poi := range it {
+			put(uint64(poi))
+		}
+	}
+	put(uint64(len(c.VisitCounts)))
+	for _, v := range c.VisitCounts {
+		put(uint64(v))
+	}
+	cat := c.Instance.Catalog
+	put(uint64(cat.Len()))
+	for i := 0; i < cat.Len(); i++ {
+		put(math.Float64bits(cat.At(i).Popularity))
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCityGolden pins the simulated photo logs, itineraries, visit
+// counts and popularity of both cities to digests recorded before the
+// simulation's distance-decay table, reused weights buffer and visited
+// flags replaced its per-draw Haversine calls, per-draw weights slice
+// and per-itinerary map. Any change to a draw changes the digest.
+func TestCityGolden(t *testing.T) {
+	for _, tc := range []struct {
+		city *CityData
+		want string
+	}{
+		{NYC(), "1297b49180240137469df66ca5f7f975a763d6cd5760ff71b8fb4380e34a059e"},
+		{Paris(), "afad1401c51bfcb667bcdc4b9e5abba6efe6249bbffe078e166535618278f6fe"},
+	} {
+		if got := cityDigest(tc.city); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.city.Instance.Name, got, tc.want)
+		}
+	}
+}
+
+// simulateReference is the photo-log simulation as it was before simulate
+// tabulated the distance decay: it recomputes the Haversine distance of
+// every pair on every draw, allocates a weights slice per draw and a
+// visited map per itinerary. simulate must reproduce it draw for draw.
+func simulateReference(defs []poiDef, nItineraries int, seed int64) ([]Photo, []Itinerary, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	n := len(defs)
+
+	// Base attractiveness: Zipf-like over a popularity ranking where
+	// primary POIs occupy the top ranks.
+	rank := make([]int, n)
+	for i := range rank {
+		rank[i] = i
+	}
+	sort.SliceStable(rank, func(i, j int) bool {
+		pi, pj := defs[rank[i]].primary, defs[rank[j]].primary
+		if pi != pj {
+			return pi
+		}
+		return rank[i] < rank[j]
+	})
+	base := make([]float64, n)
+	for pos, poi := range rank {
+		base[poi] = 1 / math.Pow(float64(pos+1), 0.8)
+		if defs[poi].primary {
+			// Must-visit POIs draw disproportionate crowds.
+			base[poi] *= 4
+		}
+	}
+
+	var photos []Photo
+	counts := make([]int, n)
+	itineraries := make([]Itinerary, 0, nItineraries)
+	const itinerariesPerUser = 2
+
+	for itIdx := 0; itIdx < nItineraries; itIdx++ {
+		user := itIdx / itinerariesPerUser
+		day := itIdx % itinerariesPerUser
+		length := 2 + rng.Intn(4) // 2–5 POIs per day
+		var it Itinerary
+		visited := make(map[int]bool, length)
+		prev := -1
+		hour := 9 + rng.Float64()*2
+		for len(it) < length {
+			poi := samplePOIReference(rng, defs, base, visited, prev)
+			if poi < 0 {
+				break
+			}
+			visited[poi] = true
+			it = append(it, poi)
+			counts[poi]++
+			// 1–3 photos per visit.
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				photos = append(photos, Photo{User: user, POI: poi, Day: day, Hour: hour})
+				hour += 0.05 + rng.Float64()*0.1
+			}
+			hour += 0.5 + rng.Float64()
+			prev = poi
+		}
+		itineraries = append(itineraries, it)
+	}
+	return photos, itineraries, counts
+}
+
+// samplePOIReference is simulateReference's draw.
+func samplePOIReference(rng *rand.Rand, defs []poiDef, base []float64, visited map[int]bool, prev int) int {
+	weights := make([]float64, len(defs))
+	var total float64
+	for i := range defs {
+		if visited[i] {
+			continue
+		}
+		w := base[i]
+		if prev >= 0 {
+			if defs[i].cat == defs[prev].cat {
+				w *= 0.2 // theme diversity
+			}
+			d := geo.Haversine(
+				geo.Point{Lat: defs[prev].lat, Lon: defs[prev].lon},
+				geo.Point{Lat: defs[i].lat, Lon: defs[i].lon})
+			w *= 1 / (1 + d/2) // distance decay, ~2 km half-weight
+		}
+		weights[i] = w
+		total += w
+	}
+	if total == 0 {
+		return -1
+	}
+	x := rng.Float64() * total
+	for i, w := range weights {
+		x -= w
+		if x < 0 {
+			return i
+		}
+	}
+	return len(defs) - 1
+}
+
+// TestSimulateMatchesReference compares simulate with the reference
+// simulation, photo for photo, itinerary for itinerary and count for
+// count, on both cities' POIs at their own itinerary counts and seeds and
+// at other seeds, and on a few-POI prefix whose itineraries run out of
+// unvisited POIs, so the draw that finds no weight left is exercised.
+func TestSimulateMatchesReference(t *testing.T) {
+	for _, spec := range []citySpec{cities["NYC"], cities["Paris"]} {
+		for _, tc := range []struct {
+			pois        []poiDef
+			itineraries int
+			seed        int64
+		}{
+			{spec.pois, spec.itineraries, spec.seed},
+			{spec.pois, 700, 1},
+			{spec.pois, 700, 2},
+			{spec.pois[:3], 300, 3},
+		} {
+			photos, its, counts := simulate(tc.pois, tc.itineraries, tc.seed)
+			wantPhotos, wantIts, wantCounts := simulateReference(tc.pois, tc.itineraries, tc.seed)
+			if !reflect.DeepEqual(photos, wantPhotos) || !reflect.DeepEqual(its, wantIts) || !reflect.DeepEqual(counts, wantCounts) {
+				t.Fatalf("%s, %d POIs, %d itineraries, seed %d: simulate differs from the reference",
+					spec.name, len(tc.pois), tc.itineraries, tc.seed)
+			}
+		}
+	}
+}
+
+// BenchmarkTripCities builds both built-in cities, photo-log simulation
+// included: the work the first use of any built-in instance does in a
+// fresh process.
+func BenchmarkTripCities(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if NYC() == nil || Paris() == nil {
+			b.Fatal("no city")
 		}
 	}
 }

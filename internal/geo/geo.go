@@ -13,18 +13,28 @@ type Point struct {
 	Lat, Lon float64
 }
 
+// degToRad converts degrees to radians.
+const degToRad = math.Pi / 180
+
 // Haversine returns the great-circle distance between a and b in kilometers.
 // It never exceeds half a great circle, π·R ≈ 20 015 km.
-func Haversine(a, b Point) float64 {
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
+func Haversine(a, b Point) float64 { return haversine(a, b, latCos(a), latCos(b)) }
+
+// latCos returns the cosine of p's latitude, the per-point factor of the
+// Haversine formula.
+func latCos(p Point) float64 { return math.Cos(p.Lat * degToRad) }
+
+// haversine is Haversine given each point's latitude cosine (latCos), so
+// a caller measuring many pairs computes each point's once. It is the
+// one Haversine formula: the result is the same float64 as Haversine's,
+// and swapping a and b (with their cosines) does not change a bit.
+func haversine(a, b Point, cosA, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
 
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + cosA*cosB*sinLon*sinLon
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 

@@ -1,8 +1,10 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -110,6 +112,12 @@ type NeighborStore struct {
 // (k <= 0 means DefaultNeighborK). Neighbor search runs over a spatial
 // grid — expanding cell rings per point — so the build is near O(n·K)
 // instead of the O(n²) all-pairs sweep.
+//
+// Each point keeps the k nearest of its candidates under the total order
+// (distance, id), and point i's row holds i's own k nearest and every
+// point that keeps i among its k nearest, ascending by id. A pair kept
+// from both sides appears once: both sides compute the same code, since
+// Haversine is symmetric bit for bit.
 func NewNeighborStore(pts []Point, k int) *NeighborStore {
 	n := len(pts)
 	if k <= 0 {
@@ -167,19 +175,19 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 		cx, cy := cellOf(p)
 		cells[cy*g+cx] = append(cells[cy*g+cx], int32(i))
 	}
+	cosLat := make([]float64, n)
+	for i, p := range pts {
+		cosLat[i] = latCos(p)
+	}
 
-	// Per point: expand rings until a comfortable candidate surplus,
-	// keep the k nearest by exact distance, and record the canonical
-	// (low, high) pair so the final band is symmetric.
-	type edge struct {
-		a, b int32
-		code uint16
-	}
-	edges := make([]edge, 0, n*k)
-	type cand struct {
-		j int32
-		d float64
-	}
+	// Per point: expand rings until a comfortable candidate surplus and
+	// keep the k nearest by exact distance, ascending by id, in
+	// near[nearOff[i]:nearOff[i+1]]. inOff counts, per point, the points
+	// that keep it.
+	near := make([]int32, 0, n*k)
+	nearCode := make([]uint16, 0, n*k)
+	nearOff := make([]int32, n+1)
+	inOff := make([]int32, n+1)
 	var cands []cand
 	for i := 0; i < n; i++ {
 		cx, cy := cellOf(pts[i])
@@ -202,7 +210,7 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 						if int(j) == i {
 							continue
 						}
-						cands = append(cands, cand{j: j, d: Haversine(pts[i], pts[int(j)])})
+						cands = append(cands, cand{j: j, d: haversine(pts[i], pts[j], cosLat[i], cosLat[j])})
 					}
 				}
 			}
@@ -215,63 +223,47 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 				break
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].d != cands[b].d {
-				return cands[a].d < cands[b].d
-			}
-			return cands[a].j < cands[b].j
-		})
-		if len(cands) > k {
-			cands = cands[:k]
+		kept := nearest(cands, k)
+		slices.SortFunc(kept, func(a, b cand) int { return cmp.Compare(a.j, b.j) })
+		for _, c := range kept {
+			near = append(near, c.j)
+			nearCode = append(nearCode, s.quantize(c.d))
+			inOff[c.j+1]++
 		}
-		for _, c := range cands {
-			a, b := int32(i), c.j
-			if a > b {
-				a, b = b, a
-			}
-			edges = append(edges, edge{a: a, b: b, code: s.quantize(c.d)})
+		nearOff[i+1] = int32(len(near))
+	}
+
+	// The points that keep each point, ascending by id: sources are
+	// visited in id order.
+	for i := 0; i < n; i++ {
+		inOff[i+1] += inOff[i]
+	}
+	in := make([]int32, len(near))
+	inCode := make([]uint16, len(near))
+	fill := slices.Clone(inOff[:n])
+	for i := 0; i < n; i++ {
+		for m := nearOff[i]; m < nearOff[i+1]; m++ {
+			j := near[m]
+			in[fill[j]], inCode[fill[j]] = int32(i), nearCode[m]
+			fill[j]++
 		}
 	}
 
-	// Dedup canonical pairs, then materialize both directions with
-	// ascending neighbor ids per row.
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].a != edges[b].a {
-			return edges[a].a < edges[b].a
-		}
-		return edges[a].b < edges[b].b
-	})
-	uniq := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e.a == uniq[len(uniq)-1].a && e.b == uniq[len(uniq)-1].b {
-			continue
-		}
-		uniq = append(uniq, e)
-	}
-	deg := make([]int32, n)
-	for _, e := range uniq {
-		deg[e.a]++
-		deg[e.b]++
+	// Row i is the union of the two lists: counted first, so idx and code
+	// are allocated at their final length, then filled.
+	row := func(i int, idx []int32, code []uint16) int {
+		lo, hi := nearOff[i], nearOff[i+1]
+		a, b := inOff[i], inOff[i+1]
+		return unionByID(near[lo:hi], nearCode[lo:hi], in[a:b], inCode[a:b], idx, code)
 	}
 	for i := 0; i < n; i++ {
-		s.offs[i+1] = s.offs[i] + deg[i]
+		s.offs[i+1] = s.offs[i] + int32(row(i, nil, nil))
 	}
 	total := int(s.offs[n])
 	s.idx = make([]int32, total)
 	s.code = make([]uint16, total)
-	fill := make([]int32, n)
-	for _, e := range uniq {
-		pa := s.offs[e.a] + fill[e.a]
-		s.idx[pa], s.code[pa] = e.b, e.code
-		fill[e.a]++
-		pb := s.offs[e.b] + fill[e.b]
-		s.idx[pb], s.code[pb] = e.a, e.code
-		fill[e.b]++
-	}
 	for i := 0; i < n; i++ {
-		lo, hi := s.offs[i], s.offs[i+1]
-		row, codes := s.idx[lo:hi], s.code[lo:hi]
-		sort.Sort(&neighborRow{idx: row, code: codes})
+		row(i, s.idx[s.offs[i]:], s.code[s.offs[i]:])
 	}
 	// A code rounds to the nearest bucket, so an in-band value can sit
 	// up to half a bucket above its exact distance, and so above the
@@ -288,17 +280,82 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 	return s
 }
 
-// neighborRow sorts one row's neighbors by id, carrying codes along.
-type neighborRow struct {
-	idx  []int32
-	code []uint16
+// cand is a neighbor candidate of one point: its id and exact distance.
+type cand struct {
+	j int32
+	d float64
 }
 
-func (r *neighborRow) Len() int           { return len(r.idx) }
-func (r *neighborRow) Less(i, j int) bool { return r.idx[i] < r.idx[j] }
-func (r *neighborRow) Swap(i, j int) {
-	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
-	r.code[i], r.code[j] = r.code[j], r.code[i]
+// less orders candidates by distance, then id. A point's candidates have
+// distinct ids, so the order is total and its k least are one set.
+func (a cand) less(b cand) bool { return a.d < b.d || a.d == b.d && a.j < b.j }
+
+// nearest reorders c so that its first k entries are its k least under
+// cand.less, in no particular order, and returns them (all of c when it
+// holds no more than k). It is a quickselect with a
+// median-of-three pivot.
+func nearest(c []cand, k int) []cand {
+	if k >= len(c) {
+		return c
+	}
+	// Invariant: c[:lo] < c[lo:hi+1] < c[hi+1:] and lo <= k <= hi+1.
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if c[mid].less(c[lo]) {
+			c[mid], c[lo] = c[lo], c[mid]
+		}
+		if c[hi].less(c[lo]) {
+			c[hi], c[lo] = c[lo], c[hi]
+		}
+		if c[mid].less(c[hi]) {
+			c[mid], c[hi] = c[hi], c[mid]
+		}
+		pivot, p := c[hi], lo
+		for i := lo; i < hi; i++ {
+			if c[i].less(pivot) {
+				c[i], c[p] = c[p], c[i]
+				p++
+			}
+		}
+		c[p], c[hi] = c[hi], c[p]
+		switch {
+		case p == k || p == k-1:
+			return c[:k]
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	return c[:k]
+}
+
+// unionByID merges two id-ascending neighbor lists into idx and code,
+// keeping one entry for an id on both sides (their codes agree), and
+// returns the union's length. With nil idx and code it only counts.
+func unionByID(a []int32, ac []uint16, b []int32, bc []uint16, idx []int32, code []uint16) int {
+	n := 0
+	for len(a) > 0 || len(b) > 0 {
+		var j int32
+		var c uint16
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			j, c = a[0], ac[0]
+			a, ac = a[1:], ac[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			j, c = b[0], bc[0]
+			b, bc = b[1:], bc[1:]
+		default: // a pair both points keep
+			j, c = a[0], ac[0]
+			a, ac, b, bc = a[1:], ac[1:], b[1:], bc[1:]
+		}
+		if idx != nil {
+			idx[n], code[n] = j, c
+		}
+		n++
+	}
+	return n
 }
 
 func (s *NeighborStore) quantize(d float64) uint16 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -526,4 +527,30 @@ func TestSessionFlood(t *testing.T) {
 		}
 	}
 	t.Fatal("no early session was evicted")
+}
+
+// TestUploadRejectsUngriddableCoordinates uploads a 4200-item geo
+// catalog, above the exact-distance limit so its legs come from the
+// quantized neighbor store, whose items 100 and 101 sit at longitudes
+// 1e308 and -1e308. The store's grid cannot divide by that span, so the
+// upload must be refused with 400 and the item named, rather than
+// accepted and then fail every plan.
+func TestUploadRejectsUngriddableCoordinates(t *testing.T) {
+	in, err := rlplanner.GenerateInstance(rlplanner.GenParams{Name: "far-flung", Items: 4200, Geo: true, Seed: 4200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := in.Spec()
+	spec.Items[100].Lon, spec.Items[101].Lon = 1e308, -1e308
+	ts := testServer(t)
+	var body struct {
+		Error string `json:"error"`
+	}
+	if code := doJSON(t, "POST", ts.URL+"/api/instances", spec, &body); code != http.StatusBadRequest {
+		code = doJSON(t, "POST", ts.URL+"/api/plan", map[string]interface{}{"instance": "far-flung", "episodes": 4, "seed": 1}, &body)
+		t.Fatalf("upload accepted; a plan on it then answers %d: %s", code, body.Error)
+	}
+	if id := spec.Items[100].ID; !strings.Contains(body.Error, strconv.Quote(id)) {
+		t.Fatalf("error %q does not name item %q", body.Error, id)
+	}
 }

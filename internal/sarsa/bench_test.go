@@ -70,7 +70,7 @@ func BenchmarkSelectAction(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if e := selectAction(ep, ep.Last(), q, sel, 0, rng, &sc); e < 0 {
+				if e := selectAction(env, ep, ep.Last(), q, sel, 0, rng, &sc); e < 0 {
 					b.Fatal("no action available")
 				}
 			}
@@ -136,17 +136,39 @@ func BenchmarkGuidedWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkLearn measures a short end-to-end learning run, the unit the
-// experiment pool fans out per seed.
+// BenchmarkLearn measures end-to-end learning runs:
+//   - Univ-1-DS-CT: a short run on a built-in instance, the unit the
+//     experiment pool fans out per seed;
+//   - catalog-8k: 64 sequential episodes on an 8192-item synthetic geo
+//     catalog (GenParams{Items: 8192, Geo: true, Seed: 8192}), the
+//     training an uploaded catalog's first plan pays. The environment is
+//     built outside the timer.
 func BenchmarkLearn(b *testing.B) {
-	env, start := benchEnv(b)
-	cfg := Config{Episodes: 50, Alpha: 0.75, Gamma: 0.95, Start: start, Seed: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := Learn(env, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name     string
+		inst     func() (*dataset.Instance, error)
+		episodes int
+	}{
+		{"Univ-1-DS-CT", func() (*dataset.Instance, error) { return univ.Univ1DSCT(), nil }, 50},
+		{"catalog-8k", func() (*dataset.Instance, error) {
+			return synth.Generate(synth.Params{Name: "catalog-8k", Items: 8192, Geo: true, Seed: 8192})
+		}, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			inst, err := bc.inst()
+			if err != nil {
+				b.Fatal(err)
+			}
+			env := instanceEnv(b, inst, inst.Defaults.Sim, false)
+			cfg := Config{Episodes: bc.episodes, Alpha: inst.Defaults.Alpha, Gamma: inst.Defaults.Gamma, Start: inst.StartIndex()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				if _, err := Learn(env, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

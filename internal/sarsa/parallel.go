@@ -96,14 +96,14 @@ func (w *walker) walkEpisode(env *mdp.Env, q *qtable.Table, cfg Config, eps floa
 
 	var total float64
 	s := start
-	e := selectAction(ep, s, q, cfg.Selection, eps, rng, &w.sc)
+	e := selectAction(env, ep, s, q, cfg.Selection, eps, rng, &w.sc)
 	for e >= 0 {
 		r := ep.Step(e)
 		total += r
 		sNext := e
 		eNext := -1
 		if !ep.Done() {
-			eNext = selectAction(ep, sNext, q, cfg.Selection, eps, rng, &w.sc)
+			eNext = selectAction(env, ep, sNext, q, cfg.Selection, eps, rng, &w.sc)
 		}
 		target := eNext
 		if cfg.Algorithm == QLearning && !ep.Done() {

@@ -14,6 +14,7 @@ package sarsa
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -277,14 +278,14 @@ func LearnContext(ctx context.Context, env *mdp.Env, cfg Config) (*Result, error
 		var total float64
 
 		s := start
-		e := selectAction(ep, s, q, cfg.Selection, eps, rng, &sc)
+		e := selectAction(env, ep, s, q, cfg.Selection, eps, rng, &sc)
 		for e >= 0 {
 			r := ep.Step(e)
 			total += r
 			sNext := e
 			eNext := -1
 			if !ep.Done() {
-				eNext = selectAction(ep, sNext, q, cfg.Selection, eps, rng, &sc)
+				eNext = selectAction(env, ep, sNext, q, cfg.Selection, eps, rng, &sc)
 			}
 			// SARSA bootstraps on the action actually taken next (Eq. 9);
 			// Q-learning bootstraps on the best available next action.
@@ -318,15 +319,42 @@ func LearnContext(ctx context.Context, env *mdp.Env, cfg Config) (*Result, error
 // so the learning hot loop allocates nothing. A scratch belongs to one
 // goroutine; concurrent learners each carry their own.
 type scratch struct {
-	cands []int
-	ties  []int
-	ties2 []int
+	cands  []int
+	ties   []int
+	ties2  []int
+	levels []float64
 }
 
 // selectAction picks the next item from the episode's candidates, or -1
 // when none remain. With probability eps it explores uniformly; otherwise
 // it exploits per the selection rule, breaking ties uniformly at random.
-func selectAction(ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps float64, rng *rand.Rand, sc *scratch) int {
+//
+// When the reward levels give a reward-greedy step its tie set
+// (rewardTies), the step takes it without listing or scoring every
+// candidate. That set is bestByReward's over the candidate list, in the
+// same order, and a tie is a candidate, so the scan would have drawn ε
+// next as well: the rng draws are selectByScan's, in the same order.
+// Every other step is selectByScan's.
+func selectAction(env *mdp.Env, ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps float64, rng *rand.Rand, sc *scratch) int {
+	if sel == RewardGreedy {
+		sc.ties = rewardTies(env, ep, sc)
+		if ties := sc.ties; len(ties) > 0 {
+			if eps > 0 && rng.Float64() < eps {
+				sc.cands = ep.AppendCandidates(sc.cands[:0])
+				return sc.cands[rng.Intn(len(sc.cands))]
+			}
+			return ties[rng.Intn(len(ties))]
+		}
+	}
+	return selectByScan(ep, s, q, sel, eps, rng, sc)
+}
+
+// selectByScan is selectAction over the full candidate list: it lists
+// every steppable item and, when it exploits, scores every candidate.
+// It is the path for Q-greedy selection, SoftGate and reward-greedy
+// steps without a positive open level, and the reference the tests
+// compare selectAction with.
+func selectByScan(ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps float64, rng *rand.Rand, sc *scratch) int {
 	sc.cands = ep.AppendCandidates(sc.cands[:0])
 	cands := sc.cands
 	if len(cands) == 0 {
@@ -363,6 +391,43 @@ func selectAction(ep *mdp.Episode, s int, q *qtable.Table, sel Selection, eps fl
 		ties = sc.ties
 	}
 	return ties[rng.Intn(len(ties))]
+}
+
+// rewardTies returns bestByReward's tie set over the step's candidates
+// when the reward levels give it, and an empty set otherwise. Under the
+// multiplicative gate a candidate scores its group's level when its θ
+// gate is open and 0 when it is closed. So while some positive level
+// has an open candidate, the highest such level is the maximal reward,
+// and the ties are the open candidates of every group at exactly that
+// level, in index order. The set is empty under SoftGate, when no
+// positive level has an open candidate, and when a level is NaN, which
+// the scan's comparisons treat differently; selectByScan then decides.
+func rewardTies(env *mdp.Env, ep *mdp.Episode, sc *scratch) []int {
+	ties := sc.ties[:0]
+	lv, ok := ep.RewardLevels(sc.levels[:0])
+	sc.levels = lv
+	if !ok || slices.ContainsFunc(lv, math.IsNaN) {
+		return ties
+	}
+	w := newLevelWalk(env, lv, false)
+	for level, pri, sec, _ := w.next(); level > 0; level, pri, sec, _ = w.next() {
+		for _, gs := range [2][]int32{pri, sec} {
+			for _, g := range gs {
+				for _, a := range env.GroupMembers(int(g)) {
+					if ep.CanStep(int(a)) && ep.Reward(int(a)) > 0 {
+						ties = append(ties, int(a))
+					}
+				}
+			}
+		}
+		if len(ties) > 0 {
+			if len(pri)+len(sec) > 1 {
+				slices.Sort(ties) // several groups' members: back to index order
+			}
+			return ties
+		}
+	}
+	return ties
 }
 
 // completionFits returns, for the episode's current step, the test of
@@ -450,62 +515,102 @@ func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) 
 	return best, true
 }
 
+// levelWalk visits a step's positive reward levels in decreasing order.
+// It merges the two types' group lists (mdp.Env.GroupsByWeight), in each
+// of which the levels do not increase, since a level is δ·sim(t) + β·w
+// with β ≥ 0. A level that is not positive (NaN included) ends a list.
+type levelWalk struct {
+	lv       []float64
+	pri, sec []int32
+	top      float64 // the highest level left, 0 when none is positive
+}
+
+// newLevelWalk starts a walk over the levels lv (Episode.RewardLevels);
+// primaryOnly leaves the secondary groups out.
+func newLevelWalk(env *mdp.Env, lv []float64, primaryOnly bool) levelWalk {
+	w := levelWalk{lv: lv, pri: env.GroupsByWeight(item.Primary), sec: env.GroupsByWeight(item.Secondary)}
+	if primaryOnly {
+		w.sec = nil
+	}
+	w.top = max(headLevel(lv, w.pri), headLevel(lv, w.sec))
+	return w
+}
+
+// next consumes the groups at the highest level left. It returns that
+// level, the primary and the secondary groups at exactly it, and the
+// highest level left below it (0 when none). The level is 0, and the
+// walk over, when no positive level is left.
+func (w *levelWalk) next() (level float64, pri, sec []int32, below float64) {
+	level = w.top
+	if level <= 0 {
+		return 0, nil, nil, 0
+	}
+	pri, w.pri = splitLevel(w.lv, w.pri, level)
+	sec, w.sec = splitLevel(w.lv, w.sec, level)
+	w.top = max(headLevel(w.lv, w.pri), headLevel(w.lv, w.sec))
+	return level, pri, sec, w.top
+}
+
+// headLevel is the level of the first group of gs, 0 when it is not
+// positive or gs is empty.
+func headLevel(lv []float64, gs []int32) float64 {
+	if len(gs) > 0 && lv[gs[0]] > 0 {
+		return lv[gs[0]]
+	}
+	return 0
+}
+
+// splitLevel splits off the groups at the head of gs whose level is
+// exactly level.
+func splitLevel(lv []float64, gs []int32, level float64) (at, rest []int32) {
+	i := 0
+	for i < len(gs) && lv[gs[i]] == level {
+		i++
+	}
+	return gs[:i], gs[i:]
+}
+
 // tierOne is the guided walk's first tier: what bestRewardThenQ returns,
 // found without scoring every item. Under the multiplicative gate an
 // open item's reward is its reward group's level at this step and a
 // closed item's is 0 (mdp.Episode.RewardLevels). tierOne visits the
-// positive levels in decreasing order, merging the two per-type group
-// lists, and stops at the first level with an allowed open member. It
-// returns Q's arg-max over that level's allowed open items: the highest
-// Q, lowest index on exact ties, as bestRewardThenQ breaks them;
-// qtable.Table.ArgMax stops at the first allowed zero once no allowed
-// cell is positive. primaryOnly (the split rule, guidedMask) drops the
-// secondary groups, whose items allowed refuses. It defers to
-// bestRewardThenQ under SoftGate, and when the level it reaches and the
-// next lower one (or 0) fail either of that scan's two tolerance
-// comparisons: there its tie set can take in lower levels, depending on
-// catalog order. When both hold, its ties are exactly the level's items.
+// positive levels in decreasing order (levelWalk) and stops at the
+// first level with an allowed open member. It returns Q's arg-max over
+// that level's allowed open items: the highest Q, lowest index on exact
+// ties, as bestRewardThenQ breaks them; qtable.Table.ArgMax stops at the
+// first allowed zero once no allowed cell is positive. primaryOnly (the
+// split rule, guidedMask) drops the secondary groups, whose items
+// allowed refuses. It defers to bestRewardThenQ under SoftGate, and when
+// the level it reaches and the next lower one (or 0) fail either of that
+// scan's two tolerance comparisons: there its tie set can take in lower
+// levels, depending on catalog order. When both hold, its ties are
+// exactly the level's items.
 func tierOne(env *mdp.Env, ep *mdp.Episode, r qtable.Reader, s int, allowed func(int) bool, primaryOnly bool, sc *walkScratch) (int, bool) {
 	lv, ok := ep.RewardLevels(sc.levels[:0])
 	sc.levels = lv
 	if !ok {
 		return bestRewardThenQ(ep, r, s, allowed, sc)
 	}
-	pri, sec := env.GroupsByWeight(item.Primary), env.GroupsByWeight(item.Secondary)
-	if primaryOnly {
-		sec = nil
-	}
 	open := func(a int) bool { return allowed(a) && ep.Reward(a) > 0 }
 	isOpen := func(a int32) bool { return open(int(a)) }
-	// take consumes the groups at level from the head of gs and reports
-	// whether hit is set or one of them has an open member.
-	take := func(gs []int32, level float64, hit bool) ([]int32, bool) {
-		for ; len(gs) > 0 && lv[gs[0]] == level; gs = gs[1:] {
-			hit = hit || slices.ContainsFunc(env.GroupMembers(int(gs[0])), isOpen)
+	hasOpen := func(gs []int32) bool {
+		for _, g := range gs {
+			if slices.ContainsFunc(env.GroupMembers(int(g)), isOpen) {
+				return true
+			}
 		}
-		return gs, hit
+		return false
 	}
-	// top is the highest level left in a list, 0 when none is positive.
-	top := func(gs []int32) float64 {
-		if len(gs) > 0 && lv[gs[0]] > 0 {
-			return lv[gs[0]]
-		}
-		return 0
-	}
-	for level := max(top(pri), top(sec)); level > 0; {
-		var hit bool
-		pri, hit = take(pri, level, false)
-		sec, hit = take(sec, level, hit)
-		next := max(top(pri), top(sec))
+	w := newLevelWalk(env, lv, primaryOnly)
+	for level, pri, sec, next := w.next(); level > 0; level, pri, sec, next = w.next() {
 		if !(level > next+rewardTol && next < level-rewardTol) {
 			return bestRewardThenQ(ep, r, s, allowed, sc)
 		}
-		if hit {
+		if hasOpen(pri) || hasOpen(sec) {
 			return r.ArgMax(s, func(a int) bool {
 				return lv[env.RewardGroup(a)] == level && open(a)
 			})
 		}
-		level = next
 	}
 	return -1, false
 }
