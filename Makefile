@@ -41,13 +41,17 @@ repofaults:
 	$(GO) test -race ./internal/httpapi/ -run 'TestRepo|TestPreload'
 
 # Short fuzz runs over the parsers that take untrusted bytes: policy
-# artifacts (POST /api/policies/import, a shared -policy-dir) and the
-# compact bitset container ops. go test fuzzes one target per run. The
-# minimization cap keeps a 10 s run fuzzing: shrinking each multi-KB
-# artifact input under the default 60 s budget took most of the run.
+# artifacts (POST /api/policies/import, a shared -policy-dir), the
+# compact bitset container ops, prerequisite expressions and whole
+# uploaded instances (POST /api/instances). go test fuzzes one target
+# per run. The minimization cap keeps a 10 s run fuzzing: shrinking each
+# multi-KB artifact input under the default 60 s budget took most of the
+# run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadArtifact$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bitset/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/prereq/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadInstance$$' -fuzztime 10s -fuzzminimizetime 200x .
 
 # Run every example program once; the first non-zero exit fails the
 # target. go build ./... compiles the examples but never runs them.

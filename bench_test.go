@@ -9,14 +9,17 @@
 package rlplanner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/baselines/omega"
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/synth"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/experiments"
 	"github.com/rlplanner/rlplanner/internal/qtable"
@@ -163,11 +166,7 @@ func BenchmarkFig2LearnScaling(b *testing.B) {
 	for _, n := range []int{100, 200, 300, 500, 1000} {
 		b.Run(byEpisodes(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{Episodes: n, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
+				if _, err := engine.Train(context.Background(), "sarsa", inst, core.Options{Episodes: n, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,16 +180,10 @@ func BenchmarkFig2LearnScaling(b *testing.B) {
 func BenchmarkFig2RecommendScaling(b *testing.B) {
 	inst := trip.NYC().Instance
 	for _, n := range []int{100, 500, 1000} {
-		p, err := core.New(inst, core.Options{Episodes: n, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.Learn(); err != nil {
-			b.Fatal(err)
-		}
+		p, _ := trainPlan(b, "sarsa", inst, core.Options{Episodes: n, Seed: 1})
 		b.Run(byEpisodes(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Plan(); err != nil {
+				if _, err := p.Recommend(engine.DefaultStart); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,6 +192,21 @@ func BenchmarkFig2RecommendScaling(b *testing.B) {
 }
 
 func byEpisodes(n int) string { return fmt.Sprintf("N=%d", n) }
+
+// trainPlan trains the named engine through engine.Train, the path every
+// learner takes, and returns the policy with its default-start plan.
+func trainPlan(b *testing.B, name string, inst *dataset.Instance, opts core.Options) (engine.ValuePolicy, []int) {
+	b.Helper()
+	p, err := engine.Train(context.Background(), name, inst, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := p.Recommend(engine.DefaultStart)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p.(engine.ValuePolicy), plan
+}
 
 // --- Ablation benches for the design choices DESIGN.md §5 calls out. ---
 
@@ -210,19 +218,9 @@ func BenchmarkAblationSimilarity(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{
+				_, plan := trainPlan(b, "sarsa", inst, core.Options{
 					Episodes: 200, Seed: int64(i), Sim: mode, HasSim: true,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := p.Plan()
-				if err != nil {
-					b.Fatal(err)
-				}
 				total += eval.Score(inst, plan)
 			}
 			b.ReportMetric(total/float64(b.N), "score/op")
@@ -238,19 +236,9 @@ func BenchmarkAblationSelection(b *testing.B) {
 		b.Run(sel.String(), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{
+				_, plan := trainPlan(b, "sarsa", inst, core.Options{
 					Episodes: 200, Seed: int64(i), Selection: sel,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := p.Plan()
-				if err != nil {
-					b.Fatal(err)
-				}
 				total += eval.Score(inst, plan)
 			}
 			b.ReportMetric(total/float64(b.N), "score/op")
@@ -262,18 +250,12 @@ func BenchmarkAblationSelection(b *testing.B) {
 // recommendation walk against the raw Algorithm 1 Q walk.
 func BenchmarkAblationGuidedWalk(b *testing.B) {
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Episodes: 300, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.Learn(); err != nil {
-		b.Fatal(err)
-	}
+	p, _ := trainPlan(b, "sarsa", inst, core.Options{Episodes: 300, Seed: 1})
 	start := inst.StartIndex()
 	b.Run("guided", func(b *testing.B) {
 		var total float64
 		for i := 0; i < b.N; i++ {
-			plan, err := p.PlanFrom(start)
+			plan, err := p.Recommend(start)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -284,7 +266,7 @@ func BenchmarkAblationGuidedWalk(b *testing.B) {
 	b.Run("raw", func(b *testing.B) {
 		var total float64
 		for i := 0; i < b.N; i++ {
-			plan, err := p.PlanRaw(start)
+			plan, err := p.Values().Recommend(p.Env(), start)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -318,19 +300,9 @@ func BenchmarkAblationAlgorithm(b *testing.B) {
 		b.Run(alg.String(), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{
-					Episodes: 200, Seed: int64(i), Algorithm: alg,
+				_, plan := trainPlan(b, alg.String(), inst, core.Options{
+					Episodes: 200, Seed: int64(i),
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := p.Plan()
-				if err != nil {
-					b.Fatal(err)
-				}
 				total += eval.Score(inst, plan)
 			}
 			b.ReportMetric(total/float64(b.N), "score/op")
@@ -346,33 +318,23 @@ func BenchmarkAblationSolver(b *testing.B) {
 	b.Run("sarsa", func(b *testing.B) {
 		var total float64
 		for i := 0; i < b.N; i++ {
-			p, err := core.New(inst, core.Options{Episodes: 500, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := p.Learn(); err != nil {
-				b.Fatal(err)
-			}
-			plan, err := p.Plan()
-			if err != nil {
-				b.Fatal(err)
-			}
+			_, plan := trainPlan(b, "sarsa", inst, core.Options{Episodes: 500, Seed: int64(i)})
 			total += eval.Score(inst, plan)
 		}
 		b.ReportMetric(total/float64(b.N), "score/op")
 	})
 	b.Run("value-iteration", func(b *testing.B) {
-		p, err := core.New(inst, core.Options{Seed: 1})
+		env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		var total float64
 		for i := 0; i < b.N; i++ {
-			res, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.95, Seed: int64(i)})
+			res, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.95, Seed: int64(i)})
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := res.Policy.RecommendGuided(p.Env(), inst.StartIndex())
+			plan, err := res.Policy.RecommendGuided(env, inst.StartIndex())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -393,16 +355,7 @@ func BenchmarkCatalogScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{Episodes: 100, Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.Plan(); err != nil {
-					b.Fatal(err)
-				}
+				trainPlan(b, "sarsa", inst, core.Options{Episodes: 100, Seed: int64(i)})
 			}
 		})
 	}
@@ -413,7 +366,7 @@ func BenchmarkCatalogScaling(b *testing.B) {
 func BenchmarkAblationOmegaUtility(b *testing.B) {
 	city := trip.NYC()
 	inst := city.Instance
-	p, err := core.New(inst, core.Options{Seed: 1})
+	env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,7 +383,7 @@ func BenchmarkAblationOmegaUtility(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				plan, err := omega.PlanUtility(p.Env(), inst.StartIndex(), tc.m)
+				plan, err := omega.PlanUtility(env, inst.StartIndex(), tc.m)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -454,19 +407,9 @@ func BenchmarkAblationThetaGate(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(inst, core.Options{
+				_, plan := trainPlan(b, "sarsa", inst, core.Options{
 					Episodes: 200, Seed: int64(i), SoftThetaGate: tc.soft,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Learn(); err != nil {
-					b.Fatal(err)
-				}
-				plan, err := p.Plan()
-				if err != nil {
-					b.Fatal(err)
-				}
 				total += eval.Score(inst, plan)
 			}
 			b.ReportMetric(total/float64(b.N), "score/op")

@@ -187,11 +187,11 @@ func measure(fn func() error) (ns int64, allocs, bytes uint64, err error) {
 // record exercises the distance matrix and theme gates.
 func hotpathRecord(name string, inst *dataset.Instance) (record, error) {
 	rec := newRecord(name, runParams{Workers: 1})
-	p, err := core.New(inst, core.Options{})
+	env, err := core.BuildEnv(inst, core.Options{})
 	if err != nil {
 		return rec, err
 	}
-	env, start := p.Env(), inst.StartIndex()
+	start := inst.StartIndex()
 
 	const episodes = 2000
 	ops := 0

@@ -41,14 +41,9 @@ func NewFeedbackLoop(inst *Instance, opts Options, rate float64) (*FeedbackLoop,
 	if inst == nil {
 		return nil, fmt.Errorf("rlplanner: nil instance")
 	}
-	// The loop needs only the resolved reward config: take the
-	// environment from the engine's cache, which Replan trains on too.
-	copts := opts.toCore()
-	env, err := engine.EnvFor(context.Background(), inst.inner, copts)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.NewWithEnv(inst.inner, copts, env)
+	// The loop needs only the resolved reward config, not an
+	// environment.
+	c, err := core.Resolve(inst.inner, opts.toCore())
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +51,7 @@ func NewFeedbackLoop(inst *Instance, opts Options, rate float64) (*FeedbackLoop,
 	if planLen == 0 {
 		planLen = 5 // trips: budget-determined length; 5 is the Example 2 shape
 	}
-	loop, err := feedback.NewLoop(p.RewardConfig(), planLen, rate)
+	loop, err := feedback.NewLoop(c.Reward, planLen, rate)
 	if err != nil {
 		return nil, err
 	}

@@ -169,24 +169,21 @@ func TestReplanUsesTrainWorkers(t *testing.T) {
 	}
 }
 
-// TestNewFeedbackLoopUsesEnvCache pins the loop's construction to the
-// engine's environment cache: with the environment already cached, a
-// new loop is one cache hit and builds nothing.
-func TestNewFeedbackLoopUsesEnvCache(t *testing.T) {
+// TestNewFeedbackLoopMakesNoEnvLookup: the loop needs only the resolved
+// reward configuration, so constructing one neither looks up nor builds
+// an environment.
+func TestNewFeedbackLoopMakesNoEnvLookup(t *testing.T) {
 	inst, err := InstanceByName("Paris")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 5, TimeLimitHours: 4.5}
-	if _, err := engine.EnvFor(context.Background(), inst.inner, opts.toCore()); err != nil {
-		t.Fatal(err)
-	}
 	before := engine.EnvCacheStats()
 	if _, err := NewFeedbackLoop(inst, opts, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	after := engine.EnvCacheStats()
-	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 0 {
-		t.Errorf("NewFeedbackLoop: %d env cache hits and %d misses, want 1 and 0", hits, misses)
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || misses != 0 {
+		t.Errorf("NewFeedbackLoop: %d env cache hits and %d misses, want none", hits, misses)
 	}
 }

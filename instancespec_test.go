@@ -3,9 +3,13 @@ package rlplanner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/prereq"
 )
 
 // toySpec is a small custom course instance modeled on Table II.
@@ -248,4 +252,82 @@ func TestGenerateInstancePublicAPI(t *testing.T) {
 	if _, err := GenerateInstance(GenParams{Items: 4, Primary: 5, Secondary: 5}); err == nil {
 		t.Fatal("infeasible params accepted")
 	}
+}
+
+// deepPrereqSpec is toySpec with item BD's prerequisite nested in depth
+// pairs of parentheses.
+func deepPrereqSpec(depth int) InstanceSpec {
+	spec := toySpec()
+	spec.Items[4].Prereq = strings.Repeat("(", depth) + "DM" + strings.Repeat(")", depth)
+	return spec
+}
+
+// TestNewInstanceRefusesDeepPrereqNesting: prerequisite parsing recurses
+// once per "(", and a stack overflow kills the process, so an upload
+// nesting deeper than prereq.MaxDepth is refused, naming the item and
+// the depth. Every catalog the repository ships or exports — the six
+// built-ins, a synthetic catalog and the two full institutions
+// cmd/datagen writes — still parses under the bound.
+func TestNewInstanceRefusesDeepPrereqNesting(t *testing.T) {
+	if _, err := NewInstance(deepPrereqSpec(prereq.MaxDepth)); err != nil {
+		t.Fatalf("depth %d refused: %v", prereq.MaxDepth, err)
+	}
+	_, err := NewInstance(deepPrereqSpec(10_000))
+	if err == nil || !strings.Contains(err.Error(), `"BD"`) || !strings.Contains(err.Error(), "10000") {
+		t.Fatalf("depth 10000: err = %v, want a refusal naming item BD and the depth", err)
+	}
+
+	syn, err := GenerateInstance(GenParams{Name: "synthetic-300", Items: 300, PrereqDensity: 0.25, Geo: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range append(Instances(), syn) {
+		var buf bytes.Buffer
+		if err := in.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadInstance(&buf); err != nil {
+			t.Errorf("%s: reload: %v", in.Name(), err)
+		}
+	}
+	for _, u := range []*univ.University{univ.FullUniv1(), univ.FullUniv2()} {
+		for i := 0; i < u.Catalog.Len(); i++ {
+			m := u.Catalog.At(i)
+			if _, err := prereq.Parse(prereq.Format(m.Prereq)); err != nil {
+				t.Errorf("%s %s: %v", u.Name, m.ID, err)
+			}
+		}
+	}
+}
+
+// FuzzLoadInstance: POST /api/instances hands LoadInstance untrusted
+// bytes. Whatever the input, it returns an error or an instance that
+// writes out and loads again. The one exception is a prerequisite that
+// Format's parentheses take past prereq.MaxDepth.
+func FuzzLoadInstance(f *testing.F) {
+	for _, in := range Instances() {
+		var buf bytes.Buffer
+		if err := in.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	deep, err := json.Marshal(deepPrereqSpec(10_000))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deep)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := LoadInstance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := in.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of a loaded instance: %v", err)
+		}
+		if _, err := LoadInstance(&buf); err != nil && !strings.Contains(err.Error(), "parentheses nest") {
+			t.Fatalf("a loaded instance does not load again: %v", err)
+		}
+	})
 }

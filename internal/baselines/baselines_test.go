@@ -4,6 +4,7 @@
 package baselines_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/baselines/eda"
@@ -12,6 +13,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/prereq"
 )
@@ -38,11 +40,11 @@ func TestGoldDeterministic(t *testing.T) {
 
 func TestEDAPlanLengthAndValidity(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Seed: 1})
+	env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := eda.Plan(p.Env(), inst.StartIndex(), 1)
+	plan, err := eda.Plan(env, inst.StartIndex(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +62,15 @@ func TestEDAPlanLengthAndValidity(t *testing.T) {
 
 func TestEDAAveragePlan(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, _ := core.New(inst, core.Options{Seed: 1})
-	plans, err := eda.AveragePlan(p.Env(), inst.StartIndex(), 5, 100)
+	env, _ := core.BuildEnv(inst, core.Options{Seed: 1})
+	plans, err := eda.AveragePlan(env, inst.StartIndex(), 5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plans) != 5 {
 		t.Fatalf("got %d plans", len(plans))
 	}
-	if _, err := eda.AveragePlan(p.Env(), 0, 0, 1); err == nil {
+	if _, err := eda.AveragePlan(env, 0, 0, 1); err == nil {
 		t.Fatal("zero runs accepted")
 	}
 }
@@ -133,11 +135,11 @@ func TestOmegaPlanOftenViolatesConstraints(t *testing.T) {
 	violations := 0
 	instances := append(univ.Univ1All(), univ.Univ2DS())
 	for _, inst := range instances {
-		p, err := core.New(inst, core.Options{Seed: 1})
+		env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := omega.Plan(p.Env(), inst.StartIndex())
+		plan, err := omega.Plan(env, inst.StartIndex())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +157,11 @@ func TestOmegaPlanOftenViolatesConstraints(t *testing.T) {
 
 func TestOmegaTripPlan(t *testing.T) {
 	inst := trip.NYC().Instance
-	p, err := core.New(inst, core.Options{Seed: 1})
+	env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := omega.Plan(p.Env(), inst.StartIndex())
+	plan, err := omega.Plan(env, inst.StartIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +178,12 @@ func TestRelativeOrderingOnDSCT(t *testing.T) {
 	// Figure 1's qualitative shape on one instance: gold ≥ RL-Planner,
 	// RL-Planner > 0, and OMEGA ≤ EDA ≤ RL-Planner.
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Episodes: 300, Seed: 42})
+	p, err := engine.Train(context.Background(), "sarsa", inst, core.Options{Episodes: 300, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	rlPlan, err := p.Plan()
+	env := p.(engine.ValuePolicy).Env()
+	rlPlan, err := p.Recommend(engine.DefaultStart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRelativeOrderingOnDSCT(t *testing.T) {
 	}
 	gd := eval.Score(inst, goldPlan)
 
-	edaPlans, err := eda.AveragePlan(p.Env(), inst.StartIndex(), 5, 7)
+	edaPlans, err := eda.AveragePlan(env, inst.StartIndex(), 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRelativeOrderingOnDSCT(t *testing.T) {
 	}
 	ed /= float64(len(edaPlans))
 
-	omegaPlan, err := omega.Plan(p.Env(), inst.StartIndex())
+	omegaPlan, err := omega.Plan(env, inst.StartIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestOmegaPlanUtilityCoVisitOnTrips(t *testing.T) {
 	// The original-OMEGA variant runs on the Flickr itineraries.
 	city := trip.NYC()
 	inst := city.Instance
-	p, err := core.New(inst, core.Options{Seed: 1})
+	env, err := core.BuildEnv(inst, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestOmegaPlanUtilityCoVisitOnTrips(t *testing.T) {
 		seqs[i] = []int(it)
 	}
 	m := omega.CoVisit(inst.Catalog.Len(), seqs)
-	plan, err := omega.PlanUtility(p.Env(), inst.StartIndex(), m)
+	plan, err := omega.PlanUtility(env, inst.StartIndex(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

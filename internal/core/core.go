@@ -1,13 +1,15 @@
-// Package core assembles the RL-Planner computational framework of §III:
-// it wires a dataset instance (catalog + constraints + Table III defaults)
-// into an MDP environment with the Equation 2 reward, learns a policy with
-// SARSA (Algorithm 1), and produces recommendations. This is the layer the
-// public API, the CLIs and the experiment harness drive.
+// Package core resolves the RL-Planner configuration of §III: Resolve
+// turns a dataset instance (catalog + constraints + Table III defaults)
+// and option overrides into one validated Config — the hard constraints
+// P_hard, the Equation 2 reward and the SARSA learner of Algorithm 1 —
+// and Config.BuildEnv wires the MDP environment from it. The engine
+// layer caches that environment under Config.EnvKey and trains every
+// learner on the resolved Config.
 package core
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -92,36 +94,39 @@ type Options struct {
 	OnEpisode func(i int)
 }
 
-// Planner is a configured RL-Planner for one instance.
-type Planner struct {
-	inst      *dataset.Instance
-	env       *mdp.Env
-	rewardCfg reward.Config
-	sarsaCfg  sarsa.Config
-	result    *sarsa.Result
+// Config is one resolved training configuration: the instance and the
+// effective hard constraints, reward configuration and learner
+// configuration after Options override the Table III defaults. Resolve
+// builds and validates it once per training run; the environment, its
+// cache key and the learner all read from this one value.
+type Config struct {
+	// Inst is the dataset instance being planned over.
+	Inst *dataset.Instance
+	// Hard is the effective P_hard: the instance's hard constraints with
+	// the t and d overrides applied.
+	Hard constraints.Hard
+	// Reward is the effective Equation 2 configuration.
+	Reward reward.Config
+	// Sarsa is the effective learner configuration, with Start resolved
+	// to a catalog index.
+	Sarsa sarsa.Config
 }
 
-// New builds a planner for the instance with the given overrides.
-func New(inst *dataset.Instance, opts Options) (*Planner, error) {
-	env, err := BuildEnv(inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithEnv(inst, opts, env)
-}
-
-// envConfig resolves the environment-determining configuration — the
-// effective hard constraints and reward parameters after option
-// overrides. Everything mdp.NewEnv consumes beyond these comes from the
-// instance itself (catalog, soft constraints) or is derived from them
-// (the trajectory budget), so two (instance, options) pairs with equal
-// envConfig results share one environment.
-func envConfig(inst *dataset.Instance, opts Options) (constraints.Hard, reward.Config, error) {
+// Resolve turns (instance, options) into one validated Config. The
+// learner's start item must be in the catalog, and both the learner and
+// the reward configuration must pass their own Validate.
+func Resolve(inst *dataset.Instance, opts Options) (Config, error) {
 	if inst == nil {
-		return constraints.Hard{}, reward.Config{}, fmt.Errorf("core: nil instance")
+		return Config{}, fmt.Errorf("core: nil instance")
 	}
 	if err := inst.Validate(); err != nil {
-		return constraints.Hard{}, reward.Config{}, err
+		return Config{}, err
+	}
+	if math.IsNaN(opts.TimeLimit) {
+		return Config{}, fmt.Errorf("core: time limit t = %g, want a number", opts.TimeLimit)
+	}
+	if math.IsNaN(opts.MaxDistanceKm) {
+		return Config{}, fmt.Errorf("core: distance threshold d = %g, want a number", opts.MaxDistanceKm)
 	}
 	d := inst.Defaults
 
@@ -163,50 +168,6 @@ func envConfig(inst *dataset.Instance, opts Options) (constraints.Hard, reward.C
 	// Trip rewards track POI popularity (see reward.Config.PopularityScale).
 	rc.PopularityScale = inst.Kind == dataset.TripPlanning
 	rc.SoftGate = opts.SoftThetaGate
-	return hard, rc, nil
-}
-
-// BuildEnv constructs the MDP environment for (instance, options)
-// without a planner around it — the entry the engine layer's
-// environment cache builds through.
-func BuildEnv(inst *dataset.Instance, opts Options) (*mdp.Env, error) {
-	hard, rc, err := envConfig(inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	return mdp.NewEnv(inst.Catalog, hard, inst.Soft, rc, budgetFor(inst, hard))
-}
-
-// EnvKey returns a canonical key identifying the environment that
-// BuildEnv would construct for (instance, options): the instance kind
-// plus the resolved hard constraints and reward configuration. The key
-// deliberately omits the catalog — callers caching environments across
-// instances must scope it by the catalog fingerprint.
-func EnvKey(inst *dataset.Instance, opts Options) (string, error) {
-	hard, rc, err := envConfig(inst, opts)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d|%+v|%+v", inst.Kind, hard, rc), nil
-}
-
-// NewWithEnv is New with a prebuilt environment — typically one shared
-// through the engine layer's cache. The environment must have been built
-// by BuildEnv for an equivalent (instance, options) pair; a catalog-size
-// mismatch is rejected, finer divergence is the caller's contract.
-func NewWithEnv(inst *dataset.Instance, opts Options, env *mdp.Env) (*Planner, error) {
-	_, rc, err := envConfig(inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	if env == nil {
-		return nil, fmt.Errorf("core: nil environment")
-	}
-	if env.NumItems() != inst.Catalog.Len() {
-		return nil, fmt.Errorf("core: environment over %d items, catalog has %d",
-			env.NumItems(), inst.Catalog.Len())
-	}
-	d := inst.Defaults
 
 	startID := inst.DefaultStart
 	if opts.Start != "" {
@@ -214,7 +175,7 @@ func NewWithEnv(inst *dataset.Instance, opts Options, env *mdp.Env) (*Planner, e
 	}
 	start, ok := inst.Catalog.Index(startID)
 	if !ok {
-		return nil, fmt.Errorf("core: start item %q not in catalog", startID)
+		return Config{}, fmt.Errorf("core: start item %q not in catalog", startID)
 	}
 
 	sc := sarsa.Config{
@@ -242,131 +203,42 @@ func NewWithEnv(inst *dataset.Instance, opts Options, env *mdp.Env) (*Planner, e
 		sc.Gamma = opts.Gamma
 	}
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return Config{}, err
 	}
 	if err := rc.Validate(); err != nil {
+		return Config{}, err
+	}
+	return Config{Inst: inst, Hard: hard, Reward: rc, Sarsa: sc}, nil
+}
+
+// EnvKey identifies the environment BuildEnv constructs: the instance
+// kind plus every field of the resolved hard constraints and reward
+// configuration. %#v prints each field in Go syntax and never through a
+// String method — constraints.Hard.String prints only the paper's
+// quadruple, without d. The key omits the catalog, so callers caching
+// environments across instances must scope it by the catalog
+// fingerprint.
+func (c Config) EnvKey() string {
+	return fmt.Sprintf("%d|%#v|%#v", c.Inst.Kind, c.Hard, c.Reward)
+}
+
+// BuildEnv constructs the MDP environment of the configuration. Its
+// trajectory budget H follows the instance kind (§III-A): item count for
+// courses, visitation time for trips.
+func (c Config) BuildEnv() (*mdp.Env, error) {
+	var budget mdp.Budget = mdp.CountBudget{H: c.Hard.Length()}
+	if c.Inst.Kind == dataset.TripPlanning {
+		budget = mdp.TimeBudget{Hours: c.Hard.Credits, MaxItems: c.Hard.Length()}
+	}
+	return mdp.NewEnv(c.Inst.Catalog, c.Hard, c.Inst.Soft, c.Reward, budget)
+}
+
+// BuildEnv resolves (instance, options) and constructs the environment,
+// without a cache.
+func BuildEnv(inst *dataset.Instance, opts Options) (*mdp.Env, error) {
+	c, err := Resolve(inst, opts)
+	if err != nil {
 		return nil, err
 	}
-	return &Planner{inst: inst, env: env, rewardCfg: rc, sarsaCfg: sc}, nil
-}
-
-// budgetFor derives the trajectory budget H from the instance kind
-// (§III-A): item-count for courses, visitation time for trips.
-func budgetFor(inst *dataset.Instance, hard constraints.Hard) mdp.Budget {
-	if inst.Kind == dataset.TripPlanning {
-		return mdp.TimeBudget{Hours: hard.Credits, MaxItems: hard.Length()}
-	}
-	return mdp.CountBudget{H: hard.Length()}
-}
-
-// Instance returns the planner's dataset instance.
-func (p *Planner) Instance() *dataset.Instance { return p.inst }
-
-// Env returns the planner's MDP environment.
-func (p *Planner) Env() *mdp.Env { return p.env }
-
-// RewardConfig returns the effective Equation 2 configuration.
-func (p *Planner) RewardConfig() reward.Config { return p.rewardCfg }
-
-// SarsaConfig returns the effective learner configuration.
-func (p *Planner) SarsaConfig() sarsa.Config { return p.sarsaCfg }
-
-// Learn runs the learning phase. It may be called again to relearn (e.g.
-// after option changes via a new Planner); the latest result wins.
-func (p *Planner) Learn() error {
-	return p.LearnContext(context.Background())
-}
-
-// LearnContext is Learn under a context deadline. When the context
-// expires mid-run, the learner checkpoints: the best-so-far policy is
-// installed and Partial reports true — the deadline produced a degraded
-// policy, not a failure. A context dead before the first episode is an
-// error and leaves any previous result in place.
-func (p *Planner) LearnContext(ctx context.Context) error {
-	res, err := sarsa.LearnContext(ctx, p.env, p.sarsaCfg)
-	if err != nil {
-		return err
-	}
-	p.result = res
-	return nil
-}
-
-// Learned reports whether a policy is available.
-func (p *Planner) Learned() bool { return p.result != nil }
-
-// Partial reports whether the last Learn was checkpointed at a context
-// deadline before completing its episode budget.
-func (p *Planner) Partial() bool { return p.result != nil && p.result.Interrupted }
-
-// TrainedEpisodes returns how many learning episodes the last Learn
-// completed — the full budget for a complete run, fewer for one
-// checkpointed at its deadline. Zero before Learn.
-func (p *Planner) TrainedEpisodes() int {
-	if p.result == nil {
-		return 0
-	}
-	return p.result.EpisodesCompleted()
-}
-
-// MergeBatches returns how many deterministic merge rounds the last
-// Learn ran under the parallel schedule (0 for the sequential schedule
-// or before Learn).
-func (p *Planner) MergeBatches() int {
-	if p.result == nil {
-		return 0
-	}
-	return p.result.MergeBatches
-}
-
-// Policy returns the learned policy, or nil before Learn.
-func (p *Planner) Policy() *sarsa.Policy {
-	if p.result == nil {
-		return nil
-	}
-	return p.result.Policy
-}
-
-// SetPolicy installs an external policy (used by transfer learning). The
-// policy must cover the same catalog size.
-func (p *Planner) SetPolicy(pol *sarsa.Policy) error {
-	if pol == nil || pol.Q == nil {
-		return fmt.Errorf("core: nil policy")
-	}
-	if pol.Q.Size() != p.env.NumItems() {
-		return fmt.Errorf("core: policy size %d vs catalog %d", pol.Q.Size(), p.env.NumItems())
-	}
-	p.result = &sarsa.Result{Policy: pol}
-	return nil
-}
-
-// LearningCurve returns the per-episode returns of the last Learn call.
-func (p *Planner) LearningCurve() []float64 {
-	if p.result == nil {
-		return nil
-	}
-	return append([]float64(nil), p.result.EpisodeReturns...)
-}
-
-// Plan recommends a sequence starting from the configured start item.
-func (p *Planner) Plan() ([]int, error) {
-	return p.PlanFrom(p.sarsaCfg.Start)
-}
-
-// PlanFrom recommends a sequence starting from a specific item index,
-// using the guided (validity-aware) recommendation walk.
-func (p *Planner) PlanFrom(start int) ([]int, error) {
-	if p.result == nil {
-		return nil, fmt.Errorf("core: Learn before Plan")
-	}
-	return p.result.Policy.RecommendGuided(p.env, start)
-}
-
-// PlanRaw recommends with the plain Algorithm 1 walk (no validity
-// filtering) — the variant the transfer-learning study uses to surface
-// "bad" outcomes.
-func (p *Planner) PlanRaw(start int) ([]int, error) {
-	if p.result == nil {
-		return nil, fmt.Errorf("core: Learn before Plan")
-	}
-	return p.result.Policy.Recommend(p.env, start)
+	return c.BuildEnv()
 }

@@ -1,29 +1,53 @@
 package core_test
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/mdp"
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 	"github.com/rlplanner/rlplanner/internal/seqsim"
 	"github.com/rlplanner/rlplanner/internal/stats"
 )
 
-func TestNewAppliesDefaults(t *testing.T) {
-	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Seed: 1})
+// learn resolves opts, builds the environment and runs Algorithm 1 on it
+// — what the engine's trainers do, without their environment cache.
+func learn(t *testing.T, inst *dataset.Instance, opts core.Options) (core.Config, *mdp.Env, *sarsa.Result) {
+	t.Helper()
+	c, err := core.Resolve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := p.SarsaConfig()
+	env, err := c.BuildEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sarsa.Learn(env, c.Sarsa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, env, res
+}
+
+// TestNewAppliesDefaults: Resolve fills every unset option from the
+// instance's Table III defaults and its default start.
+func TestNewAppliesDefaults(t *testing.T) {
+	inst := univ.Univ1DSCT()
+	c, err := core.Resolve(inst, core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := c.Sarsa
 	if sc.Episodes != 500 || sc.Alpha != 0.75 || sc.Gamma != 0.95 {
 		t.Fatalf("sarsa config = %+v", sc)
 	}
-	rc := p.RewardConfig()
+	rc := c.Reward
 	if rc.Delta != 0.8 || rc.Beta != 0.2 || rc.Epsilon != 0.0025 {
 		t.Fatalf("reward config = %+v", rc)
 	}
@@ -33,9 +57,11 @@ func TestNewAppliesDefaults(t *testing.T) {
 	}
 }
 
+// TestNewAppliesOverrides: Resolve applies every set option over the
+// defaults.
 func TestNewAppliesOverrides(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{
+	c, err := core.Resolve(inst, core.Options{
 		Episodes: 100,
 		Alpha:    0.5,
 		Gamma:    0.6,
@@ -49,7 +75,7 @@ func TestNewAppliesOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, rc := p.SarsaConfig(), p.RewardConfig()
+	sc, rc := c.Sarsa, c.Reward
 	if sc.Episodes != 100 || sc.Alpha != 0.5 || sc.Gamma != 0.6 {
 		t.Fatalf("sarsa overrides lost: %+v", sc)
 	}
@@ -67,61 +93,148 @@ func TestNewAppliesOverrides(t *testing.T) {
 func TestHasGammaMarksZeroIntentional(t *testing.T) {
 	inst := univ.Univ1DSCT()
 	// Without HasGamma, γ = 0 means "keep the Table III default".
-	p, err := core.New(inst, core.Options{Gamma: 0})
+	c, err := core.Resolve(inst, core.Options{Gamma: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SarsaConfig().Gamma != inst.Defaults.Gamma {
-		t.Fatalf("γ = %g, want default %g", p.SarsaConfig().Gamma, inst.Defaults.Gamma)
+	if c.Sarsa.Gamma != inst.Defaults.Gamma {
+		t.Fatalf("γ = %g, want default %g", c.Sarsa.Gamma, inst.Defaults.Gamma)
 	}
 	// With HasGamma, γ = 0 is an explicit myopic-learner override.
-	p, err = core.New(inst, core.Options{Gamma: 0, HasGamma: true})
+	c, err = core.Resolve(inst, core.Options{Gamma: 0, HasGamma: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SarsaConfig().Gamma != 0 {
-		t.Fatalf("γ = %g, want explicit 0", p.SarsaConfig().Gamma)
+	if c.Sarsa.Gamma != 0 {
+		t.Fatalf("γ = %g, want explicit 0", c.Sarsa.Gamma)
 	}
 }
 
+// TestNewRejectsBadInput: Resolve refuses what no environment or learner
+// can be built from.
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := core.New(nil, core.Options{}); err == nil {
+	if _, err := core.Resolve(nil, core.Options{}); err == nil {
 		t.Fatal("nil instance accepted")
 	}
 	inst := univ.Univ1DSCT()
-	if _, err := core.New(inst, core.Options{Start: "GHOST 101"}); err == nil {
+	if _, err := core.Resolve(inst, core.Options{Start: "GHOST 101"}); err == nil {
 		t.Fatal("unknown start accepted")
 	}
-	if _, err := core.New(inst, core.Options{Delta: 0.5, Beta: 0.2}); err == nil {
+	if _, err := core.Resolve(inst, core.Options{Delta: 0.5, Beta: 0.2}); err == nil {
 		t.Fatal("non-normalized δ/β accepted")
 	}
-	if _, err := core.New(inst, core.Options{Alpha: 2}); err == nil {
+	if _, err := core.Resolve(inst, core.Options{Alpha: 2}); err == nil {
 		t.Fatal("α out of range accepted")
+	}
+}
+
+// TestResolveRefusesNaNThresholds: a NaN d passes "!= 0" and would be
+// stored, and then every "> 0" test on it reads false, which switches
+// the distance check off. A NaN t is likewise meaningless. Both are
+// refused, with an error naming the threshold.
+func TestResolveRefusesNaNThresholds(t *testing.T) {
+	inst := trip.Paris().Instance
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"time limit t", core.Options{TimeLimit: nan}},
+		{"distance threshold d", core.Options{MaxDistanceKm: nan}},
+	} {
+		_, err := core.Resolve(inst, tc.opts)
+		if err == nil {
+			t.Errorf("%s = NaN accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s = NaN: error %q does not name it", tc.name, err)
+		}
+	}
+}
+
+// TestEnvKeyCoversEveryField: the engine shares one environment between
+// configurations with equal keys, so changing any single field of the
+// resolved hard constraints or reward configuration must change the key.
+// constraints.Hard.String prints only ⟨#cr, #primary, #secondary, gap⟩;
+// a key formatted through it would serve the first d built for a catalog
+// to every later d.
+func TestEnvKeyCoversEveryField(t *testing.T) {
+	for _, inst := range []*dataset.Instance{univ.Univ1DSCT(), trip.Paris().Instance} {
+		base, err := core.Resolve(inst, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := base.EnvKey()
+		if again, _ := core.Resolve(inst, core.Options{}); again.EnvKey() != key {
+			t.Fatalf("%s: key differs between two resolutions of the same options", inst.Name)
+		}
+		typ := reflect.TypeOf(base)
+		for _, name := range []string{"Hard", "Reward"} {
+			top, _ := typ.FieldByName(name)
+			for _, leaf := range leafFields(top.Type, top.Index, name) {
+				c := base
+				mutate(t, reflect.ValueOf(&c).Elem().FieldByIndex(leaf.index), leaf.path)
+				if c.EnvKey() == key {
+					t.Errorf("%s: changing %s leaves the environment key unchanged", inst.Name, leaf.path)
+				}
+			}
+		}
+	}
+}
+
+type leafField struct {
+	path  string
+	index []int
+}
+
+// leafFields lists the non-struct fields under a struct type, depth
+// first, with their index paths from the Config root.
+func leafFields(typ reflect.Type, index []int, path string) []leafField {
+	if typ.Kind() != reflect.Struct {
+		return []leafField{{path, index}}
+	}
+	var out []leafField
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		sub := append(append([]int(nil), index...), i)
+		out = append(out, leafFields(f.Type, sub, path+"."+f.Name)...)
+	}
+	return out
+}
+
+// mutate changes v to a different value of its type. A slice is
+// replaced by a longer copy, so the original's backing array is left
+// alone.
+func mutate(t *testing.T, v reflect.Value, path string) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Slice:
+		longer := reflect.MakeSlice(v.Type(), v.Len()+1, v.Len()+1)
+		reflect.Copy(longer, v)
+		v.Set(longer)
+	default:
+		t.Fatalf("%s: no mutation for kind %s; extend mutate", path, v.Kind())
 	}
 }
 
 func TestLearnAndPlanCourse(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Episodes: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Learned() {
-		t.Fatal("Learned before Learn")
-	}
-	if _, err := p.Plan(); err == nil {
-		t.Fatal("Plan before Learn accepted")
-	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Learned() || p.Policy() == nil {
+	c, env, res := learn(t, inst, core.Options{Episodes: 150, Seed: 3})
+	if res.Policy == nil {
 		t.Fatal("no policy after Learn")
 	}
-	if len(p.LearningCurve()) != 150 {
-		t.Fatalf("learning curve = %d points", len(p.LearningCurve()))
+	if len(res.EpisodeReturns) != 150 {
+		t.Fatalf("learning curve = %d points", len(res.EpisodeReturns))
 	}
-	plan, err := p.Plan()
+	plan, err := res.Policy.RecommendGuided(env, c.Sarsa.Start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +249,8 @@ func TestLearnAndPlanCourse(t *testing.T) {
 
 func TestLearnAndPlanTrip(t *testing.T) {
 	inst := trip.NYC().Instance
-	p, err := core.New(inst, core.Options{Episodes: 120, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	c, env, res := learn(t, inst, core.Options{Episodes: 120, Seed: 4})
+	plan, err := res.Policy.RecommendGuided(env, c.Sarsa.Start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,72 +264,34 @@ func TestLearnAndPlanTrip(t *testing.T) {
 
 func TestTripOptionOverridesThresholds(t *testing.T) {
 	inst := trip.NYC().Instance
-	p, err := core.New(inst, core.Options{Episodes: 50, Seed: 5, TimeLimit: 8, MaxDistanceKm: 4})
+	env, err := core.BuildEnv(inst, core.Options{Episodes: 50, Seed: 5, TimeLimit: 8, MaxDistanceKm: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Env().Hard().Credits != 8 {
-		t.Fatalf("time limit = %v, want 8", p.Env().Hard().Credits)
+	if env.Hard().Credits != 8 {
+		t.Fatalf("time limit = %v, want 8", env.Hard().Credits)
 	}
-	if p.Env().Hard().MaxDistanceKm != 4 {
-		t.Fatalf("distance = %v, want 4", p.Env().Hard().MaxDistanceKm)
+	if env.Hard().MaxDistanceKm != 4 {
+		t.Fatalf("distance = %v, want 4", env.Hard().MaxDistanceKm)
 	}
 	// Negative disables.
-	p2, err := core.New(inst, core.Options{Episodes: 50, Seed: 5, MaxDistanceKm: -1})
+	env2, err := core.BuildEnv(inst, core.Options{Episodes: 50, Seed: 5, MaxDistanceKm: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Env().Hard().MaxDistanceKm != 0 {
+	if env2.Hard().MaxDistanceKm != 0 {
 		t.Fatal("negative distance should disable the check")
-	}
-}
-
-func TestSetPolicyForTransfer(t *testing.T) {
-	dsct := univ.Univ1DSCT()
-	p1, err := core.New(dsct, core.Options{Episodes: 80, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Learn(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := core.New(dsct, core.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.SetPolicy(p1.Policy()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Plan(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mismatched size is rejected.
-	cs := univ.Univ1CS()
-	p3, err := core.New(cs, core.Options{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p3.SetPolicy(p1.Policy()); err == nil {
-		t.Fatal("mismatched policy size accepted")
-	}
-	if err := p3.SetPolicy(nil); err == nil {
-		t.Fatal("nil policy accepted")
 	}
 }
 
 func TestPlanRawVsGuided(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, _ := core.New(inst, core.Options{Episodes: 120, Seed: 10})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := p.PlanRaw(inst.StartIndex())
+	_, env, res := learn(t, inst, core.Options{Episodes: 120, Seed: 10})
+	raw, err := res.Policy.Recommend(env, inst.StartIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := p.PlanFrom(inst.StartIndex())
+	guided, err := res.Policy.RecommendGuided(env, inst.StartIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,24 +302,22 @@ func TestPlanRawVsGuided(t *testing.T) {
 
 func TestSelectionOverride(t *testing.T) {
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Episodes: 40, Seed: 11, Selection: sarsa.QGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SarsaConfig().Selection != sarsa.QGreedy {
+	c, _, _ := learn(t, inst, core.Options{Episodes: 40, Seed: 11, Selection: sarsa.QGreedy})
+	if c.Sarsa.Selection != sarsa.QGreedy {
 		t.Fatal("selection override lost")
-	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestBudgetKindDerivation(t *testing.T) {
-	course, _ := core.New(univ.Univ1DSCT(), core.Options{Seed: 12})
-	if course.Instance().Kind != dataset.CoursePlanning {
+	course, _ := core.Resolve(univ.Univ1DSCT(), core.Options{Seed: 12})
+	if course.Inst.Kind != dataset.CoursePlanning {
 		t.Fatal("wrong kind")
 	}
-	ep, _ := course.Env().Start(0)
+	env, err := course.BuildEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := env.Start(0)
 	if ep.Done() {
 		t.Fatal("fresh course episode already done")
 	}
@@ -261,14 +328,8 @@ func TestConvergenceSARSAVsQLearning(t *testing.T) {
 	// errors" than alternatives; compare learning-curve settling points.
 	inst := univ.Univ1DSCT()
 	converged := func(alg sarsa.Algorithm) int {
-		p, err := core.New(inst, core.Options{Episodes: 400, Seed: 17, Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Learn(); err != nil {
-			t.Fatal(err)
-		}
-		return stats.ConvergedAt(p.LearningCurve(), 40, 2.0)
+		_, _, res := learn(t, inst, core.Options{Episodes: 400, Seed: 17, Algorithm: alg})
+		return stats.ConvergedAt(res.EpisodeReturns, 40, 2.0)
 	}
 	s := converged(sarsa.SARSA)
 	q := converged(sarsa.QLearning)
@@ -300,34 +361,22 @@ func TestSparsePlansBitIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := core.Options{Episodes: 150, Seed: 7}
-			dense, err := core.New(tc.inst, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.Learn(); err != nil {
-				t.Fatal(err)
-			}
-			if !dense.Policy().Q.IsDense() {
+			_, denv, dense := learn(t, tc.inst, opts)
+			if !dense.Policy.Q.IsDense() {
 				t.Fatal("default options did not produce a dense Q on a small catalog")
 			}
 
 			sopts := opts
 			sopts.DenseQMax = 1
-			sparse, err := core.New(tc.inst, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sparse.Learn(); err != nil {
-				t.Fatal(err)
-			}
-			if sparse.Policy().Q.IsDense() {
+			_, senv, sparse := learn(t, tc.inst, sopts)
+			if sparse.Policy.Q.IsDense() {
 				t.Fatal("DenseQMax=1 did not force the sparse representation")
 			}
 
 			n := tc.inst.Catalog.Len()
 			for start := 0; start < n; start += 7 {
-				dp, derr := dense.PlanFrom(start)
-				sp, serr := sparse.PlanFrom(start)
+				dp, derr := dense.Policy.RecommendGuided(denv, start)
+				sp, serr := sparse.Policy.RecommendGuided(senv, start)
 				if (derr == nil) != (serr == nil) {
 					t.Fatalf("start %d: dense err %v, sparse err %v", start, derr, serr)
 				}

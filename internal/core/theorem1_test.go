@@ -119,11 +119,10 @@ func TestTheorem1PositiveRewardTrajectoriesSatisfyGaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		inst := randomInstance(rng, fmt.Sprintf("rand-%d", trial))
-		p, err := core.New(inst, core.Options{Seed: int64(trial)})
+		env, err := core.BuildEnv(inst, core.Options{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := p.Env()
 		ep, err := env.Start(rng.Intn(env.NumItems()))
 		if err != nil {
 			t.Fatal(err)
@@ -154,14 +153,8 @@ func TestTheorem1LearnedPlansSatisfyHardConstraints(t *testing.T) {
 	const trials = 15
 	for trial := 0; trial < trials; trial++ {
 		inst := randomInstance(rng, fmt.Sprintf("rand2-%d", trial))
-		p, err := core.New(inst, core.Options{Episodes: 250, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Learn(); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := p.Plan()
+		c, env, res := learn(t, inst, core.Options{Episodes: 250, Seed: int64(trial)})
+		plan, err := res.Policy.RecommendGuided(env, c.Sarsa.Start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,14 +186,8 @@ func TestCountBudgetMeetsCreditFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
 		inst := randomInstance(rng, fmt.Sprintf("rand3-%d", trial))
-		p, err := core.New(inst, core.Options{Episodes: 150, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Learn(); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := p.Plan()
+		c, env, res := learn(t, inst, core.Options{Episodes: 150, Seed: int64(trial)})
+		plan, err := res.Policy.RecommendGuided(env, c.Sarsa.Start)
 		if err != nil {
 			t.Fatal(err)
 		}

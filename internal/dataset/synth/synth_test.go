@@ -1,11 +1,13 @@
 package synth_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/baselines/gold"
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset/synth"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
@@ -107,14 +109,11 @@ func TestGenerateFeasibilityGuarantee(t *testing.T) {
 
 func TestGeneratedInstanceLearnsEndToEnd(t *testing.T) {
 	inst := synth.MustGenerate(synth.Params{Seed: 3, Items: 40, PrereqDensity: 0.3})
-	p, err := core.New(inst, core.Options{Episodes: 250, Seed: 3})
+	p, err := engine.Train(context.Background(), "sarsa", inst, core.Options{Episodes: 250, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
+	plan, err := p.Recommend(engine.DefaultStart)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,17 +77,18 @@ func Derive(ctx context.Context, src Policy, inst *dataset.Instance, opts core.O
 // table is re-indexed onto the target catalog through the same mapping
 // Derive seeds from, and the result serves from the target's cached
 // environment under opts, exactly as a loaded artifact would. The
-// policy keeps the source's engine name.
-func Transfer(src Policy, inst *dataset.Instance, opts core.Options) (Policy, error) {
-	mapped, _, err := mapSource("transfer", src, inst)
+// policy keeps the source's engine name. The mapping is returned beside
+// it.
+func Transfer(src Policy, inst *dataset.Instance, opts core.Options) (Policy, *transfer.Mapping, error) {
+	mapped, m, err := mapSource("transfer", src, inst)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	v, err := bindValues(src.Engine(), inst, opts, mapped)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v, nil
+	return v, m, nil
 }
 
 // mapSource checks that src is a tabular policy and inst a target, then

@@ -81,10 +81,11 @@ func TestDeriveRejectsProceduralSource(t *testing.T) {
 }
 
 // TestTransferMatchesCorePath: engine.Transfer serves, from every start
-// and from the default one, exactly the plans of the reference path — a
-// core planner built on the target with the transfer-mapped Q table
-// installed — on the two §IV-D case studies. A procedural source and a
-// nil target are refused.
+// and from the default one, exactly the plans of the reference path — the
+// transfer-mapped Q table walked in an environment built from the
+// target's resolved configuration — on the two §IV-D case studies, and
+// returns the mapping it used. A procedural source and a nil target are
+// refused.
 func TestTransferMatchesCorePath(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -99,7 +100,7 @@ func TestTransferMatchesCorePath(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		opts := core.Options{Seed: 12}
-		moved, err := engine.Transfer(src, tc.dst, opts)
+		moved, movedMapping, err := engine.Transfer(src, tc.dst, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -108,24 +109,28 @@ func TestTransferMatchesCorePath(t *testing.T) {
 		}
 
 		vp := src.(engine.ValuePolicy)
-		mapped, _, err := transfer.Map(vp.Values(), vp.Env().Catalog(), tc.dst.Catalog)
+		mapped, mapping, err := transfer.Map(vp.Values(), vp.Env().Catalog(), tc.dst.Catalog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := core.New(tc.dst, opts)
+		if !reflect.DeepEqual(movedMapping, mapping) {
+			t.Fatalf("%s: Transfer returned mapping %+v, want %+v", tc.name, movedMapping, mapping)
+		}
+		ref, err := core.Resolve(tc.dst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.SetPolicy(mapped); err != nil {
+		env, err := ref.BuildEnv()
+		if err != nil {
 			t.Fatal(err)
 		}
-		want, werr := ref.Plan()
+		want, werr := mapped.RecommendGuided(env, ref.Sarsa.Start)
 		got, gerr := moved.Recommend(engine.DefaultStart)
 		if werr != nil || gerr != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s default start: got %v (%v), want %v (%v)", tc.name, got, gerr, want, werr)
 		}
 		for start := 0; start < tc.dst.Catalog.Len(); start++ {
-			want, werr := ref.PlanFrom(start)
+			want, werr := mapped.RecommendGuided(env, start)
 			got, gerr := moved.Recommend(start)
 			if (werr != nil) != (gerr != nil) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s start %d: got %v (%v), want %v (%v)", tc.name, start, got, gerr, want, werr)
@@ -137,14 +142,14 @@ func TestTransferMatchesCorePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Transfer(gold, univ.Univ1DSCT(), core.Options{}); err == nil {
+	if _, _, err := engine.Transfer(gold, univ.Univ1DSCT(), core.Options{}); err == nil {
 		t.Fatal("transfer from a procedural policy accepted")
 	}
 	src, err := engine.Train(ctx, "sarsa", univ.Univ1CS(), core.Options{Episodes: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Transfer(src, nil, core.Options{}); err == nil {
+	if _, _, err := engine.Transfer(src, nil, core.Options{}); err == nil {
 		t.Fatal("transfer to a nil instance accepted")
 	}
 }

@@ -22,30 +22,25 @@ const DefaultEnvCacheSize = 64
 var envs = NewStore[*mdp.Env](DefaultEnvCacheSize)
 
 // EnvFor returns the environment for (instance, options), building and
-// caching it on first use. The cache key scopes core.EnvKey (the
-// resolved kind + hard constraints + reward configuration) by the
-// catalog fingerprint, so equal-config requests against different
-// catalogs never share state.
+// caching it on first use.
 func EnvFor(ctx context.Context, inst *dataset.Instance, opts core.Options) (*mdp.Env, error) {
-	key, err := core.EnvKey(inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	env, _, err := envs.GetOrTrain(ctx, Fingerprint(inst)+"|"+key, func() (*mdp.Env, error) {
-		return core.BuildEnv(inst, opts)
-	})
+	_, env, err := resolve(ctx, inst, opts)
 	return env, err
 }
 
-// newPlanner builds a core.Planner over the cached environment — the
-// constructor every trainer and artifact load routes through instead of
-// core.New, which rebuilds the environment from scratch.
-func newPlanner(ctx context.Context, inst *dataset.Instance, opts core.Options) (*core.Planner, error) {
-	env, err := EnvFor(ctx, inst, opts)
+// resolve resolves (instance, options) once and returns the resolved
+// configuration with its cached environment — the set-up every trainer,
+// artifact load and transfer shares. The cache key scopes the
+// configuration's EnvKey (kind plus every field of the resolved hard
+// constraints and reward configuration) by the catalog fingerprint, so
+// equal-config requests against different catalogs never share state.
+func resolve(ctx context.Context, inst *dataset.Instance, opts core.Options) (core.Config, *mdp.Env, error) {
+	c, err := core.Resolve(inst, opts)
 	if err != nil {
-		return nil, err
+		return core.Config{}, nil, err
 	}
-	return core.NewWithEnv(inst, opts, env)
+	env, _, err := envs.GetOrTrain(ctx, Fingerprint(inst)+"|"+c.EnvKey(), c.BuildEnv)
+	return c, env, err
 }
 
 // EnvCacheStats reports the environment cache's cumulative lookup

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
 	"github.com/rlplanner/rlplanner/internal/mdp"
 )
@@ -128,5 +129,25 @@ func TestEnvCacheStatsCount(t *testing.T) {
 	if after.Hits != mid.Hits+1 || after.Misses != mid.Misses {
 		t.Fatalf("warm lookup: hits %d -> %d misses %d -> %d, want one hit and no miss",
 			mid.Hits, after.Hits, mid.Misses, after.Misses)
+	}
+}
+
+// TestTrainKeepsRequestedDistance: the environment cache key covers the
+// trip distance threshold d, so a policy trained on Paris at d = 2 km
+// after one at d = 5 km, or in the reverse order, holds the d it was
+// asked for — not the d of whichever environment the process built
+// first.
+func TestTrainKeepsRequestedDistance(t *testing.T) {
+	inst := trip.Paris().Instance
+	for _, order := range [][]float64{{5, 2}, {2, 5}} {
+		for _, d := range order {
+			pol, err := Train(context.Background(), "sarsa", inst, core.Options{Episodes: 50, Seed: 1, MaxDistanceKm: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pol.Hard().MaxDistanceKm; got != d {
+				t.Errorf("order %v: trained at d = %g, policy holds d = %g", order, d, got)
+			}
+		}
 	}
 }

@@ -109,14 +109,14 @@ type valuePolicy struct {
 // bindValues serves a Q table from inst's cached environment under
 // opts — the rebinding an artifact load and a transfer share.
 func bindValues(engine string, inst *dataset.Instance, opts core.Options, values *sarsa.Policy) (*valuePolicy, error) {
-	p, err := newPlanner(context.Background(), inst, opts)
+	c, env, err := resolve(context.Background(), inst, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &valuePolicy{
-		meta:   metaFor(engine, inst, p.Env().Hard()),
-		env:    p.Env(),
-		start:  p.SarsaConfig().Start,
+		meta:   metaFor(engine, inst, env.Hard()),
+		env:    env,
+		start:  c.Sarsa.Start,
 		values: values,
 	}, nil
 }
@@ -192,7 +192,7 @@ func trainTD(alg sarsa.Algorithm) TrainFunc {
 	}
 	return func(ctx context.Context, inst *dataset.Instance, opts core.Options) (Policy, error) {
 		opts.Algorithm = alg
-		p, err := newPlanner(ctx, inst, opts)
+		c, env, err := resolve(ctx, inst, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -204,28 +204,29 @@ func trainTD(alg sarsa.Algorithm) TrainFunc {
 		// guided recommendation walk can still serve validly — the
 		// artifact is marked partial rather than failing the request.
 		begin := time.Now()
-		if err := p.LearnContext(ctx); err != nil {
+		res, err := sarsa.LearnContext(ctx, env, c.Sarsa)
+		if err != nil {
 			return nil, err
 		}
-		noteTrainRun(p.TrainedEpisodes(), p.MergeBatches(), time.Since(begin), opts.InitQ != nil)
-		m := metaFor(name, inst, p.Env().Hard())
-		m.episodes = p.TrainedEpisodes()
-		if p.Partial() {
+		noteTrainRun(res.EpisodesCompleted(), res.MergeBatches, time.Since(begin), opts.InitQ != nil)
+		m := metaFor(name, inst, env.Hard())
+		m.episodes = res.EpisodesCompleted()
+		if res.Interrupted {
 			m.degraded = DegradedPartial
 		}
 		return &valuePolicy{
 			meta:         m,
-			env:          p.Env(),
-			start:        p.SarsaConfig().Start,
-			values:       p.Policy(),
-			curve:        p.LearningCurve(),
-			mergeBatches: p.MergeBatches(),
+			env:          env,
+			start:        c.Sarsa.Start,
+			values:       res.Policy,
+			curve:        res.EpisodeReturns,
+			mergeBatches: res.MergeBatches,
 		}, nil
 	}
 }
 
 func trainValueIter(ctx context.Context, inst *dataset.Instance, opts core.Options) (Policy, error) {
-	p, err := newPlanner(ctx, inst, opts)
+	c, env, err := resolve(ctx, inst, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,18 +235,18 @@ func trainValueIter(ctx context.Context, inst *dataset.Instance, opts core.Optio
 	}
 	// Value iteration needs γ < 1 to converge; the resolved SARSA config
 	// carries the effective γ (option override or Table III default).
-	gamma := p.SarsaConfig().Gamma
+	gamma := c.Sarsa.Gamma
 	if gamma >= 1 {
 		gamma = 0.95
 	}
-	res, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: gamma, Seed: opts.Seed})
+	res, err := valueiter.Solve(env, valueiter.Config{Gamma: gamma, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
 	return &valuePolicy{
-		meta:       metaFor("valueiter", inst, p.Env().Hard()),
-		env:        p.Env(),
-		start:      p.SarsaConfig().Start,
+		meta:       metaFor("valueiter", inst, env.Hard()),
+		env:        env,
+		start:      c.Sarsa.Start,
 		values:     res.Policy,
 		iterations: res.Iterations,
 	}, nil
@@ -255,19 +256,19 @@ func trainEDA(ctx context.Context, inst *dataset.Instance, opts core.Options) (P
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := newPlanner(ctx, inst, opts)
+	c, env, err := resolve(ctx, inst, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	env, seed := p.Env(), opts.Seed
+	seed := opts.Seed
 	// The greedy walk itself runs at Recommend time under the serving
 	// path's own guard; the training context must not outlive Train.
 	return &walkPolicy{
 		meta:  metaFor("eda", inst, env.Hard()),
-		start: p.SarsaConfig().Start,
+		start: c.Sarsa.Start,
 		seed:  seed,
 		walk:  func(start int) ([]int, error) { return eda.Plan(env, start, seed) },
 	}, nil
@@ -277,11 +278,10 @@ func trainOmega(ctx context.Context, inst *dataset.Instance, opts core.Options) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := newPlanner(ctx, inst, opts)
+	c, env, err := resolve(ctx, inst, opts)
 	if err != nil {
 		return nil, err
 	}
-	env := p.Env()
 	// The co-coverage utility matrix is start-independent: compute it once
 	// at train time (checking the deadline per row), share it across
 	// Recommend calls.
@@ -291,7 +291,7 @@ func trainOmega(ctx context.Context, inst *dataset.Instance, opts core.Options) 
 	}
 	return &walkPolicy{
 		meta:  metaFor("omega", inst, env.Hard()),
-		start: p.SarsaConfig().Start,
+		start: c.Sarsa.Start,
 		walk:  func(start int) ([]int, error) { return omega.PlanUtility(env, start, m) },
 	}, nil
 }

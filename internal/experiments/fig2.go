@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/stats"
 )
 
@@ -29,21 +31,24 @@ func Fig2(cfg Config) ([]Fig2Point, error) {
 	episodes := []int{100, 200, 300, 500, 1000}
 	instances := []*dataset.Instance{univ.Univ1DSCT(), trip.NYC().Instance}
 
+	ctx := context.Background()
 	var out []Fig2Point
 	for _, inst := range instances {
+		// N is not part of the environment: build it once, outside the
+		// timed runs.
+		if _, err := engine.EnvFor(ctx, inst, core.Options{Seed: cfg.BaseSeed}); err != nil {
+			return nil, err
+		}
 		for _, n := range episodes {
-			p, err := core.New(inst, core.Options{Episodes: n, Seed: cfg.BaseSeed})
-			if err != nil {
-				return nil, err
-			}
 			t0 := time.Now()
-			if err := p.Learn(); err != nil {
+			pol, err := engine.Train(ctx, "sarsa", inst, core.Options{Episodes: n, Seed: cfg.BaseSeed})
+			if err != nil {
 				return nil, err
 			}
 			learn := time.Since(t0)
 
 			t0 = time.Now()
-			if _, err := p.Plan(); err != nil {
+			if _, err := pol.Recommend(engine.DefaultStart); err != nil {
 				return nil, err
 			}
 			rec := time.Since(t0)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"github.com/rlplanner/rlplanner/internal/baselines/gold"
@@ -8,6 +9,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/stats"
 )
@@ -85,14 +87,12 @@ func medianPlanOverSeeds(inst *dataset.Instance, cfg Config, seeds int) ([]int, 
 	}
 	all := make([]scored, seeds)
 	err := forEach(cfg.workers(), seeds, func(s int) error {
-		p, err := core.New(inst, core.Options{Seed: cfg.BaseSeed + int64(s), Episodes: cfg.Episodes})
+		pol, err := engine.Train(context.Background(), "sarsa", inst,
+			core.Options{Seed: cfg.BaseSeed + int64(s), Episodes: cfg.Episodes})
 		if err != nil {
 			return err
 		}
-		if err := p.Learn(); err != nil {
-			return err
-		}
-		plan, err := p.Plan()
+		plan, err := pol.Recommend(engine.DefaultStart)
 		if err != nil {
 			return err
 		}

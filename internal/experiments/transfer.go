@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -36,38 +38,31 @@ type TransferCase struct {
 // mapping.
 func transferBetween(src, dst *dataset.Instance, cfg Config) (*TransferCase, error) {
 	cfg = cfg.withDefaults()
-	p, err := core.New(src, core.Options{Seed: cfg.BaseSeed, Episodes: cfg.Episodes})
+	pol, err := engine.Train(context.Background(), "sarsa", src,
+		core.Options{Seed: cfg.BaseSeed, Episodes: cfg.Episodes})
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Learn(); err != nil {
-		return nil, err
-	}
-	pol, mapping, err := transfer.Map(p.Policy(), src.Catalog, dst.Catalog)
+	moved, mapping, err := engine.Transfer(pol, dst, core.Options{Seed: cfg.BaseSeed + 1})
 	if err != nil {
-		return nil, err
-	}
-	target, err := core.New(dst, core.Options{Seed: cfg.BaseSeed + 1})
-	if err != nil {
-		return nil, err
-	}
-	if err := target.SetPolicy(pol); err != nil {
 		return nil, err
 	}
 
-	good, err := target.Plan()
+	good, err := moved.Recommend(engine.DefaultStart)
 	if err != nil {
 		return nil, err
 	}
 	// The raw Algorithm 1 walk surfaces "bad" outcomes. Walk several
 	// starts until one misses a constraint; fall back to the raw default
 	// plan otherwise.
-	bad, err := target.PlanRaw(dst.StartIndex())
+	target := moved.(engine.ValuePolicy)
+	raw := func(start int) ([]int, error) { return target.Values().Recommend(target.Env(), start) }
+	bad, err := raw(dst.StartIndex())
 	if err != nil {
 		return nil, err
 	}
 	for start := 0; start < dst.Catalog.Len() && eval.Score(dst, bad) > 0; start++ {
-		cand, err := target.PlanRaw(start)
+		cand, err := raw(start)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +165,7 @@ func Table8(cfg Config) ([]Table8Row, error) {
 	err := forEach(cfg.workers(), len(rows), func(j int) error {
 		ci, v := j/variants, j%variants
 		inst := cities[ci].Instance
-		p, err := core.New(inst, core.Options{
+		pol, err := engine.Train(context.Background(), "sarsa", inst, core.Options{
 			Seed:     cfg.BaseSeed + int64(ci*10+v),
 			Episodes: cfg.Episodes,
 			// The paper's Table VIII varies t and d per itinerary.
@@ -180,10 +175,7 @@ func Table8(cfg Config) ([]Table8Row, error) {
 		if err != nil {
 			return err
 		}
-		if err := p.Learn(); err != nil {
-			return err
-		}
-		plan, err := p.Plan()
+		plan, err := pol.Recommend(engine.DefaultStart)
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/rlplanner/rlplanner"
+	"github.com/rlplanner/rlplanner/internal/geo"
 )
 
 // testServer spins up the API once per test.
@@ -92,6 +93,44 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 	if plan.TotalCredits != 30 {
 		t.Fatalf("credits = %v", plan.TotalCredits)
+	}
+}
+
+// TestPlanServesRequestedDistance: a plan requested at d = 2 km is
+// walked in the environment built for d = 2, whether the default
+// (d = 5) request came first or second: its path is at most 2 km, or the
+// plan reports the violation.
+func TestPlanServesRequestedDistance(t *testing.T) {
+	paris, err := rlplanner.InstanceByName("Paris")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]geo.Point{}
+	for _, it := range paris.Spec().Items {
+		at[it.ID] = geo.Point{Lat: it.Lat, Lon: it.Lon}
+	}
+	for _, order := range [][]float64{{0, 2}, {2, 0}} {
+		ts := testServer(t)
+		for _, d := range order {
+			req := map[string]interface{}{"instance": "Paris", "seed": 1}
+			if d != 0 {
+				req["max_distance_km"] = d
+			}
+			var plan rlplanner.Plan
+			if code := doJSON(t, "POST", ts.URL+"/api/plan", req, &plan); code != 200 {
+				t.Fatalf("order %v, d = %g: status %d", order, d, code)
+			}
+			if d != 2 {
+				continue
+			}
+			pts := make([]geo.Point, len(plan.Steps))
+			for i, s := range plan.Steps {
+				pts[i] = at[s.ID]
+			}
+			if km := geo.PathLength(pts); km > d && plan.SatisfiesConstraints {
+				t.Errorf("order %v: d = %g plan %v walks %.2f km and reports no violation", order, d, plan.IDs(), km)
+			}
+		}
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 )
 
 // benchEnv wires the Univ-1 DS-CT instance into an environment the way
-// core does, so the benchmarks exercise the exact learning-time hot path.
+// training does, so the benchmarks exercise the exact learning-time hot path.
 func benchEnv(b *testing.B) (*mdp.Env, int) {
 	b.Helper()
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{})
+	env, err := core.BuildEnv(inst, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p.Env(), inst.StartIndex()
+	return env, inst.StartIndex()
 }
 
 // benchTripEnv wires the NYC trip instance — distance threshold, theme
@@ -27,11 +27,11 @@ func benchEnv(b *testing.B) (*mdp.Env, int) {
 func benchTripEnv(b *testing.B) (*mdp.Env, int) {
 	b.Helper()
 	inst := trip.NYC().Instance
-	p, err := core.New(inst, core.Options{})
+	env, err := core.BuildEnv(inst, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p.Env(), inst.StartIndex()
+	return env, inst.StartIndex()
 }
 
 // BenchmarkEpisodeStep walks full greedy episodes: per step it collects

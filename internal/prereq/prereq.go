@@ -137,6 +137,7 @@ func Format(e Expr) string {
 // AND binds tighter than OR, mirroring usual boolean convention, so
 // "A OR B AND C" parses as Or{A, And{B, C}}. Mixed expressions should use
 // parentheses for clarity; catalogs in this repository always do.
+// Parentheses may nest at most MaxDepth deep.
 func Parse(s string) (Expr, error) {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "[")
@@ -145,7 +146,11 @@ func Parse(s string) (Expr, error) {
 	if s == "" {
 		return nil, nil
 	}
-	p := &parser{toks: tokenize(s)}
+	toks := tokenize(s)
+	if d := nesting(toks); d > MaxDepth {
+		return nil, fmt.Errorf("prereq: parentheses nest %d deep, more than %d", d, MaxDepth)
+	}
+	p := &parser{toks: toks}
 	e, err := p.parseOr()
 	if err != nil {
 		return nil, err
@@ -154,6 +159,29 @@ func Parse(s string) (Expr, error) {
 		return nil, fmt.Errorf("prereq: trailing tokens at %q", strings.Join(p.toks[p.pos:], " "))
 	}
 	return e, nil
+}
+
+// MaxDepth bounds how deeply Parse lets parentheses nest. The parser
+// recurses once per "(", and running out of stack is a fatal error that
+// no recover can catch, so an uploaded catalog must not choose the depth.
+// The built-in catalogs nest one level.
+const MaxDepth = 32
+
+// nesting returns the deepest parenthesis nesting in toks — an upper
+// bound on the parser's recursion, which stops at the first unmatched
+// ")".
+func nesting(toks []string) int {
+	depth, deepest := 0, 0
+	for _, t := range toks {
+		switch t {
+		case "(":
+			depth++
+			deepest = max(deepest, depth)
+		case ")":
+			depth--
+		}
+	}
+	return deepest
 }
 
 // MustParse is Parse that panics on error, for fixed catalog literals.

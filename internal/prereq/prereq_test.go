@@ -1,6 +1,8 @@
 package prereq
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -179,4 +181,56 @@ func TestZeroGapMeansAnyEarlierPosition(t *testing.T) {
 	if !e.SatisfiedAt(1, map[string]int{"X": 1}, 0) {
 		t.Fatal("gap 0 should accept same position distance 0")
 	}
+}
+
+// nested wraps "A" in d pairs of parentheses.
+func nested(d int) string {
+	return strings.Repeat("(", d) + "A" + strings.Repeat(")", d)
+}
+
+// TestParseBoundsNesting: the parser recurses once per "(", and a stack
+// overflow is fatal, so nesting deeper than MaxDepth is refused with the
+// depth in the error. MaxDepth itself still parses.
+func TestParseBoundsNesting(t *testing.T) {
+	if e, err := Parse(nested(MaxDepth)); err != nil || e != Ref("A") {
+		t.Fatalf("Parse at depth %d = %v, %v; want A", MaxDepth, e, err)
+	}
+	for _, d := range []int{MaxDepth + 1, 10_000} {
+		_, err := Parse(nested(d))
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(d)) {
+			t.Errorf("Parse at depth %d: err = %v, want a refusal naming the depth", d, err)
+		}
+	}
+}
+
+// FuzzParse: prerequisite expressions arrive in uploaded catalogs
+// (POST /api/instances). Whatever the input, Parse returns an error or
+// an expression whose Format parses back to the same Format — unless
+// Format's parentheses around each nested AND/OR take it past MaxDepth.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", "[]", "Data Mining", "[Data Mining OR Data Analytics]",
+		"Linear Algebra AND Data Mining", "(A OR B) AND C", "A OR B AND C",
+		"((A))", "A)", "(A", "( )", nested(MaxDepth), nested(MaxDepth + 1), nested(10_000),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := Parse(s)
+		if err != nil {
+			return
+		}
+		_ = ReferencedItems(e)
+		out := Format(e)
+		again, err := Parse(out)
+		if err != nil {
+			if nesting(tokenize(out)) > MaxDepth {
+				return
+			}
+			t.Fatalf("Parse(%q) = %q, which does not parse again: %v", s, out, err)
+		}
+		if Format(again) != out {
+			t.Fatalf("Parse(%q) formats as %q, then as %q", s, out, Format(again))
+		}
+	})
 }

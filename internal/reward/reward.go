@@ -85,14 +85,28 @@ type Config struct {
 // SoftGatePenalty is the (1−θ) penalty magnitude of the SoftGate variant.
 const SoftGatePenalty = 2.0
 
-// Validate checks the normalization constraints of Eq. 2: δ+β = 1 and,
-// unless per-category weights are used, w1+w2 = 1. It deliberately does
+// Validate checks that every weight and ε is finite, and the
+// normalization constraints of Eq. 2: δ+β = 1 and, unless per-category
+// weights are used, w1+w2 = 1. It deliberately does
 // NOT require w1 > w2 — the robustness study sweeps weight settings that
 // break Theorem 1's Case II premise (Table IX tries w1/w2 = 0.4/0.6 and
 // 0.5/0.5 and observes degraded or zero scores); use
 // SatisfiesTheorem1Premise to test the premise separately.
 func (c Config) Validate() error {
 	const tol = 1e-9
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"δ", c.Delta}, {"β", c.Beta}, {"ε", c.Epsilon}, {"w1", c.Weights.Primary}, {"w2", c.Weights.Secondary}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("reward: %s = %g, want a finite number", f.name, f.v)
+		}
+	}
+	for i, w := range c.Weights.Category {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("reward: category weight w%d = %g, want a finite number", i+1, w)
+		}
+	}
 	if math.Abs(c.Delta+c.Beta-1) > tol {
 		return fmt.Errorf("reward: δ+β = %g, want 1", c.Delta+c.Beta)
 	}

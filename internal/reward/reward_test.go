@@ -3,6 +3,7 @@ package reward
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,39 @@ func validConfig() Config {
 		Weights:  Weights{Primary: 0.6, Secondary: 0.4},
 		Sim:      seqsim.Average,
 		Template: example1Template(),
+	}
+}
+
+// TestValidateRefusesNonFinite: NaN passes every "<" and ">" test, so
+// each weight and ε must refuse NaN and ±Inf explicitly, with an error
+// naming the field.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"δ", func(c *Config, v float64) { c.Delta = v }},
+		{"β", func(c *Config, v float64) { c.Beta = v }},
+		{"ε", func(c *Config, v float64) { c.Epsilon = v }},
+		{"w1", func(c *Config, v float64) { c.Weights.Primary = v }},
+		{"w2", func(c *Config, v float64) { c.Weights.Secondary = v }},
+		{"w3", func(c *Config, v float64) {
+			c.Weights = Weights{Category: Univ2CategoryWeights()}
+			c.Weights.Category[2] = v
+		}},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := validConfig()
+			tc.set(&c, v)
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", tc.field, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %g: error %q does not name the field", tc.field, v, err)
+			}
+		}
 	}
 }
 

@@ -42,9 +42,9 @@ func TestParallelBitIdentical(t *testing.T) {
 	for _, inst := range builtins() {
 		inst := inst
 		t.Run(inst.Name, func(t *testing.T) {
-			learn := func(workers int) (*core.Planner, []float64) {
+			learn := func(workers int) *sarsa.Result {
 				t.Helper()
-				p, err := core.New(inst, core.Options{
+				c, err := core.Resolve(inst, core.Options{
 					Episodes:     episodes,
 					Seed:         7,
 					TrainWorkers: workers,
@@ -52,15 +52,22 @@ func TestParallelBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := p.Learn(); err != nil {
+				env, err := c.BuildEnv()
+				if err != nil {
 					t.Fatal(err)
 				}
-				return p, p.LearningCurve()
+				res, err := sarsa.Learn(env, c.Sarsa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			ref, refCurve := learn(1)
+			ref := learn(1)
+			refCurve := ref.EpisodeReturns
 			for _, w := range []int{2, 4, 7} {
-				got, gotCurve := learn(w)
-				if !sameTables(ref.Policy().Q, got.Policy().Q) {
+				got := learn(w)
+				gotCurve := got.EpisodeReturns
+				if !sameTables(ref.Policy.Q, got.Policy.Q) {
 					t.Errorf("workers=%d: Q table differs from workers=1", w)
 				}
 				if len(refCurve) != len(gotCurve) {
@@ -72,12 +79,12 @@ func TestParallelBitIdentical(t *testing.T) {
 						break
 					}
 				}
-				if ref.MergeBatches() != got.MergeBatches() {
-					t.Errorf("workers=%d: %d merge batches vs %d", w, got.MergeBatches(), ref.MergeBatches())
+				if ref.MergeBatches != got.MergeBatches {
+					t.Errorf("workers=%d: %d merge batches vs %d", w, got.MergeBatches, ref.MergeBatches)
 				}
 			}
-			if ref.MergeBatches() != (episodes+sarsa.MergeBatch-1)/sarsa.MergeBatch {
-				t.Errorf("merge batches = %d, want ceil(%d/%d)", ref.MergeBatches(), episodes, sarsa.MergeBatch)
+			if ref.MergeBatches != (episodes+sarsa.MergeBatch-1)/sarsa.MergeBatch {
+				t.Errorf("merge batches = %d, want ceil(%d/%d)", ref.MergeBatches, episodes, sarsa.MergeBatch)
 			}
 		})
 	}

@@ -135,18 +135,19 @@ type Config struct {
 // is zero.
 const DefaultExplore = 0.2
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges. The range tests are written so that
+// NaN fails them too.
 func (c Config) Validate() error {
 	if c.Episodes <= 0 {
 		return fmt.Errorf("sarsa: episodes = %d, want > 0", c.Episodes)
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("sarsa: α = %g, want (0,1]", c.Alpha)
 	}
-	if c.Gamma < 0 || c.Gamma > 1 {
+	if !(c.Gamma >= 0 && c.Gamma <= 1) {
 		return fmt.Errorf("sarsa: γ = %g, want [0,1]", c.Gamma)
 	}
-	if c.Explore < 0 || c.Explore > 1 {
+	if !(c.Explore >= 0 && c.Explore <= 1) {
 		return fmt.Errorf("sarsa: explore = %g, want [0,1]", c.Explore)
 	}
 	if c.Workers < 0 {

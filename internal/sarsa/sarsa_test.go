@@ -1,6 +1,8 @@
 package sarsa_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
@@ -40,24 +42,42 @@ func defaultConfig() sarsa.Config {
 	}
 }
 
+// TestConfigValidate: every out-of-range rate is refused with an error
+// naming the field. NaN compares false with every bound, so the rates
+// must refuse it (and ±Inf) too.
 func TestConfigValidate(t *testing.T) {
 	good := defaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	cases := []func(*sarsa.Config){
-		func(c *sarsa.Config) { c.Episodes = 0 },
-		func(c *sarsa.Config) { c.Alpha = 0 },
-		func(c *sarsa.Config) { c.Alpha = 1.5 },
-		func(c *sarsa.Config) { c.Gamma = -0.1 },
-		func(c *sarsa.Config) { c.Gamma = 1.1 },
-		func(c *sarsa.Config) { c.Explore = 2 },
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field  string
+		mutate func(*sarsa.Config)
+	}{
+		{"episodes", func(c *sarsa.Config) { c.Episodes = 0 }},
+		{"α", func(c *sarsa.Config) { c.Alpha = 0 }},
+		{"α", func(c *sarsa.Config) { c.Alpha = 1.5 }},
+		{"α", func(c *sarsa.Config) { c.Alpha = nan }},
+		{"α", func(c *sarsa.Config) { c.Alpha = inf }},
+		{"γ", func(c *sarsa.Config) { c.Gamma = -0.1 }},
+		{"γ", func(c *sarsa.Config) { c.Gamma = 1.1 }},
+		{"γ", func(c *sarsa.Config) { c.Gamma = nan }},
+		{"γ", func(c *sarsa.Config) { c.Gamma = -inf }},
+		{"explore", func(c *sarsa.Config) { c.Explore = 2 }},
+		{"explore", func(c *sarsa.Config) { c.Explore = nan }},
+		{"explore", func(c *sarsa.Config) { c.Explore = inf }},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		c := defaultConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+		tc.mutate(&c)
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("case %d: invalid %s accepted", i, tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("case %d: error %q does not name %s", i, err, tc.field)
 		}
 	}
 }

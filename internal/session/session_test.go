@@ -1,31 +1,30 @@
 package session_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 	"github.com/rlplanner/rlplanner/internal/session"
 )
 
-func learned(t *testing.T) (*core.Planner, int) {
+func learned(t *testing.T) (engine.ValuePolicy, int) {
 	t.Helper()
 	inst := univ.Univ1DSCT()
-	p, err := core.New(inst, core.Options{Episodes: 300, Seed: 1})
+	p, err := engine.Train(context.Background(), "sarsa", inst, core.Options{Episodes: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	return p, inst.StartIndex()
+	return p.(engine.ValuePolicy), inst.StartIndex()
 }
 
 func TestSessionSuggestAcceptComplete(t *testing.T) {
 	p, start := learned(t)
-	s, err := session.New(p.Env(), p.Policy(), start, 3)
+	s, err := session.New(p.Env(), p.Values(), start, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestSessionSuggestAcceptComplete(t *testing.T) {
 
 func TestSessionRejectIsHonored(t *testing.T) {
 	p, start := learned(t)
-	s, _ := session.New(p.Env(), p.Policy(), start, 5)
+	s, _ := session.New(p.Env(), p.Values(), start, 5)
 
 	first := s.Suggestions()
 	if len(first) == 0 {
@@ -101,11 +100,11 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := session.New(p.Env(), &sarsa.Policy{}, start, 3); err == nil {
 		t.Fatal("empty policy accepted")
 	}
-	if _, err := session.New(p.Env(), p.Policy(), -1, 3); err == nil {
+	if _, err := session.New(p.Env(), p.Values(), -1, 3); err == nil {
 		t.Fatal("bad start accepted")
 	}
 
-	s, _ := session.New(p.Env(), p.Policy(), start, 3)
+	s, _ := session.New(p.Env(), p.Values(), start, 3)
 	if err := s.Accept("GHOST"); err == nil {
 		t.Fatal("unknown accept allowed")
 	}
@@ -128,7 +127,7 @@ func TestSessionErrors(t *testing.T) {
 
 func TestSessionDefaultK(t *testing.T) {
 	p, start := learned(t)
-	s, err := session.New(p.Env(), p.Policy(), start, 0)
+	s, err := session.New(p.Env(), p.Values(), start, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestSessionManualPlanScores(t *testing.T) {
 	// A user who always follows the first suggestion reproduces the
 	// guided walk's plan exactly.
 	p, start := learned(t)
-	s, _ := session.New(p.Env(), p.Policy(), start, 1)
+	s, _ := session.New(p.Env(), p.Values(), start, 1)
 	for !s.Done() {
 		sug := s.Suggestions()
 		if len(sug) == 0 {
@@ -151,7 +150,7 @@ func TestSessionManualPlanScores(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := p.PlanFrom(start)
+	want, err := p.Recommend(start)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,48 @@
 package transfer_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 	"github.com/rlplanner/rlplanner/internal/transfer"
 )
 
-func TestMapCourseProgramsSharesIDs(t *testing.T) {
-	cs, dsct := univ.Univ1CS(), univ.Univ1DSCT()
-	p, err := core.New(cs, core.Options{Episodes: 150, Seed: 1})
+// learn trains SARSA on inst and returns the learned action values.
+func learn(t *testing.T, inst *dataset.Instance, opts core.Options) *sarsa.Policy {
+	t.Helper()
+	p, err := engine.Train(context.Background(), "sarsa", inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Learn(); err != nil {
+	return p.(engine.ValuePolicy).Values()
+}
+
+// planOn walks pol with the guided walk from inst's default start, in
+// inst's environment under opts.
+func planOn(t *testing.T, inst *dataset.Instance, opts core.Options, pol *sarsa.Policy) []int {
+	t.Helper()
+	env, err := core.BuildEnv(inst, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pol, m, err := transfer.Map(p.Policy(), cs.Catalog, dsct.Catalog)
+	plan, err := pol.RecommendGuided(env, inst.StartIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func TestMapCourseProgramsSharesIDs(t *testing.T) {
+	cs, dsct := univ.Univ1CS(), univ.Univ1DSCT()
+	src := learn(t, cs, core.Options{Episodes: 150, Seed: 1})
+	pol, m, err := transfer.Map(src, cs.Catalog, dsct.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +62,12 @@ func TestMapCourseProgramsSharesIDs(t *testing.T) {
 func TestTransferredPolicyPlansDSCT(t *testing.T) {
 	// §IV-D course study: learn on M.S. CS, recommend for M.S. DS-CT.
 	cs, dsct := univ.Univ1CS(), univ.Univ1DSCT()
-	p, _ := core.New(cs, core.Options{Episodes: 300, Seed: 2})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	pol, _, err := transfer.Map(p.Policy(), cs.Catalog, dsct.Catalog)
+	src := learn(t, cs, core.Options{Episodes: 300, Seed: 2})
+	pol, _, err := transfer.Map(src, cs.Catalog, dsct.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := core.New(dsct, core.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := target.SetPolicy(pol); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := target.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planOn(t, dsct, core.Options{Seed: 3}, pol)
 	if len(plan) != 10 {
 		t.Fatalf("transferred plan length = %d", len(plan))
 	}
@@ -73,11 +82,8 @@ func TestMapTripCitiesUsesThemes(t *testing.T) {
 	// NYC↔Paris share no POI ids; the mapping must fall back to theme
 	// similarity.
 	nyc, paris := trip.NYC().Instance, trip.Paris().Instance
-	p, _ := core.New(nyc, core.Options{Episodes: 100, Seed: 4})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	pol, m, err := transfer.Map(p.Policy(), nyc.Catalog, paris.Catalog)
+	src := learn(t, nyc, core.Options{Episodes: 100, Seed: 4})
+	pol, m, err := transfer.Map(src, nyc.Catalog, paris.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +93,7 @@ func TestMapTripCitiesUsesThemes(t *testing.T) {
 	if m.ByTopic < paris.Catalog.Len()/2 {
 		t.Fatalf("only %d theme matches of %d POIs", m.ByTopic, paris.Catalog.Len())
 	}
-	target, _ := core.New(paris, core.Options{Seed: 5})
-	if err := target.SetPolicy(pol); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := target.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planOn(t, paris, core.Options{Seed: 5}, pol)
 	if len(plan) < 2 {
 		t.Fatalf("transferred trip plan too short: %v", plan)
 	}
@@ -105,12 +104,9 @@ func TestMapValidation(t *testing.T) {
 	if _, _, err := transfer.Map(nil, cs.Catalog, dsct.Catalog); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	p, _ := core.New(cs, core.Options{Episodes: 20, Seed: 6})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
+	src := learn(t, cs, core.Options{Episodes: 20, Seed: 6})
 	// Wrong source catalog size.
-	if _, _, err := transfer.Map(p.Policy(), dsct.Catalog, cs.Catalog); err == nil {
+	if _, _, err := transfer.Map(src, dsct.Catalog, cs.Catalog); err == nil {
 		t.Fatal("mismatched source catalog accepted")
 	}
 	var nilQ sarsa.Policy
@@ -121,11 +117,8 @@ func TestMapValidation(t *testing.T) {
 
 func TestMappedQValuesComeFromSource(t *testing.T) {
 	cs, dsct := univ.Univ1CS(), univ.Univ1DSCT()
-	p, _ := core.New(cs, core.Options{Episodes: 150, Seed: 7})
-	if err := p.Learn(); err != nil {
-		t.Fatal(err)
-	}
-	pol, m, err := transfer.Map(p.Policy(), cs.Catalog, dsct.Catalog)
+	src := learn(t, cs, core.Options{Episodes: 150, Seed: 7})
+	pol, m, err := transfer.Map(src, cs.Catalog, dsct.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +130,7 @@ func TestMappedQValuesComeFromSource(t *testing.T) {
 	if ss < 0 || se < 0 {
 		t.Fatal("expected id matches for CS 675 / CS 652")
 	}
-	if pol.Q.Get(s, e) != p.Policy().Q.Get(ss, se) {
+	if pol.Q.Get(s, e) != src.Q.Get(ss, se) {
 		t.Fatal("transferred Q value differs from source")
 	}
 }

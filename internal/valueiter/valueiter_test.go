@@ -7,21 +7,22 @@ import (
 	"github.com/rlplanner/rlplanner/internal/core"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
 	"github.com/rlplanner/rlplanner/internal/eval"
+	"github.com/rlplanner/rlplanner/internal/mdp"
 	"github.com/rlplanner/rlplanner/internal/valueiter"
 )
 
-func dsctEnv(t *testing.T) *core.Planner {
+func dsctEnv(t *testing.T) *mdp.Env {
 	t.Helper()
-	p, err := core.New(univ.Univ1DSCT(), core.Options{Seed: 1})
+	env, err := core.BuildEnv(univ.Univ1DSCT(), core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return env
 }
 
 func TestSolveConverges(t *testing.T) {
-	p := dsctEnv(t)
-	res, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.95, Seed: 1})
+	env := dsctEnv(t)
+	res, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.95, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestSolveConverges(t *testing.T) {
 	if res.Residual >= 1e-6 {
 		t.Fatalf("residual = %v, did not converge", res.Residual)
 	}
-	if res.Policy.Q.Size() != p.Env().NumItems() {
+	if res.Policy.Q.Size() != env.NumItems() {
 		t.Fatalf("policy size = %d", res.Policy.Q.Size())
 	}
 	if res.Policy.Q.MaxAbs() == 0 {
@@ -42,12 +43,12 @@ func TestSolveConverges(t *testing.T) {
 func TestSolvedPolicyPlans(t *testing.T) {
 	// The extracted policy plugs into the same recommendation walks.
 	inst := univ.Univ1DSCT()
-	p := dsctEnv(t)
-	res, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.95, Seed: 2})
+	env := dsctEnv(t)
+	res, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.95, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := res.Policy.RecommendGuided(p.Env(), inst.StartIndex())
+	plan, err := res.Policy.RecommendGuided(env, inst.StartIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,22 +65,22 @@ func TestSolvedPolicyPlans(t *testing.T) {
 }
 
 func TestSolveValidation(t *testing.T) {
-	p := dsctEnv(t)
-	if _, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 1}); err == nil {
+	env := dsctEnv(t)
+	if _, err := valueiter.Solve(env, valueiter.Config{Gamma: 1}); err == nil {
 		t.Fatal("γ = 1 accepted (divergent)")
 	}
-	if _, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: -0.1}); err == nil {
+	if _, err := valueiter.Solve(env, valueiter.Config{Gamma: -0.1}); err == nil {
 		t.Fatal("negative γ accepted")
 	}
 }
 
 func TestSolveDeterministicPerSeed(t *testing.T) {
-	p := dsctEnv(t)
-	a, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.9, Seed: 3})
+	env := dsctEnv(t)
+	a, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.9, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.9, Seed: 3})
+	b, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.9, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +97,12 @@ func TestSolveDeterministicPerSeed(t *testing.T) {
 func TestLowerGammaConvergesFaster(t *testing.T) {
 	// Contraction factor γ governs convergence speed: γ = 0.5 must need
 	// no more sweeps than γ = 0.99.
-	p := dsctEnv(t)
-	fast, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.5, Seed: 4})
+	env := dsctEnv(t)
+	fast, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := valueiter.Solve(p.Env(), valueiter.Config{Gamma: 0.99, Seed: 4})
+	slow, err := valueiter.Solve(env, valueiter.Config{Gamma: 0.99, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

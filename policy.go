@@ -93,7 +93,7 @@ func (p *Policy) Transfer(to *Instance, opts Options) (*Policy, error) {
 	if to == nil {
 		return nil, fmt.Errorf("rlplanner: nil instance")
 	}
-	pol, err := engine.Transfer(p.p, to.inner, opts.toCore())
+	pol, _, err := engine.Transfer(p.p, to.inner, opts.toCore())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rlplanner
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,30 @@ func TestTrainAndRecommend(t *testing.T) {
 	}
 	if _, err := Train(context.Background(), nil, "sarsa", Options{}); err == nil {
 		t.Fatal("nil instance accepted")
+	}
+}
+
+// TestTrainRefusesNonFiniteHyperparameters: NaN passes every range
+// check written with "<" and ">". Accepted, a NaN α or γ trains a policy
+// whose saved artifact LoadPolicyArtifact refuses, and a NaN δ or ε
+// trains on a NaN or zero learning curve. Train refuses each, naming it.
+func TestTrainRefusesNonFiniteHyperparameters(t *testing.T) {
+	in, _ := InstanceByName("Univ-1 M.S. DS-CT")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"α", Options{Seed: 1, Episodes: 20, Alpha: nan}},
+		{"γ", Options{Seed: 1, Episodes: 20, Gamma: nan}},
+		{"δ", Options{Seed: 1, Episodes: 20, Delta: nan, Beta: 0.2}},
+		{"ε", Options{Seed: 1, Episodes: 20, Epsilon: nan}},
+		{"distance threshold d", Options{Seed: 1, Episodes: 20, MaxDistanceKm: nan}},
+	} {
+		_, err := Train(context.Background(), in, "sarsa", tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s = NaN: err = %v, want a refusal naming %s", tc.name, err, tc.name)
+		}
 	}
 }
 
