@@ -42,9 +42,10 @@ repofaults:
 
 # Short fuzz runs over the parsers that take untrusted bytes: policy
 # artifacts (POST /api/policies/import, a shared -policy-dir), the
-# compact bitset container ops, prerequisite expressions and whole
-# uploaded instances (POST /api/instances). go test fuzzes one target
-# per run. The minimization cap keeps a 10 s run fuzzing: shrinking each
+# compact bitset container ops, prerequisite expressions, whole
+# uploaded instances (POST /api/instances) and the canonical-form
+# decoder of plan, batch and feedback request bodies, checked against
+# encoding/json. go test fuzzes one target per run. The minimization cap keeps a 10 s run fuzzing: shrinking each
 # multi-KB artifact input under the default 60 s budget took most of the
 # run.
 fuzz:
@@ -52,19 +53,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bitset/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/prereq/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadInstance$$' -fuzztime 10s -fuzzminimizetime 200x .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/httpapi/
 
 # Run every example program once; the first non-zero exit fails the
 # target. go build ./... compiles the examples but never runs them.
 examples:
 	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-# Microbenchmarks for the per-step MDP loop and the one-start batch
-# request around a catalog-scale walk, and for the set-up path a first
-# plan pays: the built-in cities' photo-log simulation, the neighbor
-# store build and a catalog-scale training run. Run with -benchmem so
-# alloc regressions are visible.
+# Microbenchmarks for the per-step MDP loop, the one-start batch
+# request around a catalog-scale walk and the feedback post, and for the
+# set-up path a first plan pays: the built-in cities' photo-log
+# simulation, the neighbor store build and a catalog-scale training run.
+# Run with -benchmem so alloc regressions are visible.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch|BenchmarkTripCities|BenchmarkNeighborStore|BenchmarkLearn' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/ ./internal/dataset/trip/ ./internal/geo/
+	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch|BenchmarkFeedback|BenchmarkTripCities|BenchmarkNeighborStore|BenchmarkLearn' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/ ./internal/dataset/trip/ ./internal/geo/
 
 # Machine-readable perf records (BENCH_<id>.json) under results/.
 bench-json:

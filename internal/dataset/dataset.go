@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -76,6 +77,11 @@ type Instance struct {
 	// GoldScore is the handcrafted gold standard's score: 10 for Univ-1,
 	// 15 for Univ-2, 5 for trips (§IV-A2).
 	GoldScore float64
+
+	// digestOnce and digest memoize Digest; an Instance is immutable
+	// once built.
+	digestOnce sync.Once
+	digest     string
 }
 
 // Validate performs consistency checks a generator must satisfy.

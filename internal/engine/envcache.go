@@ -32,14 +32,17 @@ func EnvFor(ctx context.Context, inst *dataset.Instance, opts core.Options) (*md
 // configuration with its cached environment — the set-up every trainer,
 // artifact load and transfer shares. The cache key scopes the
 // configuration's EnvKey (kind plus every field of the resolved hard
-// constraints and reward configuration) by the catalog fingerprint, so
-// equal-config requests against different catalogs never share state.
+// constraints and reward configuration) by the instance's Digest, which
+// covers every other instance field Config.BuildEnv reads, so two
+// catalogs that differ anywhere (coordinates, prerequisites, T_ideal)
+// never share an environment, and equal ones always do. The artifact
+// Fingerprint is coarser and is not an env key.
 func resolve(ctx context.Context, inst *dataset.Instance, opts core.Options) (core.Config, *mdp.Env, error) {
 	c, err := core.Resolve(inst, opts)
 	if err != nil {
 		return core.Config{}, nil, err
 	}
-	env, _, err := envs.GetOrTrain(ctx, Fingerprint(inst)+"|"+c.EnvKey(), c.BuildEnv)
+	env, _, err := envs.GetOrTrain(ctx, inst.Digest()+"|"+c.EnvKey(), c.BuildEnv)
 	return c, env, err
 }
 

@@ -2,14 +2,23 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/rlplanner/rlplanner/internal/bitset"
+	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/eval"
+	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/mdp"
+	"github.com/rlplanner/rlplanner/internal/seqsim"
+	"github.com/rlplanner/rlplanner/internal/topics"
 )
 
 // TestEnvCacheSingleflightBuildsOnce hammers one cold cache key from
@@ -149,5 +158,118 @@ func TestTrainKeepsRequestedDistance(t *testing.T) {
 				t.Errorf("order %v: trained at d = %g, policy holds d = %g", order, d, got)
 			}
 		}
+	}
+}
+
+// lineTrip is a six-POI trip catalog, a to f, laid north along one
+// meridian spacing degrees of latitude apart. Instances built with
+// different spacings differ only in their coordinates.
+func lineTrip(t *testing.T, name string, spacing float64) *dataset.Instance {
+	t.Helper()
+	const n = 6
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("theme-%d", i)
+	}
+	vocab, err := topics.NewVocabulary(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]item.Item, n)
+	for i := range items {
+		ty := item.Secondary
+		if i < 2 {
+			ty = item.Primary
+		}
+		items[i] = item.Item{
+			ID: string(rune('a' + i)), Name: fmt.Sprintf("POI %c", 'a'+i), Type: ty, Credits: 1,
+			Topics: vocab.MustVector(names[i]), Category: i,
+			Lat: 48.85 + spacing*float64(i), Lon: 2.35, Popularity: 3,
+		}
+	}
+	catalog, err := item.NewCatalog(vocab, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ideal := bitset.New(n)
+	for i := 0; i < n; i++ {
+		ideal.Set(i)
+	}
+	inst := &dataset.Instance{
+		Name:    name,
+		Kind:    dataset.TripPlanning,
+		Catalog: catalog,
+		Hard: constraints.Hard{
+			Credits: 6, CreditMode: constraints.MaxCredits, Gap: 1, MaxDistanceKm: 5,
+		},
+		Soft:         constraints.Soft{Ideal: ideal, Template: dataset.MakeTemplate(2, 3)},
+		DefaultStart: "a",
+		Defaults: dataset.Defaults{
+			Episodes: 500, Alpha: 0.95, Gamma: 0.75, Epsilon: 0.0025,
+			Delta: 0.6, Beta: 0.4, W1: 0.6, W2: 0.4, Sim: seqsim.Average,
+		},
+		GoldScore: 5,
+	}
+	if err := inst.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestEnvCacheSeparatesCoordinates trains two uploads that differ only
+// in coordinates — "near", POIs 0.22 km apart, and "far", 2.2 km apart —
+// at d = 3 km. Whether or not "near" was trained first, "far" must plan
+// what it plans trained alone (the cache emptied before each run, as in
+// a fresh process), and its plan must satisfy P_hard on its own
+// coordinates. A catalog with equal content under another name must
+// still share its environment.
+func TestEnvCacheSeparatesCoordinates(t *testing.T) {
+	clear := func() {
+		var keys []string
+		envs.Range(func(k string, _ *mdp.Env) { keys = append(keys, k) })
+		for _, k := range keys {
+			envs.Remove(k)
+		}
+	}
+	t.Cleanup(clear)
+	near, far := lineTrip(t, "near", 0.002), lineTrip(t, "far", 0.02)
+	opts := core.Options{MaxDistanceKm: 3, Seed: 1}
+	plan := func(inst *dataset.Instance) ([]int, constraints.Hard) {
+		t.Helper()
+		pol, err := Train(context.Background(), "sarsa", inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := pol.Recommend(DefaultStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq, pol.Hard()
+	}
+
+	clear()
+	alone, hard := plan(far)
+	clear()
+	plan(near)
+	after, _ := plan(far)
+	ids := func(seq []int) []string { return far.Catalog.SequenceIDs(seq) }
+	if !reflect.DeepEqual(after, alone) {
+		t.Fatalf(`"far" after "near" plans %v, trained alone %v`, ids(after), ids(alone))
+	}
+	if v := eval.EvaluateWith(far, hard, after).Violations; len(v) > 0 {
+		t.Fatalf(`"far" plan %v at d = 3 km violates %v`, ids(after), v)
+	}
+
+	same := lineTrip(t, "far, uploaded again", 0.02)
+	a, err := EnvFor(context.Background(), far, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EnvFor(context.Background(), same, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("two instances with equal content built two environments")
 	}
 }

@@ -7,7 +7,6 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -105,8 +104,7 @@ func (s *Server) derivePolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	inst, err := s.instance(req.Instance)

@@ -14,9 +14,7 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -109,6 +107,11 @@ type Server struct {
 	// repository (or an operator's import pipeline) is feeding the daemon
 	// bad artifacts.
 	loadFailures atomic.Uint64
+	// wireFallbacks counts plan, batch and feedback request bodies that
+	// left the canonical-form decoder for json.Decoder (decodeBody). A
+	// climbing figure means clients send a form the fast path does not
+	// take: unknown or case-folded keys, nulls, repeated keys.
+	wireFallbacks atomic.Uint64
 
 	// onTrain, when set, observes every actual training run (not cache
 	// hits or singleflight followers). Tests use it to count and to
@@ -285,37 +288,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// encodeBufs pools the response-encoding buffers: at tens of thousands
-// of plans per second, a fresh marshal buffer per response is a
-// measurable slice of the request's allocations and GC pressure.
-// Buffers that grew past encodeBufMax (a batch response, an instance
-// dump) are dropped instead of pooled so one large response cannot pin
-// megabytes for the rest of the process.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// jsonContentType is every JSON response's Content-Type value, shared
+// so that setting the header allocates nothing; no one writes to it.
+var jsonContentType = []string{"application/json"}
 
-const encodeBufMax = 64 << 10
-
-// writeJSON writes v with the given status. The value is encoded before
-// any byte reaches the wire, so an encoding failure can still produce a
-// clean 500 instead of a torn response; write errors (client gone) are
-// logged, not dropped.
+// writeJSON writes v with the given status. The value is encoded
+// (encodeJSON: json.Encoder.Encode's bytes) before any byte reaches the
+// wire, so an encoding failure can still produce a clean 500 instead of
+// a torn response; write errors (client gone) are logged, not dropped.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil { // Encode appends the trailing '\n'
-		encodeBufs.Put(buf)
+	p := getWireBuf()
+	defer putWireBuf(p)
+	b, err := encodeJSON(*p, v)
+	*p = b
+	if err != nil {
 		log.Printf("httpapi: encode response: %v", err)
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(b); err != nil {
 		log.Printf("httpapi: write response: %v", err)
-	}
-	if buf.Cap() <= encodeBufMax {
-		encodeBufs.Put(buf)
 	}
 }
 
@@ -528,8 +522,7 @@ func (s *Server) policy(ctx context.Context, inst *rlplanner.Instance, engineNam
 
 func (s *Server) plan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// Resolve the instance and engine once; everything downstream reuses
@@ -572,8 +565,7 @@ func (s *Server) listPolicies(w http.ResponseWriter, _ *http.Request) {
 // fingerprint, learned values.
 func (s *Server) exportPolicy(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	inst, err := s.instance(req.Instance)
@@ -638,8 +630,7 @@ type rateRequest struct {
 
 func (s *Server) rate(w http.ResponseWriter, r *http.Request) {
 	var req rateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	inst, err := s.instance(req.Instance)
@@ -676,8 +667,7 @@ type sessionView struct {
 
 func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	inst, err := s.instance(req.Instance)
@@ -753,8 +743,7 @@ func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	var req itemRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	view, err := st.do(id, func(sess *rlplanner.Session) error {
@@ -792,8 +781,7 @@ type explainRequest struct {
 
 func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 	var req explainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	inst, err := s.instance(req.Instance)

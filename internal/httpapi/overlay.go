@@ -7,7 +7,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -83,8 +82,7 @@ type feedbackResponse struct {
 // touches no training machinery at all.
 func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.User == "" {
@@ -137,7 +135,7 @@ func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	plan := &rlplanner.Plan{}
+	plan := &rlplanner.Plan{Steps: make([]rlplanner.PlanStep, 0, len(req.Items))}
 	for _, id := range req.Items {
 		plan.Steps = append(plan.Steps, rlplanner.PlanStep{ID: id})
 	}

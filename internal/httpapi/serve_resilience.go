@@ -285,5 +285,8 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	// mismatch), wherever the artifact came from — repository, import
 	// endpoint or preload.
 	m["artifact_load_failures_total"] = int64(s.loadFailures.Load())
+	// Hot-endpoint request bodies the canonical-form decoder handed to
+	// json.Decoder.
+	m["wire_decode_fallbacks_total"] = int64(s.wireFallbacks.Load())
 	writeJSON(w, http.StatusOK, m)
 }

@@ -237,9 +237,12 @@ func globeInstance(t *testing.T, n int) *dataset.Instance {
 			items[i].Lat, items[i].Lon = -items[i-n/2].Lat, items[i-n/2].Lon+180
 		}
 	}
-	globe := *inst
-	if globe.Catalog, err = item.NewCatalog(inst.Catalog.Vocabulary(), items); err != nil {
+	catalog, err := item.NewCatalog(inst.Catalog.Vocabulary(), items)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &globe
+	return &dataset.Instance{
+		Name: inst.Name, Kind: inst.Kind, Catalog: catalog, Hard: inst.Hard, Soft: inst.Soft,
+		DefaultStart: inst.DefaultStart, Defaults: inst.Defaults, GoldScore: inst.GoldScore,
+	}
 }

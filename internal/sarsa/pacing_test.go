@@ -40,10 +40,12 @@ func cheapestCompletionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, a, k
 // the same catalog under MaxCredits with a 2-primary/3-secondary split,
 // so the guided walk runs the pacing filter at every step.
 func pacedTrip(inst *dataset.Instance) *dataset.Instance {
-	paced := *inst
-	paced.Name += "-paced"
+	paced := &dataset.Instance{
+		Name: inst.Name + "-paced", Kind: inst.Kind, Catalog: inst.Catalog, Hard: inst.Hard, Soft: inst.Soft,
+		DefaultStart: inst.DefaultStart, Defaults: inst.Defaults, GoldScore: inst.GoldScore,
+	}
 	paced.Hard.Primary, paced.Hard.Secondary = 2, 3
-	return &paced
+	return paced
 }
 
 // TestCompletionFitsMatchesReference compares completionFits with
