@@ -43,9 +43,10 @@ repofaults:
 # Short fuzz runs over the parsers that take untrusted bytes: policy
 # artifacts (POST /api/policies/import, a shared -policy-dir), the
 # compact bitset container ops, prerequisite expressions, whole
-# uploaded instances (POST /api/instances) and the canonical-form
+# uploaded instances (POST /api/instances), the canonical-form
 # decoder of plan, batch and feedback request bodies, checked against
-# encoding/json. go test fuzzes one target per run. The minimization cap keeps a 10 s run fuzzing: shrinking each
+# encoding/json, and the repository's entry files (a shared
+# -policy-dir). go test fuzzes one target per run. The minimization cap keeps a 10 s run fuzzing: shrinking each
 # multi-KB artifact input under the default 60 s budget took most of the
 # run.
 fuzz:
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/prereq/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadInstance$$' -fuzztime 10s -fuzzminimizetime 200x .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/httpapi/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/repo/
 
 # Run every example program once; the first non-zero exit fails the
 # target. go build ./... compiles the examples but never runs them.

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/rlplanner/rlplanner/internal/engine"
 )
 
 // catalog8kDigest is the SHA-256 of the 64 catalog-8k plans below (each
@@ -23,7 +25,9 @@ const catalog8kValid = 44
 // TestCatalog8kPlansUnchanged replays the catalog-8k benchmark's quality
 // set through the library: the 8192-item geo catalog round-tripped
 // through its JSON spec, a 64-episode SARSA policy, and guided walks
-// from the first 64 starts of the benchmark's seeded start order.
+// from the first 64 starts of the benchmark's seeded start order. The
+// policy's artifact, reloaded, must restore a sparse table and walk the
+// same plans.
 func TestCatalog8kPlansUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains and walks an 8192-item catalog")
@@ -41,27 +45,43 @@ func TestCatalog8kPlansUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fp := inst.Fingerprint(); fp != gen.Fingerprint() || fp != inst.inner.Digest() {
+		t.Fatalf("fingerprint %s after the JSON round trip, %s before, digest %s", fp, gen.Fingerprint(), inst.inner.Digest())
+	}
 	pol, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := inst.Items()
-	h := sha256.New()
-	valid := 0
-	for _, j := range rand.New(rand.NewSource(items)).Perm(items)[:64] {
-		plan, err := pol.Recommend(all[j].ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write([]byte(strings.Join(plan.IDs(), " ") + "\n"))
-		if plan.SatisfiesConstraints {
-			valid++
-		}
+	var art bytes.Buffer
+	if err := pol.Save(&art); err != nil {
+		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != catalog8kDigest {
-		t.Errorf("plan digest %s, want %s", got, catalog8kDigest)
+	back, err := LoadPolicyArtifact(&art, inst, Options{Episodes: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if valid != catalog8kValid {
-		t.Errorf("%d of 64 plans satisfy P_hard, want %d", valid, catalog8kValid)
+	if back.p.(engine.ValuePolicy).Values().Q.IsDense() {
+		t.Fatal("the reloaded 8192-item table is dense")
+	}
+	for name, p := range map[string]*Policy{"trained": pol, "reloaded": back} {
+		all := inst.Items()
+		h := sha256.New()
+		valid := 0
+		for _, j := range rand.New(rand.NewSource(items)).Perm(items)[:64] {
+			plan, err := p.Recommend(all[j].ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write([]byte(strings.Join(plan.IDs(), " ") + "\n"))
+			if plan.SatisfiesConstraints {
+				valid++
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != catalog8kDigest {
+			t.Errorf("%s: plan digest %s, want %s", name, got, catalog8kDigest)
+		}
+		if valid != catalog8kValid {
+			t.Errorf("%s: %d of 64 plans satisfy P_hard, want %d", name, valid, catalog8kValid)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func scalePointAt(ctx context.Context, n int, cfg scaleConfig, metrics map[strin
 	}
 	trainNs := time.Since(t0).Nanoseconds()
 	pt["train_ns"] = float64(trainNs)
-	pt["episodes"] = float64(engine.Episodes(pol))
+	pt["episodes"] = float64(pol.Episodes())
 	pt["episodes_per_s"] = pt["episodes"] / (float64(trainNs) / 1e9)
 
 	// Resident footprint of the three data-plane structures, from their

@@ -78,11 +78,6 @@ type Options struct {
 	// every worker count. Not part of the environment key — a worker
 	// count never changes what is learned under the parallel protocol.
 	TrainWorkers int
-	// DenseQMax overrides the catalog size up to which the learned Q
-	// table uses the dense n² representation (<= 0 means
-	// qtable.DefaultDenseMaxItems) — how the sparse-equivalence tests
-	// train a sparse table on a small catalog.
-	DenseQMax int
 	// InitQ warm-starts learning from an existing Q table
 	// (sarsa.Config.Init): the incremental-retraining path feeds a
 	// transfer-mapped table from the nearest artifact here. The table is
@@ -189,7 +184,6 @@ func Resolve(inst *dataset.Instance, opts Options) (Config, error) {
 		DisableExplore: opts.DisableExplore,
 		Seed:           opts.Seed,
 		Workers:        opts.TrainWorkers,
-		DenseQMax:      opts.DenseQMax,
 		Init:           opts.InitQ,
 		OnEpisode:      opts.OnEpisode,
 	}

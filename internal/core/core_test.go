@@ -11,6 +11,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
 	"github.com/rlplanner/rlplanner/internal/mdp"
+	"github.com/rlplanner/rlplanner/internal/qtable"
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 	"github.com/rlplanner/rlplanner/internal/seqsim"
 	"github.com/rlplanner/rlplanner/internal/stats"
@@ -346,8 +347,9 @@ func TestConvergenceSARSAVsQLearning(t *testing.T) {
 }
 
 // TestSparsePlansBitIdentical pins the data plane's representation
-// boundary: forcing the sparse Q representation on a small catalog
-// (DenseQMax 1) must reproduce the dense path's plans bit for bit —
+// boundary: forcing the sparse Q representation on a small catalog (a
+// zero sparse table as InitQ, which training clones with its
+// representation) must reproduce the dense path's plans bit for bit —
 // same training schedule, same recommendation walks, only the storage
 // layout differs. This is the property that lets qtable.New switch
 // representations by size without a behavioural cliff.
@@ -367,10 +369,10 @@ func TestSparsePlansBitIdentical(t *testing.T) {
 			}
 
 			sopts := opts
-			sopts.DenseQMax = 1
+			sopts.InitQ = qtable.NewWithDenseMax(tc.inst.Catalog.Len(), 1)
 			_, senv, sparse := learn(t, tc.inst, sopts)
 			if sparse.Policy.Q.IsDense() {
-				t.Fatal("DenseQMax=1 did not force the sparse representation")
+				t.Fatal("a sparse InitQ did not train a sparse table")
 			}
 
 			n := tc.inst.Catalog.Len()

@@ -17,8 +17,10 @@ import (
 // interleaving template). Instances with equal content have equal
 // digests whatever their names; P_hard, the defaults and the gold score
 // are left out because the environment cache's key carries the resolved
-// constraints and reward configuration itself. It is computed on first
-// use and memoized on the instance.
+// constraints and reward configuration itself. The same digest is a
+// policy's catalog fingerprint: a policy artifact records it and loads
+// only onto an instance with an equal one. It is computed on first use
+// and memoized on the instance.
 func (in *Instance) Digest() string {
 	in.digestOnce.Do(func() { in.digest = in.computeDigest() })
 	return in.digest

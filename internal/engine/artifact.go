@@ -13,25 +13,27 @@ import (
 	"github.com/rlplanner/rlplanner/internal/sarsa"
 )
 
+// Fingerprint returns inst.Digest(), the identity of the catalog a
+// policy is trained on (Policy.Fingerprint). The benchmark module's
+// replay calls it by name.
+func Fingerprint(inst *dataset.Instance) string { return inst.Digest() }
+
 const (
 	// artifactMagic guards against feeding arbitrary gob streams (or the
 	// pre-registry raw policy format) into Load.
 	artifactMagic = "rlplanner-policy"
-	// ArtifactVersion is the current artifact format version. Readers
-	// accept any version up to this one; newer versions are refused with
-	// an explicit error instead of a misdecode. v2 added the training
-	// provenance fields (Episodes, Degraded, WarmFrom, WarmDistance);
-	// v3 added the sparse coordinate payload (QS/QE/QV) for policies
-	// whose tables exceed the dense threshold. Gob leaves absent fields
-	// zero when decoding an older stream, and dense v3 artifacts are
-	// byte-compatible with v2 readers' expectations for every catalog a
-	// v2 writer could produce.
-	ArtifactVersion = 3
+	// ArtifactVersion is the artifact format version, and the only one
+	// Load reads. v4 names the training catalog by its content digest and
+	// stores every Q table as its sorted non-zero cells. An older artifact
+	// names its catalog by a coarser fingerprint (ids, types, credits and
+	// topics only), so it cannot show that its catalog matches; it is
+	// refused, as is a newer one, with an error naming both versions.
+	ArtifactVersion = 4
 )
 
 // artifact is the on-disk form of a Policy: a header identifying the
 // format, engine and training catalog, plus the engine-specific payload
-// (the flattened Q table for tabular engines, the tie-break seed for
+// (the Q table's cells for tabular engines, the tie-break seed for
 // procedural ones).
 type artifact struct {
 	Magic       string
@@ -41,14 +43,13 @@ type artifact struct {
 	Fingerprint string
 	Items       int
 	Seed        int64
-	// Q is the flattened dense table; QS/QE/QV are the sorted visited-cell
-	// coordinates of a sparse-backed one. Tabular artifacts carry exactly
-	// one of the two payloads.
-	Q   []float64
-	QS  []int32
-	QE  []int32
-	QV  []float64
-	IDs []string
+	// QS/QE/QV are the Q table's non-zero cells (state, action, value),
+	// sorted by state and then action, as Table.EachStored yields them.
+	// The payload follows the visited cells, not n², whatever the
+	// representation the table was trained in.
+	QS []int32
+	QE []int32
+	QV []float64
 	// Episodes records how many learning episodes completed — for a
 	// partial checkpoint, how far training got before its deadline.
 	Episodes int
@@ -76,24 +77,12 @@ func artifactFor(m meta, values *sarsa.Policy, seed int64) artifact {
 		WarmDistance: m.warmDistance,
 	}
 	if values != nil {
-		n := values.Q.Size()
-		a.Items = n
-		a.IDs = values.IDs
-		if values.Q.IsDense() {
-			a.Q = make([]float64, 0, n*n)
-			for s := 0; s < n; s++ {
-				a.Q = append(a.Q, values.Q.Row(s)...)
-			}
-		} else {
-			// Sparse payload: artifact size follows the visited cells, so a
-			// 100k-item policy saves in megabytes instead of an 80 GB flat
-			// table that could never be materialized to begin with.
-			values.Q.EachStored(func(s, e int, v float64) {
-				a.QS = append(a.QS, int32(s))
-				a.QE = append(a.QE, int32(e))
-				a.QV = append(a.QV, v)
-			})
-		}
+		a.Items = values.Q.Size()
+		values.Q.EachStored(func(s, e int, v float64) {
+			a.QS = append(a.QS, int32(s))
+			a.QE = append(a.QE, int32(e))
+			a.QV = append(a.QV, v)
+		})
 	}
 	return a
 }
@@ -108,60 +97,48 @@ func decodeArtifact(r io.Reader, inst *dataset.Instance) (artifact, error) {
 	var a artifact
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
 		// A bare gob error ("unexpected EOF") tells an operator nothing;
-		// name the format and the version range this reader understands so
-		// a truncated or foreign file is diagnosable from the message.
-		return a, fmt.Errorf("engine: decode policy artifact (format v1-v%d): %w", ArtifactVersion, err)
+		// name the format and the version this reader understands so a
+		// truncated or foreign file is diagnosable from the message.
+		return a, fmt.Errorf("engine: decode policy artifact (format v%d): %w", ArtifactVersion, err)
 	}
 	if a.Magic != artifactMagic {
 		return a, fmt.Errorf("engine: not an RL-Planner policy artifact (magic %q)", a.Magic)
 	}
-	if a.Version > ArtifactVersion {
-		return a, fmt.Errorf("engine: policy artifact format v%d is newer than supported v%d — upgrade the reader",
-			a.Version, ArtifactVersion)
+	if a.Version != ArtifactVersion {
+		why := "it is newer than this reader: upgrade the reader"
+		if a.Version < ArtifactVersion {
+			why = "its coarser catalog fingerprint cannot show that the catalog matches: retrain or re-export the policy"
+		}
+		return a, fmt.Errorf("engine: policy artifact format v%d, this reader reads only v%d: %s",
+			a.Version, ArtifactVersion, why)
 	}
-	if fp := Fingerprint(inst); a.Fingerprint != fp {
+	if fp := inst.Digest(); a.Fingerprint != fp {
 		return a, fmt.Errorf("engine: policy was trained on %q (catalog fingerprint %s) but target instance %q has fingerprint %s — refusing to replay it against a different catalog",
 			a.Instance, a.Fingerprint, inst.Name, fp)
 	}
 	return a, nil
 }
 
-// restoreValues rebuilds the Q-table policy of a tabular artifact,
-// restoring the representation it was saved from. It is the one place a
-// serialized Q payload is checked.
+// restoreValues rebuilds the Q-table policy of a tabular artifact in the
+// representation training picks for its size (qtable.New). It is the one
+// place a serialized Q payload is checked.
 func restoreValues(a artifact, inst *dataset.Instance) (*sarsa.Policy, error) {
 	if a.Items != inst.Catalog.Len() {
 		return nil, fmt.Errorf("engine: policy covers %d items, instance %q has %d", a.Items, inst.Name, inst.Catalog.Len())
 	}
-	if len(a.QS)+len(a.QE)+len(a.QV) > 0 {
-		if a.Items <= 0 || len(a.Q) != 0 || len(a.QS) != len(a.QE) || len(a.QS) != len(a.QV) {
-			return nil, fmt.Errorf("engine: corrupt %s artifact (n=%d, %d/%d/%d coordinates)",
-				a.Engine, a.Items, len(a.QS), len(a.QE), len(a.QV))
-		}
-		q := qtable.NewWithDenseMax(a.Items, 1) // keep the trained sparse form
-		for i := range a.QS {
-			s, e := int(a.QS[i]), int(a.QE[i])
-			if err := checkCell(&a, s, e, a.QV[i]); err != nil {
-				return nil, err
-			}
-			q.Set(s, e, a.QV[i])
-		}
-		return &sarsa.Policy{Q: q, IDs: a.IDs}, nil
+	if a.Items <= 0 || len(a.QS) != len(a.QE) || len(a.QS) != len(a.QV) {
+		return nil, fmt.Errorf("engine: corrupt %s artifact (n=%d, %d/%d/%d coordinates)",
+			a.Engine, a.Items, len(a.QS), len(a.QE), len(a.QV))
 	}
-	if a.Items <= 0 || len(a.Q) != a.Items*a.Items {
-		return nil, fmt.Errorf("engine: corrupt %s artifact (n=%d, %d values)", a.Engine, a.Items, len(a.Q))
-	}
-	q := qtable.NewWithDenseMax(a.Items, a.Items) // keep the saved dense form
-	for s := 0; s < a.Items; s++ {
-		for e := 0; e < a.Items; e++ {
-			v := a.Q[s*a.Items+e]
-			if err := checkCell(&a, s, e, v); err != nil {
-				return nil, err
-			}
-			q.Set(s, e, v)
+	q := qtable.New(a.Items)
+	for i := range a.QS {
+		s, e := int(a.QS[i]), int(a.QE[i])
+		if err := checkCell(&a, s, e, a.QV[i]); err != nil {
+			return nil, err
 		}
+		q.Set(s, e, a.QV[i])
 	}
-	return &sarsa.Policy{Q: q, IDs: a.IDs}, nil
+	return &sarsa.Policy{Q: q}, nil
 }
 
 // checkCell refuses a cell outside the Items×Items table or holding NaN

@@ -31,7 +31,7 @@ type DeriveStats struct {
 // the episode budget shrinks by the warm-start distance
 // (transfer.WarmBudget) — a k-item catalog change retrains roughly k/n
 // of the cold budget. The derived artifact records its provenance
-// (WarmStartedPolicy).
+// (Policy.WarmStart).
 //
 // The source must be a tabular policy (ValuePolicy). Derivation keeps
 // the source's TD engine when it is one of the Algorithm 1 learners and

@@ -36,10 +36,10 @@ func TestDeriveWarmStartsFromSibling(t *testing.T) {
 	if stats.WarmEpisodes >= stats.ColdEpisodes {
 		t.Fatalf("warm budget %d did not shrink from cold %d", stats.WarmEpisodes, stats.ColdEpisodes)
 	}
-	if got := engine.Episodes(pol); got != stats.WarmEpisodes {
+	if got := pol.Episodes(); got != stats.WarmEpisodes {
 		t.Fatalf("policy episodes = %d, want %d", got, stats.WarmEpisodes)
 	}
-	from, dist := engine.WarmStart(pol)
+	from, dist := pol.WarmStart()
 	if from != cs.Name || dist != stats.Distance {
 		t.Fatalf("warm provenance = (%q, %v), want (%q, %v)", from, dist, cs.Name, stats.Distance)
 	}
@@ -60,10 +60,10 @@ func TestDeriveWarmStartsFromSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := engine.Episodes(back); got != stats.WarmEpisodes {
+	if got := back.Episodes(); got != stats.WarmEpisodes {
 		t.Fatalf("loaded episodes = %d, want %d", got, stats.WarmEpisodes)
 	}
-	if from, dist := engine.WarmStart(back); from != cs.Name || dist != stats.Distance {
+	if from, dist := back.WarmStart(); from != cs.Name || dist != stats.Distance {
 		t.Fatalf("loaded warm provenance = (%q, %v), want (%q, %v)", from, dist, cs.Name, stats.Distance)
 	}
 }
@@ -174,10 +174,10 @@ func TestPartialCheckpointRecordsEpisodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine.Degradation(pol) != engine.DegradedPartial {
-		t.Fatalf("degradation = %q, want %q", engine.Degradation(pol), engine.DegradedPartial)
+	if pol.Degradation() != engine.DegradedPartial {
+		t.Fatalf("degradation = %q, want %q", pol.Degradation(), engine.DegradedPartial)
 	}
-	got := engine.Episodes(pol)
+	got := pol.Episodes()
 	if got == 0 || got >= budget {
 		t.Fatalf("partial policy episodes = %d, want in (0,%d)", got, budget)
 	}
@@ -190,11 +190,11 @@ func TestPartialCheckpointRecordsEpisodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine.Degradation(back) != engine.DegradedPartial {
+	if back.Degradation() != engine.DegradedPartial {
 		t.Fatal("degradation marker lost in artifact round-trip")
 	}
-	if engine.Episodes(back) != got {
-		t.Fatalf("loaded episodes = %d, want %d", engine.Episodes(back), got)
+	if back.Episodes() != got {
+		t.Fatalf("loaded episodes = %d, want %d", back.Episodes(), got)
 	}
 }
 

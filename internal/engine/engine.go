@@ -38,13 +38,31 @@ type Policy interface {
 	Engine() string
 	// Instance returns the name of the instance the policy was trained on.
 	Instance() string
-	// Fingerprint identifies the catalog the policy was trained on; Load
-	// refuses artifacts whose fingerprint does not match the target
-	// instance.
+	// Fingerprint identifies the catalog the policy was trained on: the
+	// instance's content digest (dataset.Instance.Digest), which covers
+	// the kind, the vocabulary, every field of every item and P_soft but
+	// not the name, and is computed once per instance. An artifact
+	// records it, and Load refuses the artifact against an instance with
+	// another one: the Q table's indices, and the environment they were
+	// learned in, would silently mean different items otherwise.
 	Fingerprint() string
 	// Hard returns the effective hard constraints the policy was trained
 	// under (options may have overridden the instance defaults).
 	Hard() constraints.Hard
+	// Degradation returns "" for a complete policy, or the reason the
+	// artifact is best-effort: DegradedPartial for a SARSA run
+	// checkpointed at its training deadline. Serving layers surface the
+	// marker ("degraded": true) so clients can tell a best-effort answer
+	// from a converged one.
+	Degradation() string
+	// Episodes returns how many learning episodes completed: the full
+	// budget for a complete run, fewer for one checkpointed at its
+	// training deadline, 0 for solvers without an episodic loop.
+	Episodes() int
+	// WarmStart returns the warm-start provenance of a derived policy:
+	// the instance it was seeded from and the transfer mapping's
+	// warm-start distance, ("", 0) for a cold-trained policy.
+	WarmStart() (source string, distance float64)
 	// Recommend walks the policy from a start item index (DefaultStart
 	// uses the trained start) and returns the recommended sequence of
 	// catalog indices.
@@ -55,8 +73,10 @@ type Policy interface {
 }
 
 // ValuePolicy is implemented by policies backed by a learned Q table
-// (SARSA, Q-learning, value iteration). Interactive sessions and transfer
-// need the underlying table and environment.
+// (SARSA, Q-learning, value iteration). Interactive sessions, transfer
+// and per-user overlays need the underlying table and environment.
+// Procedural baselines (EDA, OMEGA, gold) carry no action values and do
+// not implement it.
 type ValuePolicy interface {
 	Policy
 	// Env returns the MDP environment the policy was trained in.
@@ -68,15 +88,9 @@ type ValuePolicy interface {
 	// LearningCurve returns per-episode returns (nil for solvers without
 	// an episodic learning loop).
 	LearningCurve() []float64
-}
-
-// LayeredPolicy is implemented by policies whose action values can be
-// read through a qtable.Reader — the hook fleet-scale personalization
-// layers per-user overlays on. Procedural baselines (EDA, OMEGA, gold)
-// carry no action values and do not implement it; serving layers fall
-// back to the plain Recommend for them.
-type LayeredPolicy interface {
-	Policy
+	// Iterations returns the number of solver iterations until
+	// convergence (value iteration's sweep count, 0 for the TD learners).
+	Iterations() int
 	// BaseReader returns the policy's frozen serve-time read surface (the
 	// trained Q table) — the base a per-user qtable.Overlay wraps. The
 	// returned reader must not be mutated.
@@ -88,81 +102,19 @@ type LayeredPolicy interface {
 	RecommendOver(start int, r qtable.Reader) ([]int, error)
 }
 
-// Layered returns p as a LayeredPolicy when its action values support
-// overlay reads, or (nil, false) for value-free solvers.
-func Layered(p Policy) (LayeredPolicy, bool) {
-	l, ok := p.(LayeredPolicy)
-	return l, ok
-}
-
-// Converger is implemented by policies that track solver convergence
-// (value iteration reports its sweep count).
-type Converger interface {
-	// Iterations returns the number of solver iterations until
-	// convergence.
-	Iterations() int
-}
-
-// DegradedPolicy is implemented by policies that carry a degradation
-// marker. Every built-in policy implements it; Degradation returns ""
-// for a fully trained artifact and a short reason otherwise —
-// DegradedPartial for a SARSA run checkpointed at its training deadline.
-// Serving layers surface the marker ("degraded": true) so clients can
-// tell a best-effort answer from a converged one.
-type DegradedPolicy interface {
-	Policy
-	// Degradation returns "" for a complete policy, or the reason the
-	// artifact is best-effort (e.g. DegradedPartial).
-	Degradation() string
+// Layered returns p as a ValuePolicy, or (nil, false) for value-free
+// solvers; it is the type assertion, kept for the benchmark module's
+// replay, which calls it by name.
+func Layered(p Policy) (ValuePolicy, bool) {
+	v, ok := p.(ValuePolicy)
+	return v, ok
 }
 
 // DegradedPartial marks a policy checkpointed at a training deadline:
 // usable, validity-guarded, but short of its configured episode budget.
 const DegradedPartial = "partial"
 
-// Degradation reports a policy's degradation marker, "" for policies
-// that are complete or carry no marker.
-func Degradation(p Policy) string {
-	if d, ok := p.(DegradedPolicy); ok {
-		return d.Degradation()
-	}
-	return ""
-}
-
-// EpisodicPolicy is implemented by policies that record how many
-// learning episodes actually completed — the full budget for a complete
-// run, fewer for one checkpointed at its training deadline. Paired with
-// DegradedPartial it tells operators how far a degraded artifact got.
-type EpisodicPolicy interface {
-	Policy
-	// Episodes returns the completed learning-episode count (0 for
-	// solvers without an episodic loop).
-	Episodes() int
-}
-
-// Episodes reports a policy's completed learning-episode count, 0 for
-// policies that carry none.
-func Episodes(p Policy) int {
-	if e, ok := p.(EpisodicPolicy); ok {
-		return e.Episodes()
-	}
-	return 0
-}
-
-// WarmStartedPolicy is implemented by policies that record warm-start
-// provenance: derived policies name the artifact they were seeded from
-// and the transfer mapping's warm-start distance.
-type WarmStartedPolicy interface {
-	Policy
-	// WarmStart returns ("", 0) for cold-trained policies.
-	WarmStart() (source string, distance float64)
-}
-
-// WarmStart reports a policy's warm-start provenance, ("", 0) for
-// cold-trained policies or ones that carry none.
-func WarmStart(p Policy) (string, float64) {
-	if w, ok := p.(WarmStartedPolicy); ok {
-		return w.WarmStart()
-	}
-	return "", 0
-}
+// Episodes reports a policy's completed learning-episode count; it is
+// p.Episodes(), kept for the benchmark module's replay, which calls it
+// by name.
+func Episodes(p Policy) int { return p.Episodes() }

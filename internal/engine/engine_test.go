@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/qtable"
 )
 
 // quick keeps learner-based tests fast.
@@ -110,25 +112,26 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestArtifactRoundTrip is the tentpole invariant: save → load must
-// reproduce bit-identical recommendations from every start, for every
-// engine and for both Q payloads. Saving is byte-deterministic, a loaded
-// table keeps the representation it was trained in, and a loaded policy
+// reproduce every Q cell bit for bit and bit-identical recommendations
+// from every start, for every engine and for tables trained dense or
+// sparse. Saving is byte-deterministic, a loaded table takes the
+// representation qtable.New picks for its size, and a loaded policy
 // saves back to the bytes it was read from.
 func TestArtifactRoundTrip(t *testing.T) {
 	type roundTrip struct {
 		name, engine string
 		inst         *dataset.Instance
-		denseQMax    int
+		sparse       bool
 	}
 	var cases []roundTrip
 	for _, name := range Names() {
-		cases = append(cases, roundTrip{name, name, univ.Univ1DSCT(), 0})
+		cases = append(cases, roundTrip{name, name, univ.Univ1DSCT(), false})
 	}
-	// DenseQMax 1 forces the sparse (QS/QE/QV) payload on catalogs small
-	// enough to train in a test.
+	// A zero sparse InitQ trains a sparse table on catalogs small enough
+	// to train in a test; it loads back dense, as qtable.New picks.
 	cases = append(cases,
-		roundTrip{"sarsa-sparse/univ1dsct", "sarsa", univ.Univ1DSCT(), 1},
-		roundTrip{"sarsa-sparse/tripNYC", "sarsa", trip.NYC().Instance, 1},
+		roundTrip{"sarsa-sparse/univ1dsct", "sarsa", univ.Univ1DSCT(), true},
+		roundTrip{"sarsa-sparse/tripNYC", "sarsa", trip.NYC().Instance, true},
 	)
 	save := func(t *testing.T, p Policy) []byte {
 		t.Helper()
@@ -140,9 +143,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			n := tc.inst.Catalog.Len()
 			opts := quick
 			opts.Seed = 7
-			opts.DenseQMax = tc.denseQMax
+			if tc.sparse {
+				opts.InitQ = qtable.NewWithDenseMax(n, 1)
+			}
 			pol, err := Train(context.Background(), tc.engine, tc.inst, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -159,18 +165,26 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatalf("loaded engine = %q, want %q", loaded.Engine(), tc.engine)
 			}
 			if vp, ok := pol.(ValuePolicy); ok {
-				dense := vp.Values().Q.IsDense()
-				if dense != (tc.denseQMax == 0) {
-					t.Fatalf("trained IsDense() = %v with DenseQMax %d", dense, tc.denseQMax)
+				trained := vp.Values().Q
+				if trained.IsDense() == tc.sparse {
+					t.Fatalf("trained IsDense() = %v, sparse InitQ %v", trained.IsDense(), tc.sparse)
 				}
-				if got := loaded.(ValuePolicy).Values().Q.IsDense(); got != dense {
-					t.Fatalf("loaded IsDense() = %v, trained %v", got, dense)
+				got := loaded.(ValuePolicy).Values().Q
+				if got.IsDense() != qtable.New(n).IsDense() {
+					t.Fatalf("loaded IsDense() = %v, qtable.New(%d) picks %v", got.IsDense(), n, qtable.New(n).IsDense())
+				}
+				for s := 0; s < n; s++ {
+					for e := 0; e < n; e++ {
+						if a, b := trained.Get(s, e), got.Get(s, e); math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("Q(%d,%d): loaded %v, trained %v", s, e, b, a)
+						}
+					}
 				}
 			}
 			if !bytes.Equal(save(t, loaded), saved) {
 				t.Fatal("loaded policy does not save back to the bytes it was read from")
 			}
-			for start := DefaultStart; start < tc.inst.Catalog.Len(); start++ {
+			for start := DefaultStart; start < n; start++ {
 				want, werr := pol.Recommend(start)
 				got, gerr := loaded.Recommend(start)
 				if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(got, want) {
@@ -183,30 +197,25 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 // TestArtifactRejectsCorruptPayload: a Q payload that is ragged, out of
-// range, doubled or non-finite is refused by Load, in the dense (Q) and
-// the sparse (QS/QE/QV) form.
+// range or non-finite is refused by Load.
 func TestArtifactRejectsCorruptPayload(t *testing.T) {
 	inst := univ.Univ1DSCT()
 	n := inst.Catalog.Len()
-	saved := map[string][]byte{"dense": savedSarsa(t, 0), "sparse": savedSarsa(t, 1)}
+	saved := savedPolicy(t, "sarsa")
 	for _, tc := range []struct {
-		name, payload string
-		corrupt       func(a *artifact)
+		name    string
+		corrupt func(a *artifact)
 	}{
-		{"short Q", "dense", func(a *artifact) { a.Q = a.Q[:len(a.Q)-1] }},
-		{"NaN Q", "dense", func(a *artifact) { fill(a.Q, math.NaN()) }},
-		{"-Inf Q cell", "dense", func(a *artifact) { a.Q[len(a.Q)-1] = math.Inf(-1) }},
-		{"ragged QE", "sparse", func(a *artifact) { a.QE = a.QE[:len(a.QE)-1] }},
-		{"ragged QV", "sparse", func(a *artifact) { a.QV = append(a.QV, 1) }},
-		{"state out of range", "sparse", func(a *artifact) { a.QS[0] = int32(n) }},
-		{"negative action", "sparse", func(a *artifact) { a.QE[0] = -1 }},
-		{"both Q and QS", "sparse", func(a *artifact) { a.Q = make([]float64, n*n) }},
-		{"+Inf QV", "sparse", func(a *artifact) { fill(a.QV, math.Inf(1)) }},
-		{"NaN QV cell", "sparse", func(a *artifact) { a.QV[0] = math.NaN() }},
+		{"ragged QE", func(a *artifact) { a.QE = a.QE[:len(a.QE)-1] }},
+		{"ragged QV", func(a *artifact) { a.QV = append(a.QV, 1) }},
+		{"state out of range", func(a *artifact) { a.QS[0] = int32(n) }},
+		{"negative action", func(a *artifact) { a.QE[0] = -1 }},
+		{"+Inf QV", func(a *artifact) { fill(a.QV, math.Inf(1)) }},
+		{"NaN QV cell", func(a *artifact) { a.QV[0] = math.NaN() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var a artifact
-			if err := gob.NewDecoder(bytes.NewReader(saved[tc.payload])).Decode(&a); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&a); err != nil {
 				t.Fatal(err)
 			}
 			tc.corrupt(&a)
@@ -227,13 +236,11 @@ func fill(vs []float64, v float64) {
 	}
 }
 
-// savedSarsa returns the artifact of a sarsa policy trained on Univ-1
-// DS-CT: its Q payload is dense, or sparse (QS/QE/QV) when denseQMax is 1.
-func savedSarsa(tb testing.TB, denseQMax int) []byte {
+// savedPolicy returns the artifact of an engine's policy trained on
+// Univ-1 DS-CT.
+func savedPolicy(tb testing.TB, engine string) []byte {
 	tb.Helper()
-	opts := quick
-	opts.DenseQMax = denseQMax
-	pol, err := Train(context.Background(), "sarsa", univ.Univ1DSCT(), opts)
+	pol, err := Train(context.Background(), engine, univ.Univ1DSCT(), quick)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -249,8 +256,8 @@ func savedSarsa(tb testing.TB, denseQMax int) []byte {
 // policy whose Recommend(DefaultStart) returns without panicking.
 func FuzzLoadArtifact(f *testing.F) {
 	inst := univ.Univ1DSCT()
-	f.Add(savedSarsa(f, 0))
-	f.Add(savedSarsa(f, 1))
+	f.Add(savedPolicy(f, "sarsa"))
+	f.Add(savedPolicy(f, "valueiter"))
 	f.Add([]byte("junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pol, err := Load(bytes.NewReader(data), inst, quick)
@@ -279,15 +286,22 @@ func TestArtifactRejectsWrongMagic(t *testing.T) {
 	}
 }
 
+// TestArtifactRejectsNewerVersion: Load reads only ArtifactVersion. An
+// older artifact names its catalog by a coarser fingerprint, and a newer
+// one by a format this reader does not know; both are refused with an
+// error naming both versions.
 func TestArtifactRejectsNewerVersion(t *testing.T) {
-	var buf bytes.Buffer
-	a := artifact{Magic: artifactMagic, Version: ArtifactVersion + 1, Engine: "sarsa"}
-	if err := gob.NewEncoder(&buf).Encode(a); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf, univ.Univ1DSCT(), core.Options{})
-	if err == nil || !strings.Contains(err.Error(), "newer than supported") {
-		t.Fatalf("newer version: %v", err)
+	for _, v := range []int{ArtifactVersion - 1, ArtifactVersion + 1} {
+		var buf bytes.Buffer
+		a := artifact{Magic: artifactMagic, Version: v, Engine: "sarsa"}
+		if err := gob.NewEncoder(&buf).Encode(a); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf, univ.Univ1DSCT(), core.Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format v%d,", v)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("reads only v%d", ArtifactVersion)) {
+			t.Fatalf("artifact v%d: %v", v, err)
+		}
 	}
 }
 
@@ -310,15 +324,51 @@ func TestArtifactRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestArtifactRejectsMovedCoordinates: two uploads under one name whose
+// catalogs differ only in coordinates are different catalogs. A policy
+// trained on one walks distances the other does not have, so Load of
+// its artifact against the other is refused.
+func TestArtifactRejectsMovedCoordinates(t *testing.T) {
+	near, far := lineTrip(t, "X", 0.002), lineTrip(t, "X", 0.02)
+	pol, err := Train(context.Background(), "sarsa", near, core.Options{MaxDistanceKm: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pol.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	art := buf.Bytes()
+	if _, err := Load(bytes.NewReader(art), near, core.Options{MaxDistanceKm: 3}); err != nil {
+		t.Fatalf("load onto the training catalog: %v", err)
+	}
+	_, err = Load(bytes.NewReader(art), far, core.Options{MaxDistanceKm: 3})
+	if err == nil || !strings.Contains(err.Error(), "different catalog") {
+		t.Fatalf(`load of "near"'s artifact onto "far": %v, want a different-catalog error`, err)
+	}
+}
+
+// TestFingerprint: a policy's catalog identity is the instance's content
+// digest, so it separates catalogs that differ only in coordinates and
+// ignores the instance name.
 func TestFingerprint(t *testing.T) {
-	a, b := univ.Univ1DSCT(), univ.Univ2DS()
-	if Fingerprint(a) != Fingerprint(a) {
-		t.Fatal("fingerprint is not deterministic")
+	insts := append(append(univ.Univ1All(), univ.Univ2DS()), trip.Instances()...)
+	seen := map[string]string{}
+	for _, inst := range insts {
+		fp := Fingerprint(inst)
+		if fp != inst.Digest() {
+			t.Fatalf("%s: Fingerprint %s, Digest %s", inst.Name, fp, inst.Digest())
+		}
+		if other, dup := seen[fp]; dup {
+			t.Fatalf("%s and %s share fingerprint %s", inst.Name, other, fp)
+		}
+		seen[fp] = inst.Name
 	}
-	if Fingerprint(a) == Fingerprint(b) {
-		t.Fatal("different catalogs share a fingerprint")
+	near, far := lineTrip(t, "X", 0.002), lineTrip(t, "X", 0.02)
+	if Fingerprint(near) == Fingerprint(far) {
+		t.Fatal("catalogs that differ only in coordinates share a fingerprint")
 	}
-	if len(Fingerprint(a)) != 16 {
-		t.Fatalf("fingerprint %q is not 16 hex chars", Fingerprint(a))
+	if Fingerprint(far) != Fingerprint(lineTrip(t, "far", 0.02)) {
+		t.Fatal("the instance name changed the fingerprint")
 	}
 }

@@ -35,8 +35,9 @@ func EnvFor(ctx context.Context, inst *dataset.Instance, opts core.Options) (*md
 // constraints and reward configuration) by the instance's Digest, which
 // covers every other instance field Config.BuildEnv reads, so two
 // catalogs that differ anywhere (coordinates, prerequisites, T_ideal)
-// never share an environment, and equal ones always do. The artifact
-// Fingerprint is coarser and is not an env key.
+// never share an environment, and equal ones always do. The same digest
+// is a policy's Fingerprint, so a policy and its environment are named
+// by one identity.
 func resolve(ctx context.Context, inst *dataset.Instance, opts core.Options) (core.Config, *mdp.Env, error) {
 	c, err := core.Resolve(inst, opts)
 	if err != nil {

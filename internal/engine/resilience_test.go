@@ -32,8 +32,8 @@ func TestPartialSarsaMidTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interrupted training must checkpoint, not fail: %v", err)
 	}
-	if Degradation(pol) != DegradedPartial {
-		t.Fatalf("Degradation = %q, want %q", Degradation(pol), DegradedPartial)
+	if pol.Degradation() != DegradedPartial {
+		t.Fatalf("Degradation = %q, want %q", pol.Degradation(), DegradedPartial)
 	}
 	vp, ok := pol.(ValuePolicy)
 	if !ok {
@@ -68,8 +68,8 @@ func TestTrainBudgetCheckpointsSarsa(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("training ran %s past a 50ms budget", elapsed)
 	}
-	if Degradation(pol) != DegradedPartial {
-		t.Fatalf("Degradation = %q, want %q", Degradation(pol), DegradedPartial)
+	if pol.Degradation() != DegradedPartial {
+		t.Fatalf("Degradation = %q, want %q", pol.Degradation(), DegradedPartial)
 	}
 	if _, err := pol.Recommend(DefaultStart); err != nil {
 		t.Fatalf("partial policy recommend: %v", err)

@@ -88,7 +88,7 @@ func (m meta) Episodes() int          { return m.episodes }
 func (m meta) WarmStart() (string, float64) { return m.warmFrom, m.warmDistance }
 
 func metaFor(engine string, inst *dataset.Instance, hard constraints.Hard) meta {
-	return meta{engine: engine, instance: inst.Name, fp: Fingerprint(inst), hard: hard}
+	return meta{engine: engine, instance: inst.Name, fp: inst.Digest(), hard: hard}
 }
 
 // valuePolicy is the artifact of the tabular solvers: an immutable Q

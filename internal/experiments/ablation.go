@@ -140,7 +140,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			return err
 		}
 		viScores[r] = eval.Score(inst, plan)
-		viIterPerRun[r] = pol.(engine.Converger).Iterations()
+		viIterPerRun[r] = pol.(engine.ValuePolicy).Iterations()
 		return nil
 	})
 	if err != nil {

@@ -357,12 +357,13 @@ func (s *Server) listInstances(w http.ResponseWriter, _ *http.Request) {
 }
 
 // createInstance registers a custom instance from a JSON spec (the
-// rlplanner.InstanceSpec / cmd/datagen schema). Registered instances are
-// addressable by name in every other endpoint of this server.
+// rlplanner.InstanceSpec / cmd/datagen schema) of at most MaxUploadBytes.
+// Registered instances are addressable by name in every other endpoint
+// of this server.
 func (s *Server) createInstance(w http.ResponseWriter, r *http.Request) {
-	in, err := rlplanner.LoadInstance(r.Body)
+	in, err := rlplanner.LoadInstance(http.MaxBytesReader(w, r.Body, MaxUploadBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, uploadStatus(err), err)
 		return
 	}
 	if _, err := rlplanner.InstanceByName(in.Name()); err == nil {
@@ -590,12 +591,12 @@ func (s *Server) exportPolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 // importPolicy installs an uploaded artifact (the bytes exportPolicy
-// wrote) for the instance named in the query. The artifact's catalog
-// fingerprint must match. The policy is stored under the instance's
-// default-options key for its engine (and written through to the policy
-// repository, when one is attached), so subsequent
-// {"instance": ..., "engine": ...} plan requests are served from it
-// without any training — after a restart too.
+// wrote, at most MaxUploadBytes) for the instance named in the query.
+// The artifact's catalog fingerprint must match. The policy is stored
+// under the instance's default-options key for its engine (and written
+// through to the policy repository, when one is attached), so
+// subsequent {"instance": ..., "engine": ...} plan requests are served
+// from it without any training — after a restart too.
 func (s *Server) importPolicy(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("instance")
 	if name == "" {
@@ -609,10 +610,10 @@ func (s *Server) importPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Imports honor the deployment's data-plane size guards so the
 	// rebuilt environment shares the cache entry trained policies use.
-	pol, err := rlplanner.LoadPolicyArtifact(r.Body, inst, s.trainOpts(planRequest{Instance: name}))
+	pol, err := rlplanner.LoadPolicyArtifact(http.MaxBytesReader(w, r.Body, MaxUploadBytes), inst, s.trainOpts(planRequest{Instance: name}))
 	if err != nil {
 		s.loadFailures.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, uploadStatus(err), err)
 		return
 	}
 	key := planRequest{Instance: name}.policyKey(pol.Engine())

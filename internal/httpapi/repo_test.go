@@ -442,3 +442,59 @@ func TestPolicyKeyGolden(t *testing.T) {
 		}
 	}
 }
+
+// lineTripSpec is a six-POI trip, a to f, laid north along one meridian
+// spacing degrees of latitude apart, under a 3 km distance threshold.
+// Specs built with different spacings differ only in their coordinates.
+func lineTripSpec(name string, spacing float64) rlplanner.InstanceSpec {
+	spec := rlplanner.InstanceSpec{
+		Name: name, Kind: "trip", Credits: 6, Primary: 2, Secondary: 3, Gap: 1,
+		MaxDistanceKm: 3, DefaultStart: "a",
+	}
+	for i := 0; i < 6; i++ {
+		theme := fmt.Sprintf("theme-%d", i)
+		typ := "secondary"
+		if i < 2 {
+			typ = "primary"
+		}
+		spec.Topics = append(spec.Topics, theme)
+		spec.Items = append(spec.Items, rlplanner.ItemSpec{
+			ID: string(rune('a' + i)), Type: typ, Credits: 1, Topics: []string{theme},
+			Lat: 48.85 + spacing*float64(i), Lon: 2.35, Popularity: 3,
+		})
+	}
+	return spec
+}
+
+// TestRepoSeparatesSameNamedCatalogs: two servers share one policy
+// directory and each uploads a trip named "X", the first "near" (POIs
+// 0.22 km apart), then the second "far" (2.2 km apart), identical
+// otherwise. The second server must not serve the first one's artifact:
+// it trains once and plans what "far" plans on a server of its own.
+func TestRepoSeparatesSameNamedCatalogs(t *testing.T) {
+	dir := t.TempDir()
+	req := map[string]interface{}{"instance": "X", "engine": "sarsa", "episodes": 60, "seed": 1}
+	serve := func(spec rlplanner.InstanceSpec, opts ...Option) ([]string, int64) {
+		t.Helper()
+		s := New(opts...)
+		var trained atomic.Int64
+		s.onTrain = func(string) { trained.Add(1) }
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code := doJSON(t, "POST", ts.URL+"/api/instances", spec, &struct{}{}); code != 201 {
+			t.Fatalf("upload %s: status %d", spec.Name, code)
+		}
+		return repoPlanIDs(t, ts, req), trained.Load()
+	}
+	near, far := lineTripSpec("X", 0.002), lineTripSpec("X", 0.02)
+	if _, n := serve(near, WithPolicyDir(dir)); n != 1 {
+		t.Fatalf(`"near" trained %d times, want 1`, n)
+	}
+	got, n := serve(far, WithPolicyDir(dir))
+	if n != 1 {
+		t.Fatalf(`"far" after "near" on one policy dir trained %d times, want 1`, n)
+	}
+	if want, _ := serve(far); !reflect.DeepEqual(got, want) {
+		t.Fatalf(`"far" after "near" plans %v, on a server of its own %v`, got, want)
+	}
+}

@@ -64,10 +64,10 @@ func (s *Server) repoStats() repo.Stats {
 }
 
 // policyTier adapts the byte-oriented repository to the policy store's
-// Tier interface. Repository keys extend the store key with the
-// instance's catalog fingerprint, so a renamed-but-identical catalog
-// shares its artifact and a changed catalog can never collide with its
-// predecessor's.
+// Tier interface. A repository key is the store key, which names the
+// instance, plus the instance's fingerprint, the digest of its whole
+// content: a catalog re-uploaded under the same name with any change,
+// coordinates included, never reads its predecessor's artifact.
 type policyTier struct {
 	s *Server
 	r *repo.Repo
@@ -100,7 +100,7 @@ func (t *policyTier) Get(key string) (*rlplanner.Policy, bool) {
 	pol, err := rlplanner.LoadPolicyArtifact(bytes.NewReader(payload), inst, t.s.trainOpts(req))
 	if err != nil {
 		// The bytes passed their checksum but do not restore (foreign
-		// artifact, version from the future, fingerprint drift): count it,
+		// artifact, another format version, fingerprint drift): count it,
 		// name the file, quarantine it, retrain.
 		t.s.loadFailures.Add(1)
 		log.Printf("httpapi: policy repository: quarantining %s: %v", t.r.Path(rk), err)

@@ -269,23 +269,19 @@ func TestPolicyImportErrors(t *testing.T) {
 	}
 
 	// Non-finite Q values: a well-formed artifact for the right catalog
-	// whose every Q cell is NaN is refused, not served. No trainer writes
-	// such a table, so the test forges the artifact: gob matches fields
-	// by name, and these are the artifact's.
+	// with a NaN cell is refused, not served. No trainer writes such a
+	// table, so the test forges the artifact: gob matches fields by name,
+	// and these are the artifact's.
 	dsct := univ.Univ1DSCT()
-	n := dsct.Catalog.Len()
 	forgedArtifact := struct {
 		Magic, Engine, Instance, Fingerprint string
 		Version, Items                       int
-		Q                                    []float64
-		IDs                                  []string
+		QS, QE                               []int32
+		QV                                   []float64
 	}{
 		Magic: "rlplanner-policy", Engine: "sarsa", Instance: dsct.Name,
 		Fingerprint: engine.Fingerprint(dsct), Version: engine.ArtifactVersion,
-		Items: n, Q: make([]float64, n*n), IDs: dsct.Catalog.IDs(),
-	}
-	for i := range forgedArtifact.Q {
-		forgedArtifact.Q[i] = math.NaN()
+		Items: dsct.Catalog.Len(), QS: []int32{0, 0}, QE: []int32{1, 2}, QV: []float64{0.5, math.NaN()},
 	}
 	var forged bytes.Buffer
 	if err := gob.NewEncoder(&forged).Encode(forgedArtifact); err != nil {
@@ -395,5 +391,40 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	}
 	if body, _ := io.ReadAll(w.Body); !bytes.Contains(body, []byte("encoding failed")) {
 		t.Fatalf("body = %s", body)
+	}
+}
+
+// TestPolicyImportRefusesMovedCoordinates: a policy exported for a trip
+// named "X" does not import onto another server's "X" whose POIs sit
+// elsewhere. The catalogs differ, so the import answers 400.
+func TestPolicyImportRefusesMovedCoordinates(t *testing.T) {
+	upload := func(h http.Handler, spec rlplanner.InstanceSpec) {
+		t.Helper()
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/api/instances", bytes.NewReader(body)))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("upload: status %d: %s", w.Code, w.Body.String())
+		}
+	}
+	src := New().Handler()
+	upload(src, lineTripSpec("X", 0.002))
+	w := httptest.NewRecorder()
+	src.ServeHTTP(w, httptest.NewRequest("POST", "/api/policies/export",
+		strings.NewReader(`{"instance":"X","episodes":60,"seed":1}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("export status %d: %s", w.Code, w.Body.String())
+	}
+	artifact := w.Body.Bytes()
+
+	dst := New().Handler()
+	upload(dst, lineTripSpec("X", 0.02))
+	w = httptest.NewRecorder()
+	dst.ServeHTTP(w, httptest.NewRequest("POST", "/api/policies/import?instance=X", bytes.NewReader(artifact)))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "different catalog") {
+		t.Fatalf(`import of "near"'s artifact onto "far": status %d: %s`, w.Code, w.Body.String())
 	}
 }

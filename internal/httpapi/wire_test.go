@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -353,6 +354,43 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if rec := post("/api/plan/batch", body); rec.Code != http.StatusNotFound {
 		t.Fatalf("%d-byte %d-start batch: status %d %s, want 404 for the unknown instance", len(body), len(starts), rec.Code, rec.Body)
 	}
+
+	// The two uploads are capped at MaxUploadBytes instead. Their bodies
+	// stream from fillReader; the import body is a gob message declaring
+	// MaxUploadBytes bytes (a negated byte count, -4, then the count big
+	// endian) followed by zeros.
+	importPath := "/api/policies/import?instance=" + url.QueryEscape(instName)
+	gobHead := []byte{0xfc, MaxUploadBytes >> 24, 0, 0, 0}
+	for _, tc := range []struct {
+		path string
+		body io.Reader
+		code int
+	}{
+		{"/api/instances", io.MultiReader(strings.NewReader(`{"name":"big"`),
+			io.LimitReader(fillReader(' '), MaxUploadBytes), strings.NewReader("}")), http.StatusRequestEntityTooLarge},
+		{importPath, io.MultiReader(bytes.NewReader(gobHead),
+			io.LimitReader(fillReader(0), MaxUploadBytes)), http.StatusRequestEntityTooLarge},
+		// Exactly MaxUploadBytes: the message is cut short, a 400.
+		{importPath, io.MultiReader(bytes.NewReader(gobHead),
+			io.LimitReader(fillReader(0), MaxUploadBytes-int64(len(gobHead)))), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		var e map[string]string
+		if rec.Code != tc.code || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e["error"] == "" {
+			t.Fatalf("%s: got %d %s, want %d with an {\"error\": ...} body", tc.path, rec.Code, rec.Body, tc.code)
+		}
+	}
+}
+
+// fillReader reads an endless run of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
 }
 
 // TestBodyReadErrorReachesDecoder feeds request bodies whose read fails

@@ -49,8 +49,9 @@ type Table struct {
 func New(n int) *Table { return NewWithDenseMax(n, 0) }
 
 // NewWithDenseMax is New with an explicit dense threshold (<= 0 means
-// DefaultDenseMaxItems) — the constructor sarsa.Config.DenseQMax
-// reaches.
+// DefaultDenseMaxItems). The tests build a sparse table on a small
+// catalog with it (denseMax 1), and warm-start training from such a
+// table (sarsa.Config.Init) keeps its representation.
 func NewWithDenseMax(n, denseMax int) *Table {
 	if n < 0 {
 		panic(fmt.Sprintf("qtable: negative size %d", n))

@@ -143,7 +143,7 @@ func (e *Engine) train(ctx context.Context, inst *dataset.Instance, _ core.Optio
 	return &policy{
 		name:      e.name,
 		instance:  inst.Name,
-		fp:        engine.Fingerprint(inst),
+		fp:        inst.Digest(),
 		hard:      inst.Hard,
 		start:     inst.StartIndex(),
 		malformed: mode == Malformed,
@@ -161,10 +161,13 @@ type policy struct {
 	malformed bool
 }
 
-func (p *policy) Engine() string         { return p.name }
-func (p *policy) Instance() string       { return p.instance }
-func (p *policy) Fingerprint() string    { return p.fp }
-func (p *policy) Hard() constraints.Hard { return p.hard }
+func (p *policy) Engine() string               { return p.name }
+func (p *policy) Instance() string             { return p.instance }
+func (p *policy) Fingerprint() string          { return p.fp }
+func (p *policy) Hard() constraints.Hard       { return p.hard }
+func (p *policy) Degradation() string          { return "" }
+func (p *policy) Episodes() int                { return 0 }
+func (p *policy) WarmStart() (string, float64) { return "", 0 }
 
 func (p *policy) Recommend(start int) ([]int, error) {
 	if p.malformed {

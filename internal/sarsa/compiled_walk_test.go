@@ -170,12 +170,11 @@ func TestCompiledRolloutMatchesReference(t *testing.T) {
 			tables["random-"+string(rune('a'+i))] = randomPolicyTable(rng, n)
 		}
 
-		ids := env.Catalog().IDs()
 		for qName, q := range tables {
-			ref := &Policy{Q: q, IDs: ids}
+			ref := &Policy{Q: q}
 			variants := map[string]*Policy{
-				"dense":  {Q: q, IDs: ids},
-				"sparse": {Q: sparseCopy(q), IDs: ids},
+				"dense":  {Q: q},
+				"sparse": {Q: sparseCopy(q)},
 			}
 			for vName, pol := range variants {
 				for start := 0; start < n; start++ {
@@ -211,7 +210,7 @@ func TestNextGuidedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		q := randomPolicyTable(rng, n)
-		pol := &Policy{Q: q, IDs: env.Catalog().IDs()}
+		pol := &Policy{Q: q}
 		excluded := map[int]bool{rng.Intn(n): true, rng.Intn(n): true}
 		exclude := func(a int) bool { return excluded[a] }
 
@@ -257,7 +256,7 @@ func TestConcurrentWalksMatchSequential(t *testing.T) {
 	}
 	policies := []*Policy{
 		res.Policy,
-		{Q: sparseCopy(res.Policy.Q), IDs: res.Policy.IDs},
+		{Q: sparseCopy(res.Policy.Q)},
 	}
 	if !policies[0].Q.IsDense() || policies[1].Q.IsDense() {
 		t.Fatal("want one dense and one sparse-backed policy")

@@ -53,11 +53,12 @@ func episodeSeed(base int64, i int) int64 {
 	return int64(z)
 }
 
-// initialQ builds the run's starting table: zeros, or a clone of the
-// warm-start table when Config.Init is set.
+// initialQ builds the run's starting table: zeros in the representation
+// qtable.New picks for n items, or a clone of the warm-start table, in
+// its own representation, when Config.Init is set.
 func initialQ(cfg Config, n int) (*qtable.Table, error) {
 	if cfg.Init == nil {
-		return qtable.NewWithDenseMax(n, cfg.DenseQMax), nil
+		return qtable.New(n), nil
 	}
 	if cfg.Init.Size() != n {
 		return nil, fmt.Errorf("sarsa: warm-start table over %d items, catalog has %d", cfg.Init.Size(), n)
@@ -217,7 +218,7 @@ func learnBatched(ctx context.Context, env *mdp.Env, cfg Config, q *qtable.Table
 	}
 
 	return &Result{
-		Policy:         &Policy{Q: q, IDs: env.Catalog().IDs()},
+		Policy:         &Policy{Q: q},
 		EpisodeReturns: returns,
 		Interrupted:    interrupted,
 		MergeBatches:   batches,

@@ -113,10 +113,6 @@ type Config struct {
 	// Workers >= 1 — Workers=1 and Workers=64 produce the same Q table —
 	// so the worker count is purely a throughput knob.
 	Workers int
-	// DenseQMax overrides the dense/sparse threshold of the learned Q
-	// table (<= 0 means qtable.DefaultDenseMaxItems), threaded through
-	// core.Options.
-	DenseQMax int
 	// Init warm-starts learning from an existing Q table instead of
 	// zeros (the table is cloned, never mutated). The incremental
 	// retraining path feeds a transfer-mapped table from the nearest
@@ -167,8 +163,9 @@ func (c Config) explore() float64 {
 	return c.Explore
 }
 
-// Policy is a learned Q table together with the ids of the items its
-// indices refer to, so it can be persisted and transferred across catalogs.
+// Policy is a learned Q table over the indices of the catalog it was
+// learned on (the environment's catalog, which the engine layer keeps
+// beside it).
 //
 // After training completes, a Policy is immutable: the recommendation
 // walk reads Q directly from any number of goroutines, so Q must not be
@@ -177,8 +174,6 @@ func (c Config) explore() float64 {
 type Policy struct {
 	// Q is the learned action-value table.
 	Q *qtable.Table
-	// IDs aligns Q's indices with item ids of the learning catalog.
-	IDs []string
 }
 
 // Result reports what a learning run produced.
@@ -310,7 +305,7 @@ func LearnContext(ctx context.Context, env *mdp.Env, cfg Config) (*Result, error
 	}
 
 	return &Result{
-		Policy:         &Policy{Q: q, IDs: env.Catalog().IDs()},
+		Policy:         &Policy{Q: q},
 		EpisodeReturns: returns,
 		Interrupted:    interrupted,
 	}, nil

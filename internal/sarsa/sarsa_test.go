@@ -91,9 +91,6 @@ func TestLearnProducesPolicy(t *testing.T) {
 	if res.Policy.Q.Size() != env.NumItems() {
 		t.Fatalf("Q size = %d, want %d", res.Policy.Q.Size(), env.NumItems())
 	}
-	if len(res.Policy.IDs) != env.NumItems() {
-		t.Fatalf("IDs = %d entries", len(res.Policy.IDs))
-	}
 	if len(res.EpisodeReturns) != 200 {
 		t.Fatalf("returns = %d entries", len(res.EpisodeReturns))
 	}

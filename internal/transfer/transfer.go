@@ -139,7 +139,7 @@ func Map(src *sarsa.Policy, srcCat, dstCat *item.Catalog) (*sarsa.Policy, *Mappi
 			}
 		}
 	})
-	return &sarsa.Policy{Q: q, IDs: dstCat.IDs()}, m, nil
+	return &sarsa.Policy{Q: q}, m, nil
 }
 
 // topicNameSets extracts each item's topic names.

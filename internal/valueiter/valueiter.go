@@ -121,7 +121,7 @@ func Solve(env *mdp.Env, cfg Config) (*Result, error) {
 		}
 	}
 	return &Result{
-		Policy:     &sarsa.Policy{Q: q, IDs: env.Catalog().IDs()},
+		Policy:     &sarsa.Policy{Q: q},
 		Iterations: it,
 		Residual:   residual,
 	}, nil

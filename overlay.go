@@ -33,11 +33,11 @@ type Overlay struct {
 // (sarsa, qlearning, valueiter) can be layered; baseline engines carry
 // no action values and return an error.
 func (p *Policy) NewOverlay(maxCells int) (*Overlay, error) {
-	lp, ok := engine.Layered(p.p)
+	vp, ok := p.p.(engine.ValuePolicy)
 	if !ok {
 		return nil, fmt.Errorf("rlplanner: engine %s has no action values to personalize", p.Engine())
 	}
-	return &Overlay{pol: p, o: qtable.NewOverlay(lp.BaseReader(), maxCells)}, nil
+	return &Overlay{pol: p, o: qtable.NewOverlay(vp.BaseReader(), maxCells)}, nil
 }
 
 // RecommendWithOverlay produces a plan reading action values through
@@ -50,7 +50,7 @@ func (p *Policy) RecommendWithOverlay(startID string, ov *Overlay) (*Plan, error
 	if ov.pol != p {
 		return nil, fmt.Errorf("rlplanner: overlay belongs to a different policy")
 	}
-	lp, ok := engine.Layered(p.p)
+	vp, ok := p.p.(engine.ValuePolicy)
 	if !ok {
 		return nil, fmt.Errorf("rlplanner: engine %s has no action values to personalize", p.Engine())
 	}
@@ -62,7 +62,7 @@ func (p *Policy) RecommendWithOverlay(startID string, ov *Overlay) (*Plan, error
 		}
 		start = idx
 	}
-	seq, err := lp.RecommendOver(start, ov.o)
+	seq, err := vp.RecommendOver(start, ov.o)
 	if err != nil {
 		return nil, err
 	}

@@ -108,7 +108,7 @@ func (p *Policy) Engine() string { return p.p.Engine() }
 // training run completed: the full budget for a complete run, fewer for
 // one checkpointed at its TrainBudget deadline (see Degraded), and 0
 // for engines without an episodic learning loop.
-func (p *Policy) EpisodesTrained() int { return engine.Episodes(p.p) }
+func (p *Policy) EpisodesTrained() int { return p.p.Episodes() }
 
 // LearningCurve returns the reward collected per learning episode of
 // the policy's training run: nil for engines without an episodic
@@ -125,7 +125,7 @@ func (p *Policy) LearningCurve() []float64 {
 // by Derive: the source instance's name and the warm-start distance.
 // Cold-trained policies return ("", 0).
 func (p *Policy) WarmStartedFrom() (source string, distance float64) {
-	return engine.WarmStart(p.p)
+	return p.p.WarmStart()
 }
 
 // MatchDistance returns the warm-start distance from the policy's
@@ -149,8 +149,9 @@ func (p *Policy) MatchDistance(inst *Instance) (float64, error) {
 // baselines) — the figure the serving metrics aggregate per cache.
 func (p *Policy) MemoryBytes() int { return engine.PolicyBytes(p.p) }
 
-// Fingerprint identifies the catalog the policy was trained on; loading
-// an artifact against an instance with a different fingerprint fails.
+// Fingerprint identifies the catalog the policy was trained on
+// (Instance.Fingerprint); loading an artifact against an instance with a
+// different fingerprint fails.
 func (p *Policy) Fingerprint() string { return p.p.Fingerprint() }
 
 // Degraded reports the policy's degradation marker: "" for a fully
@@ -158,7 +159,7 @@ func (p *Policy) Fingerprint() string { return p.p.Fingerprint() }
 // training deadline (Options.TrainBudget). A partial policy still walks
 // the validity-guarded recommendation procedure, so its plans respect
 // the hard constraints — they are best-effort on the soft score only.
-func (p *Policy) Degraded() string { return engine.Degradation(p.p) }
+func (p *Policy) Degraded() string { return p.p.Degradation() }
 
 // Recommend produces a plan from the given start item id ("" uses the
 // start the policy was trained with). Safe for concurrent use.

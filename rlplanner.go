@@ -36,7 +36,6 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
-	"github.com/rlplanner/rlplanner/internal/engine"
 	"github.com/rlplanner/rlplanner/internal/eval"
 	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
@@ -68,9 +67,14 @@ func (in *Instance) GoldScore() float64 { return in.inner.GoldScore }
 func (in *Instance) DefaultStart() string { return in.inner.DefaultStart }
 
 // Fingerprint identifies the instance's catalog — the same value
-// Policy.Fingerprint reports for policies trained on it. Two instances
-// share a fingerprint exactly when their catalogs are identical.
-func (in *Instance) Fingerprint() string { return engine.Fingerprint(in.inner) }
+// Policy.Fingerprint reports for policies trained on it. It is a digest
+// of the instance's content: the kind, the topic vocabulary, every field
+// of every item (coordinates, prerequisites and popularity included) and
+// the soft constraints, computed once per instance. Two instances share
+// a fingerprint exactly when that content is identical, whatever their
+// names, and a policy artifact loads only onto an instance with its
+// fingerprint.
+func (in *Instance) Fingerprint() string { return in.inner.Digest() }
 
 // HasItem reports whether the catalog contains an item with the id.
 func (in *Instance) HasItem(id string) bool {
