@@ -63,12 +63,13 @@ examples:
 	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Microbenchmarks for the per-step MDP loop, the one-start batch
-# request around a catalog-scale walk and the feedback post, and for the
-# set-up path a first plan pays: the built-in cities' photo-log
+# request around a catalog-scale walk, the score and Theorem-1 check of
+# a served plan at 8 192 and 100 000 items, and the feedback post, and
+# for the set-up path a first plan pays: the built-in cities' photo-log
 # simulation, the neighbor store build and a catalog-scale training run.
 # Run with -benchmem so alloc regressions are visible.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch|BenchmarkFeedback|BenchmarkTripCities|BenchmarkNeighborStore|BenchmarkLearn' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/ ./internal/dataset/trip/ ./internal/geo/
+	$(GO) test -run '^$$' -bench 'BenchmarkEpisodeStep|BenchmarkEpisodeReward|BenchmarkSelectAction|BenchmarkGuidedWalk|BenchmarkPlanBatch|BenchmarkEvaluate|BenchmarkFeedback|BenchmarkTripCities|BenchmarkNeighborStore|BenchmarkLearn' -benchmem ./internal/mdp/... ./internal/sarsa/... ./internal/httpapi/ ./internal/eval/ ./internal/dataset/trip/ ./internal/geo/
 
 # Machine-readable perf records (BENCH_<id>.json) under results/.
 bench-json:

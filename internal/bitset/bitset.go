@@ -193,15 +193,6 @@ func (s Set) Empty() bool {
 	return true
 }
 
-// ClearAll turns every bit off in place, reusing the backing words. It
-// panics on a compacted set.
-func (s Set) ClearAll() {
-	s.mutable()
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy of s, preserving its representation.
 func (s Set) Clone() Set {
 	if s.compact() {
@@ -266,6 +257,24 @@ func (s Set) UnionInPlace(t Set) {
 	}
 	for i := range s.words {
 		s.words[i] |= t.words[i]
+	}
+}
+
+// DifferenceInPlace sets s = s \ t without allocating. The receiver
+// must be dense; t may be in either form. A compact t costs
+// O(population of t), not O(length): clearing a few topics from a
+// vocabulary-wide vector visits only their words.
+func (s Set) DifferenceInPlace(t Set) {
+	s.sameLen(t)
+	s.mutable()
+	if t.compact() {
+		for _, i := range t.idx {
+			s.words[i/wordBits] &^= 1 << uint(i%wordBits)
+		}
+		return
+	}
+	for i := range s.words {
+		s.words[i] &^= t.words[i]
 	}
 }
 
@@ -374,6 +383,40 @@ func countIntersectMixed(s, t *Set) int {
 		return c
 	}
 	return countIntersectMixed(t, s)
+}
+
+// AppendIntersection appends the indices of s ∩ t to dst in increasing
+// order and returns the extended slice. It is the allocation-free
+// enumeration of a small intersection (a plan item's ideal topics):
+// one test per index of a compact operand, a word loop otherwise.
+// Pointer operands, as in CountIntersect.
+func AppendIntersection(dst []int32, s, t *Set) []int32 {
+	if s.n != t.n {
+		panicLen(s.n, t.n)
+	}
+	switch {
+	case s.compact():
+		for _, i := range s.idx {
+			if t.test(int(i)) {
+				dst = append(dst, i)
+			}
+		}
+	case t.compact():
+		for _, i := range t.idx {
+			if wordTest(s.words, i) {
+				dst = append(dst, i)
+			}
+		}
+	default:
+		for wi, w := range s.words {
+			w &= t.words[wi]
+			for w != 0 {
+				dst = append(dst, int32(wi*wordBits+bits.TrailingZeros64(w)))
+				w &= w - 1
+			}
+		}
+	}
+	return dst
 }
 
 // IntersectCount returns |s ∩ t| without allocating.

@@ -106,6 +106,23 @@ func TestCompactEquivalence(t *testing.T) {
 				if !dst.Equal(wantUnion) {
 					t.Fatalf("trial %d reps (%d,%d): UnionInPlace mismatch", trial, ai, bi)
 				}
+				// DifferenceInPlace likewise, and AppendIntersection lists
+				// the allocating intersection's indices.
+				dst = av.Dense().Clone()
+				dst.DifferenceInPlace(bv)
+				if !dst.Equal(wantDiff) {
+					t.Fatalf("trial %d reps (%d,%d): DifferenceInPlace mismatch", trial, ai, bi)
+				}
+				got := AppendIntersection(nil, &av, &bv)
+				if want := wantInter.Indices(); len(got) != len(want) {
+					t.Fatalf("trial %d reps (%d,%d): AppendIntersection = %v, want %v", trial, ai, bi, got, want)
+				} else {
+					for k := range want {
+						if int(got[k]) != want[k] {
+							t.Fatalf("trial %d reps (%d,%d): AppendIntersection = %v, want %v", trial, ai, bi, got, want)
+						}
+					}
+				}
 				for ii, iv := range ir {
 					want := a.NewCoverage(b, ideal)
 					if got := av.NewCoverage(bv, iv); got != want {

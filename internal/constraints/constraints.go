@@ -13,6 +13,7 @@ package constraints
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
@@ -206,22 +207,29 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
 }
 
+// planBuf sizes the stack buffers Check and the plan scorers keep per
+// plan position: a longer plan spills them to the heap, and nothing else
+// changes.
+const planBuf = 32
+
 // Check validates a plan (a sequence of catalog indices) against the hard
 // constraints. It returns every violation found; an empty result means the
 // plan satisfies P_hard.
+//
+// Its cost grows with the plan, not with the catalog: duplicates and
+// antecedents are looked up in the plan's own id list, kept in a stack
+// buffer (prereq.SatisfiedAfter), and on a plan that satisfies P_hard it
+// allocates nothing.
 func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	var out []Violation
 
 	// Duplicates invalidate positions-based checks, detect them first.
-	seen := make(map[int]int, len(seq))
 	for pos, idx := range seq {
-		if first, dup := seen[idx]; dup {
+		if first := slices.Index(seq[:pos], idx); first >= 0 {
 			out = append(out, Violation{
 				Kind: ViolationDuplicate, Pos: pos,
 				Detail: fmt.Sprintf("%s already at position %d", c.At(idx).ID, first),
 			})
-		} else {
-			seen[idx] = pos
 		}
 	}
 
@@ -267,16 +275,17 @@ func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	}
 
 	// (4) Antecedent gap (Theorem 1, part 4 / Eq. 4).
-	positions := make(map[string]int, len(seq))
+	var buf [planBuf]string
+	placed := buf[:0]
 	for pos, idx := range seq {
 		m := c.At(idx)
-		if !prereq.Satisfied(m.Prereq, pos, positions, h.Gap) {
+		if !prereq.SatisfiedAfter(m.Prereq, placed, h.Gap) {
 			out = append(out, Violation{
 				Kind: ViolationGap, Pos: pos,
 				Detail: fmt.Sprintf("%s requires %s within gap %d", m.ID, prereq.Format(m.Prereq), h.Gap),
 			})
 		}
-		positions[m.ID] = pos
+		placed = append(placed, m.ID)
 	}
 
 	// Trip-specific: theme gap.
@@ -292,12 +301,14 @@ func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 		}
 	}
 
-	// Trip-specific: distance threshold d.
-	if h.MaxDistanceKm > 0 {
-		pts := make([]geo.Point, len(seq))
-		for i, idx := range seq {
+	// Trip-specific: distance threshold d. The path is measured only when
+	// it could exceed d.
+	if h.MaxDistanceKm > 0 && pathCanExceed(len(seq), h.MaxDistanceKm) {
+		var pb [planBuf]geo.Point
+		pts := pb[:0]
+		for _, idx := range seq {
 			m := c.At(idx)
-			pts[i] = geo.Point{Lat: m.Lat, Lon: m.Lon}
+			pts = append(pts, geo.Point{Lat: m.Lat, Lon: m.Lon})
 		}
 		if d := geo.PathLength(pts); d > h.MaxDistanceKm {
 			out = append(out, Violation{
@@ -308,6 +319,23 @@ func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	}
 
 	return out
+}
+
+// pathCanExceed reports whether a path through n points can be longer
+// than d: whether n−1 legs at Haversine's ceiling (geo.MaxHaversineKm),
+// summed in path order, exceed d. When they do not, no path of n points
+// does: every leg is at most the ceiling, and rounded addition is
+// monotone, so each partial sum of geo.PathLength is at most the
+// ceiling's partial sum at the same step.
+func pathCanExceed(n int, d float64) bool {
+	ceil, total := geo.MaxHaversineKm(), 0.0
+	for i := 1; i < n; i++ {
+		total += ceil
+		if total > d {
+			return true
+		}
+	}
+	return false
 }
 
 // Satisfies reports whether the plan meets every hard constraint.

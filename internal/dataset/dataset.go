@@ -78,10 +78,20 @@ type Instance struct {
 	// 15 for Univ-2, 5 for trips (§IV-A2).
 	GoldScore float64
 
-	// digestOnce and digest memoize Digest; an Instance is immutable
-	// once built.
+	// digestOnce and digest memoize Digest, and idealOnce and idealCount
+	// IdealCount; an Instance is immutable once built.
 	digestOnce sync.Once
 	digest     string
+	idealOnce  sync.Once
+	idealCount int
+}
+
+// IdealCount returns |T_ideal|, the denominator of a plan's topic
+// coverage. It is counted on first use, over the whole vocabulary, and
+// memoized on the instance, so scoring a plan does not recount it.
+func (in *Instance) IdealCount() int {
+	in.idealOnce.Do(func() { in.idealCount = in.Soft.Ideal.Count() })
+	return in.idealCount
 }
 
 // Validate performs consistency checks a generator must satisfy.

@@ -18,13 +18,14 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
 	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/dataset"
+	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
 	"github.com/rlplanner/rlplanner/internal/seqsim"
-	"github.com/rlplanner/rlplanner/internal/topics"
 )
 
 // Detail is a fully itemized plan evaluation.
@@ -53,6 +54,14 @@ func Evaluate(inst *dataset.Instance, plan []int) Detail {
 // EvaluateWith scores a plan against explicit hard constraints — used when
 // an experiment overrides the time or distance thresholds (Tables VIII,
 // XV, XVI) so the plan is judged by the budget it was planned under.
+//
+// The server scores every plan it serves with it, so its cost follows
+// the plan, not the catalog or the vocabulary: constraints.Check and
+// orderingValidity look antecedents up in the plan's own id list,
+// coverage counts the plan's own ideal topics against a memoized
+// |T_ideal| (dataset.Instance.IdealCount), and the per-position buffers
+// live on the stack. On a plan that satisfies P_hard it allocates
+// nothing.
 func EvaluateWith(inst *dataset.Instance, hard constraints.Hard, plan []int) Detail {
 	var d Detail
 	if len(plan) == 0 {
@@ -60,13 +69,9 @@ func EvaluateWith(inst *dataset.Instance, hard constraints.Hard, plan []int) Det
 	}
 	c := inst.Catalog
 	d.Violations = constraints.Check(c, plan, hard)
-	d.Interleave = seqsim.MaxSim(c.SequenceTypes(plan), inst.Soft.Template)
-
-	covered := bitset.New(c.Vocabulary().Len())
-	for _, idx := range plan {
-		covered.UnionInPlace(c.At(idx).Topics)
-	}
-	d.Coverage = topics.CoverageRatio(covered, inst.Soft.Ideal)
+	var types [planBuf]item.Type
+	d.Interleave = seqsim.MaxSim(appendTypes(types[:0], c, plan), inst.Soft.Template)
+	d.Coverage = coverage(inst, plan)
 
 	if inst.Kind == dataset.TripPlanning {
 		var sum float64
@@ -88,6 +93,45 @@ func EvaluateWith(inst *dataset.Instance, hard constraints.Hard, plan []int) Det
 	return d
 }
 
+// planBuf sizes the stack buffers EvaluateWith keeps per plan position,
+// and planTopics the one coverage keeps per covered ideal topic: larger
+// plans spill them to the heap and score the same.
+const (
+	planBuf    = 32
+	planTopics = 256
+)
+
+// appendTypes appends the types of the plan's items to dst
+// (item.Catalog.SequenceTypes without the allocation).
+func appendTypes(dst []item.Type, c *item.Catalog, plan []int) []item.Type {
+	for _, idx := range plan {
+		dst = append(dst, c.At(idx).Type)
+	}
+	return dst
+}
+
+// coverage returns |T_plan ∩ T_ideal| / |T_ideal|, where T_plan is the
+// union of the plan's topic vectors, and 1 when T_ideal is empty
+// (topics.CoverageRatio). It lists each item's topics that T_ideal
+// holds and counts the distinct ones, so it reads the plan's topics
+// only, never a vocabulary-wide vector.
+func coverage(inst *dataset.Instance, plan []int) float64 {
+	want := inst.IdealCount()
+	if want == 0 {
+		return 1
+	}
+	c := inst.Catalog
+	ideal := &inst.Soft.Ideal
+	var buf [planTopics]int32
+	hits := buf[:0]
+	for _, idx := range plan {
+		t := c.At(idx).Topics
+		hits = bitset.AppendIntersection(hits, &t, ideal)
+	}
+	slices.Sort(hits)
+	return float64(len(slices.Compact(hits))) / float64(want)
+}
+
 // Score is the headline §IV-A score of a plan.
 func Score(inst *dataset.Instance, plan []int) float64 {
 	return Evaluate(inst, plan).Score
@@ -106,11 +150,12 @@ func orderingValidity(inst *dataset.Instance, hard constraints.Hard, plan []int)
 		return 0
 	}
 	c := inst.Catalog
-	positions := make(map[string]int, len(plan))
+	var buf [planBuf]string
+	placed := buf[:0]
 	valid := 0
 	for pos, idx := range plan {
 		m := c.At(idx)
-		ok := prereq.Satisfied(m.Prereq, pos, positions, hard.Gap)
+		ok := prereq.SatisfiedAfter(m.Prereq, placed, hard.Gap)
 		if ok && hard.ThemeGap && pos > 0 {
 			prev := c.At(plan[pos-1])
 			if m.Category >= 0 && m.Category == prev.Category {
@@ -120,7 +165,7 @@ func orderingValidity(inst *dataset.Instance, hard constraints.Hard, plan []int)
 		if ok {
 			valid++
 		}
-		positions[m.ID] = pos
+		placed = append(placed, m.ID)
 	}
 	return float64(valid) / float64(len(plan))
 }

@@ -24,7 +24,7 @@ type DistMatrix struct {
 // one float32 load.
 func NewDistMatrix(pts []Point) *DistMatrix {
 	n := len(pts)
-	m := &DistMatrix{n: n, d: make([]float32, n*n), maxKm: maxHaversineKm()}
+	m := &DistMatrix{n: n, d: make([]float32, n*n), maxKm: MaxHaversineKm()}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := float32(Haversine(pts[i], pts[j]))

@@ -38,11 +38,11 @@ func haversine(a, b Point, cosA, cosB float64) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
-// maxHaversineKm returns the largest value Haversine can return: half a
+// MaxHaversineKm returns the largest value Haversine can return: half a
 // great circle, π·R ≈ 20 015 km. It evaluates the same expression as
 // Haversine at its largest argument, asin(1), so no rounding of a real
 // leg lands above it.
-func maxHaversineKm() float64 { return 2 * EarthRadiusKm * math.Asin(1) }
+func MaxHaversineKm() float64 { return 2 * EarthRadiusKm * math.Asin(1) }
 
 // PathLength returns the total distance of visiting the points in order.
 func PathLength(pts []Point) float64 {

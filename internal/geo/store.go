@@ -86,7 +86,7 @@ func (h HaversineStore) Dist(i, j int) float64 {
 }
 
 // MaxDist returns the Haversine ceiling.
-func (h HaversineStore) MaxDist() float64 { return maxHaversineKm() }
+func (h HaversineStore) MaxDist() float64 { return MaxHaversineKm() }
 
 // SizeBytes reports the point slice backing the store.
 func (h HaversineStore) SizeBytes() int { return 16 * len(h) }
@@ -126,7 +126,7 @@ func NewNeighborStore(pts []Point, k int) *NeighborStore {
 	if k > n-1 {
 		k = n - 1
 	}
-	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k, maxKm: maxHaversineKm()}
+	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k, maxKm: MaxHaversineKm()}
 	if n == 0 || k <= 0 {
 		s.bucketKm = 1
 		return s

@@ -234,7 +234,7 @@ func TestMaxDistBoundsEveryTier(t *testing.T) {
 	var raised []Point
 	for off := 0.0; off < 0.01; off += 1e-4 {
 		pts := []Point{{Lat: -10, Lon: 0}, {Lat: 10, Lon: 180}, {Lat: -10 - off, Lon: 0.5}}
-		if NewNeighborStore(pts, 0).MaxDist() > maxHaversineKm() {
+		if NewNeighborStore(pts, 0).MaxDist() > MaxHaversineKm() {
 			raised = pts
 			break
 		}
@@ -253,8 +253,8 @@ func TestMaxDistBoundsEveryTier(t *testing.T) {
 		}
 		for tier, s := range stores {
 			ceil := s.MaxDist()
-			if ceil < maxHaversineKm() {
-				t.Errorf("%s/%s: MaxDist %v below the Haversine ceiling %v", name, tier, ceil, maxHaversineKm())
+			if ceil < MaxHaversineKm() {
+				t.Errorf("%s/%s: MaxDist %v below the Haversine ceiling %v", name, tier, ceil, MaxHaversineKm())
 			}
 			for i := range pts {
 				for j := range pts {
@@ -288,7 +288,7 @@ func newNeighborStoreReference(pts []Point, k int) *NeighborStore {
 	if k > n-1 {
 		k = n - 1
 	}
-	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k, maxKm: maxHaversineKm()}
+	s := &NeighborStore{pts: pts, offs: make([]int32, n+1), k: k, maxKm: MaxHaversineKm()}
 	if n == 0 || k <= 0 {
 		s.bucketKm = 1
 		return s

@@ -112,6 +112,8 @@ type Server struct {
 	// climbing figure means clients send a form the fast path does not
 	// take: unknown or case-folded keys, nulls, repeated keys.
 	wireFallbacks atomic.Uint64
+	// plansInvalid counts served plans that fail P_hard (notePlan).
+	plansInvalid atomic.Uint64
 
 	// onTrain, when set, observes every actual training run (not cache
 	// hits or singleflight followers). Tests use it to count and to

@@ -593,3 +593,72 @@ func TestUploadRejectsUngriddableCoordinates(t *testing.T) {
 		t.Fatalf("error %q does not name item %q", body.Error, id)
 	}
 }
+
+// TestPlansInvalidCounter shows plans_invalid_total counting a served
+// plan that fails P_hard, from a start item with unmet antecedents
+// (which no plan can satisfy), through /api/plan/batch, and not the
+// valid plan /api/plan serves from the default start.
+func TestPlansInvalidCounter(t *testing.T) {
+	const name = "Univ-1 M.S. DS-CT"
+	inst, err := rlplanner.InstanceByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start string
+	for _, it := range inst.Items() {
+		if it.Prerequisite != "[]" {
+			start = it.ID
+			break
+		}
+	}
+	h := New().Handler()
+	invalid := func() float64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/metrics", nil))
+		var m map[string]float64
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := m["plans_invalid_total"]
+		if !ok {
+			t.Fatal("/api/metrics has no plans_invalid_total")
+		}
+		return v
+	}
+	post := func(path string, body any, out any) {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d %s", path, b, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var valid rlplanner.Plan
+	post("/api/plan", map[string]any{"instance": name}, &valid)
+	if !valid.SatisfiesConstraints {
+		t.Fatalf("default-start plan violates P_hard: %v", valid.Violations)
+	}
+	if n := invalid(); n != 0 {
+		t.Fatalf("after a valid plan: plans_invalid_total = %v, want 0", n)
+	}
+
+	var batch struct {
+		Items []struct {
+			Plan rlplanner.Plan `json:"plan"`
+		} `json:"items"`
+	}
+	post("/api/plan/batch", map[string]any{"instance": name, "starts": []string{start}}, &batch)
+	if len(batch.Items) != 1 || batch.Items[0].Plan.SatisfiesConstraints {
+		t.Fatalf("plan from %q, whose antecedents are unmet: %+v, want one plan failing P_hard", start, batch.Items)
+	}
+	if n := invalid(); n != 1 {
+		t.Fatalf("after a plan failing P_hard: plans_invalid_total = %v, want 1", n)
+	}
+}

@@ -117,10 +117,15 @@ type planResponse struct {
 // Config errors and capacity rejections skip the ladder — the former
 // are the client's to fix, the latter must shed load, not add more.
 // When the fallback fails too, the requested engine's error is
-// returned. key is req.policyKey(engineName).
+// returned. key is req.policyKey(engineName). Every plan it returns,
+// fallback plans included, counts in plans_invalid_total when it fails
+// P_hard (Theorem 1).
 func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, engineName, key string, req planRequest, startID string) (*planResponse, error) {
 	resp, err := s.planFrom(ctx, inst, engineName, key, req, startID)
 	if err == nil || s.fallback == "" || engineName == s.fallback || !resilientFailure(err) {
+		if err == nil {
+			s.notePlan(resp)
+		}
 		return resp, err
 	}
 	fb, fbErr := s.planFrom(ctx, inst, s.fallback, req.policyKey(s.fallback), req, startID)
@@ -130,7 +135,17 @@ func (s *Server) planOrFallback(ctx context.Context, inst *rlplanner.Instance, e
 	s.metrics.Fallbacks.Add(1)
 	fb.Degraded = true
 	fb.DegradedReason = degradedReason(err)
+	s.notePlan(fb)
 	return fb, nil
+}
+
+// notePlan counts a plan about to be served that fails P_hard: the
+// server scores every plan it serves, so Theorem 1 is checked at run
+// time, not only in tests.
+func (s *Server) notePlan(resp *planResponse) {
+	if !resp.SatisfiesConstraints {
+		s.plansInvalid.Add(1)
+	}
 }
 
 // planFrom trains (or fetches) the engine's policy and produces a plan
@@ -288,5 +303,10 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Hot-endpoint request bodies the canonical-form decoder handed to
 	// json.Decoder.
 	m["wire_decode_fallbacks_total"] = int64(s.wireFallbacks.Load())
+	// Served plans, from /api/plan, batch items and the fallback engine,
+	// whose SatisfiesConstraints was false. A plan from a start item
+	// with unmet antecedents counts here, since no plan from it can
+	// satisfy P_hard.
+	m["plans_invalid_total"] = int64(s.plansInvalid.Load())
 	writeJSON(w, http.StatusOK, m)
 }

@@ -441,10 +441,13 @@ func (e *Env) ReleaseEpisode(ep *Episode) {
 // state allocates nothing per episode.
 //
 // The rewind costs O(plan + dependents), not O(catalog): admit is the
-// only writer of positions, chosen and prereqOK, and it writes them only
-// for the items in seq and the prerequisite dependents of those items,
-// so undoing exactly those entries restores what Env.Start builds. That
-// holds for an episode abandoned mid-walk too.
+// only writer of positions, chosen, prereqOK and T_current, and it
+// writes them only for the items in seq, the prerequisite dependents of
+// those items and those items' topics, so undoing exactly those entries
+// restores what Env.Start builds. T_current is the union of the items'
+// topics, so clearing each item's topics empties it, visiting only the
+// words they set rather than the whole vocabulary. That holds for an
+// episode abandoned mid-walk too.
 func (ep *Episode) Reset(start int) error {
 	if start < 0 || start >= len(ep.chosen) {
 		return fmt.Errorf("mdp: start item %d out of range [0,%d)", start, len(ep.chosen))
@@ -453,13 +456,13 @@ func (ep *Episode) Reset(start int) error {
 	for _, i := range ep.seq {
 		ep.positions[i] = -1
 		ep.chosen[i] = false
+		ep.current.DifferenceInPlace(e.facts[i].topics)
 		for _, d := range e.prereqs.Dependents(i) {
 			ep.prereqOK[d] = e.prereqInit[d]
 		}
 	}
 	ep.seq = ep.seq[:0]
 	ep.seqTypes = ep.seqTypes[:0]
-	ep.current.ClearAll()
 	ep.credits, ep.distance = 0, 0
 	ep.admit(start)
 	return nil
@@ -521,6 +524,18 @@ func (ep *Episode) Sequence() []int { return append([]int(nil), ep.seq...) }
 
 // Types returns a copy of the type sequence chosen so far.
 func (ep *Episode) Types() []item.Type { return append([]item.Type(nil), ep.seqTypes...) }
+
+// CountType returns how many of the items chosen so far have type t,
+// without copying the type sequence as Types does.
+func (ep *Episode) CountType(t item.Type) int {
+	n := 0
+	for _, x := range ep.seqTypes {
+		if x == t {
+			n++
+		}
+	}
+	return n
+}
 
 // Credits returns the credits spent so far.
 func (ep *Episode) Credits() float64 { return ep.credits }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
+	"github.com/rlplanner/rlplanner/internal/dataset/synth"
 	"github.com/rlplanner/rlplanner/internal/fixture"
 	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -385,19 +386,56 @@ func TestPropertyEpisodeMatchesDirectRecomputation(t *testing.T) {
 	}
 }
 
+// synthEnv builds the environment of a synthetic catalog of n items
+// without coordinates, under its default constraints and a count budget.
+func synthEnv(t *testing.T, n int) *mdp.Env {
+	t.Helper()
+	inst, err := synth.Generate(synth.Params{Items: n, Seed: int64(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := inst.Defaults
+	rw := reward.Config{
+		Delta: d.Delta, Beta: d.Beta, Epsilon: d.Epsilon,
+		Weights:  reward.Weights{Primary: d.W1, Secondary: d.W2},
+		Sim:      d.Sim,
+		Template: inst.Soft.Template,
+	}
+	env, err := mdp.NewEnv(inst.Catalog, inst.Hard, inst.Soft, rw, mdp.CountBudget{H: inst.Hard.Length()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // TestEpisodeResetMatchesFreshStart checks that a recycled episode is
 // observationally identical to a freshly started one: after any walk,
 // Reset must leave no residue in the coverage set, position array, chosen
-// flags or prerequisite cache.
+// flags or prerequisite cache. The 100 000-item case, whose T_current
+// spans 200 000 topics of which a walk sets a few dozen, is skipped
+// under -short.
 func TestEpisodeResetMatchesFreshStart(t *testing.T) {
-	for name, env := range map[string]*mdp.Env{"course": courseEnv(t), "trip": tripEnv(t)} {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		env    func(t *testing.T) *mdp.Env
+		trials int
+		long   bool
+	}{
+		{"course", courseEnv, 20, false},
+		{"trip", tripEnv, 20, false},
+		{"synthetic-100000", func(t *testing.T) *mdp.Env { return synthEnv(t, 100000) }, 3, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("100 000-item catalog; skipped under -short")
+			}
+			env := c.env(t)
 			rng := rand.New(rand.NewSource(11))
 			recycled, err := env.Start(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for trial := 0; trial < 20; trial++ {
+			for trial := 0; trial < c.trials; trial++ {
 				// Dirty the recycled episode with a random walk.
 				for !recycled.Done() {
 					cands := recycled.Candidates()

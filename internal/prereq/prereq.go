@@ -108,6 +108,48 @@ func Satisfied(e Expr, pos int, positions map[string]int, gap int) bool {
 	return e.SatisfiedAt(pos, positions, gap)
 }
 
+// SatisfiedAfter reports whether e holds for an item placed right after
+// the items placed lists, in sequence order: at position len(placed),
+// where placed[p] is the id at position p. It equals Satisfied over the
+// map from each id to the last position it holds in placed, and builds
+// no map: a reference scans placed from its end, so checking a plan
+// costs O(plan) per reference and allocates nothing. Expressions of a
+// type this package does not define are evaluated through that map.
+func SatisfiedAfter(e Expr, placed []string, gap int) bool {
+	switch x := e.(type) {
+	case nil:
+		return true
+	case Ref:
+		pos := len(placed)
+		for p := pos - 1; p >= 0; p-- {
+			if placed[p] == string(x) {
+				return pos-p >= gap
+			}
+		}
+		return false
+	case And:
+		for _, sub := range x {
+			if !SatisfiedAfter(sub, placed, gap) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, sub := range x {
+			if SatisfiedAfter(sub, placed, gap) {
+				return true
+			}
+		}
+		return len(x) == 0
+	default:
+		positions := make(map[string]int, len(placed))
+		for p, id := range placed {
+			positions[id] = p
+		}
+		return e.SatisfiedAt(len(placed), positions, gap)
+	}
+}
+
 // ReferencedItems returns the ids referenced by e (nil-safe, may contain
 // duplicates if the expression repeats an item).
 func ReferencedItems(e Expr) []string {

@@ -143,3 +143,34 @@ func TestPropertyAndImpliesOr(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// foreign is an Expr type this package does not define, so
+// SatisfiedAfter takes its map fallback.
+type foreign struct{ Expr }
+
+func TestPropertySatisfiedAfterMatchesMap(t *testing.T) {
+	// SatisfiedAfter over a placement list equals Satisfied over the map
+	// from each id to its last position in the list, at the position
+	// after the list, for lists with repeated ids and for the empty one.
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		e := randExpr(rr, 3)
+		for trial := 0; trial < 5; trial++ {
+			placed := make([]string, rr.Intn(12))
+			pos := make(map[string]int)
+			for p := range placed {
+				placed[p] = fmt.Sprintf("i%d", rr.Intn(14))
+				pos[placed[p]] = p
+			}
+			g := rr.Intn(5) - 1
+			want := Satisfied(e, len(placed), pos, g)
+			if SatisfiedAfter(e, placed, g) != want || SatisfiedAfter(foreign{e}, placed, g) != want {
+				return false
+			}
+		}
+		return SatisfiedAfter(nil, nil, 1) && !SatisfiedAfter(Ref("i0"), nil, 0)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

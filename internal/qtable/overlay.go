@@ -36,8 +36,12 @@ const (
 // user, and the per-user store serializes access with a per-entry lock.
 // The base it wraps must be frozen (a Table after training), exactly
 // as the serving layer already guarantees.
+//
+// The base is a concrete *Table, read through direct calls: a mask
+// passed to ArgMax or AppendArgMaxTies reaches no interface call, so a
+// caller holding the *Overlay keeps its mask closure on its stack.
 type Overlay struct {
-	base     Reader
+	base     *Table
 	n        int
 	maxCells int
 	cells    int
@@ -54,16 +58,22 @@ type overlayRow struct {
 
 // NewOverlay returns an empty overlay over base, storing at most
 // maxCells shadowed values (DefaultOverlayCells when maxCells <= 0).
+// base must be a *Table, the trained table a policy serves; it panics
+// on any other Reader, as on nil.
 func NewOverlay(base Reader, maxCells int) *Overlay {
 	if base == nil {
 		panic("qtable: overlay over nil base")
+	}
+	t, ok := base.(*Table)
+	if !ok || t == nil {
+		panic(fmt.Sprintf("qtable: overlay over a %T, want a non-nil *Table", base))
 	}
 	if maxCells <= 0 {
 		maxCells = DefaultOverlayCells
 	}
 	return &Overlay{
-		base:     base,
-		n:        base.Size(),
+		base:     t,
+		n:        t.Size(),
 		maxCells: maxCells,
 		rows:     make(map[int32]*list.Element),
 		order:    list.New(),

@@ -163,6 +163,8 @@ func TestOverlayPanics(t *testing.T) {
 		func() { o.Get(3, 0) },
 		func() { o.Set(0, -1, 1) },
 		func() { NewOverlay(nil, 0) },
+		func() { NewOverlay((*Table)(nil), 0) },
+		func() { NewOverlay(o, 0) },
 	} {
 		func() {
 			defer func() {

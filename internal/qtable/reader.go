@@ -1,9 +1,10 @@
 package qtable
 
-// Reader is the read surface of an action-value table — the interface
-// every Q consumer on the serving path depends on, so the concrete
-// representation (dense or sparse-backed Table, per-user Overlay) stays
-// an implementation detail of this package.
+// Reader is the read surface of an action-value table, the type the
+// overlay API passes Q around as (NewOverlay's base, a policy's base
+// reader). The guided walk resolves it to the concrete *Table or
+// *Overlay before walking: a mask closure passed through an interface
+// method escapes to the heap, one passed to a concrete method need not.
 //
 // All implementations agree exactly on semantics: absent entries read as
 // 0, ArgMax breaks ties to the lowest index, and AppendArgMaxTies

@@ -44,8 +44,10 @@ func referenceNextAction(p *Policy, env *mdp.Env, ep *mdp.Episode, guided bool, 
 		return best, true
 	}
 	if guided {
-		typeOK, _ := guidedMask(env, ep)
-		if e, ok := bestRewardThenQ(ep, p.Q, s, func(a int) bool {
+		var f guidedFilter
+		f.reset(env, ep)
+		typeOK := f.allows
+		if e, ok := bestRewardThenQ(ep, qView{t: p.Q}, s, func(a int) bool {
 			return allowed(a) && typeOK(a)
 		}, &walkScratch{}); ok {
 			return e, true

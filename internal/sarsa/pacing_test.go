@@ -11,7 +11,7 @@ import (
 )
 
 // cheapestCompletionFits is the pacing filter's completion test as it
-// was first written, kept as completionFits's reference: it lists the
+// was first written, kept as completion's reference: it lists the
 // step's candidates and sorts the other candidates' credits for every
 // item it tests.
 func cheapestCompletionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, a, k int) bool {
@@ -48,10 +48,10 @@ func pacedTrip(inst *dataset.Instance) *dataset.Instance {
 	return paced
 }
 
-// TestCompletionFitsMatchesReference compares completionFits with
+// TestCompletionFitsMatchesReference compares completion with
 // cheapestCompletionFits for every item, in a random order, at every
 // step of random walks and for every completion length up to the
-// slots left. The trips are Paris and NYC with type counts and the
+// slots left, reusing one completion, and so its sort buffer, throughout. The trips are Paris and NYC with type counts and the
 // fixture trip of Example 2; their visit times tie often, and the test
 // requires steps where the item's own credit ties another candidate's.
 func TestCompletionFitsMatchesReference(t *testing.T) {
@@ -65,6 +65,7 @@ func TestCompletionFitsMatchesReference(t *testing.T) {
 			n, hard := env.NumItems(), env.Hard()
 			rng := rand.New(rand.NewSource(int64(n)))
 			var compared, tied int
+			var fits completion
 			for walk := 0; walk < 40; walk++ {
 				ep, err := env.Start(rng.Intn(n))
 				if err != nil {
@@ -77,11 +78,11 @@ func TestCompletionFitsMatchesReference(t *testing.T) {
 						credits[env.ItemCredits(c)]++
 					}
 					for k := 0; k <= hard.Length()-ep.Len(); k++ {
-						fits := completionFits(env, ep, hard.Credits, k)
+						fits.reset(env, ep, hard.Credits, k)
 						for _, a := range rng.Perm(n) {
-							got, want := fits(a), cheapestCompletionFits(env, ep, hard.Credits, a, k)
+							got, want := fits.fits(a), cheapestCompletionFits(env, ep, hard.Credits, a, k)
 							if got != want {
-								t.Fatalf("walk %d at %v, item %d, k %d: completionFits %v, reference %v",
+								t.Fatalf("walk %d at %v, item %d, k %d: completion %v, reference %v",
 									walk, ep.Sequence(), a, k, got, want)
 							}
 							compared++

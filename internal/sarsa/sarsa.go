@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -426,47 +427,63 @@ func rewardTies(env *mdp.Env, ep *mdp.Episode, sc *scratch) []int {
 	return ties
 }
 
-// completionFits returns, for the episode's current step, the test of
-// whether, after taking item a, the k cheapest remaining steppable items
-// still fit within the credit ceiling. It sorts the step's candidate
-// credits once, on the first call, and keeps the k+1 cheapest: the k
-// cheapest candidates other than a are those with one copy of a's own
-// credit removed when a is a candidate, summed in the same ascending
-// order as a sort of the other candidates' credits would give.
-func completionFits(env *mdp.Env, ep *mdp.Episode, ceiling float64, k int) func(a int) bool {
-	var cheapest []float64 // the k+1 cheapest candidate credits, ascending
-	cands := -1
-	return func(a int) bool {
-		own := env.ItemCredits(a)
-		budget := ceiling - ep.Credits() - own
-		if budget < 0 {
-			return false
-		}
-		if cands < 0 {
-			for i := 0; i < env.NumItems(); i++ {
-				if ep.CanStep(i) {
-					cheapest = append(cheapest, env.ItemCredits(i))
-				}
-			}
-			cands = len(cheapest)
-			sort.Float64s(cheapest)
-			cheapest = cheapest[:min(k+1, cands)]
-		}
-		skip := ep.CanStep(a)
-		if skip && cands-1 < k || !skip && cands < k {
-			return false
-		}
-		var need float64
-		for i, taken := 0, 0; taken < k; i++ {
-			if skip && cheapest[i] == own {
-				skip = false
-				continue
-			}
-			need += cheapest[i]
-			taken++
-		}
-		return need <= budget
+// completion is the pacing filter's test of whether, after taking item
+// a at the episode's current step, the k cheapest remaining steppable
+// items still fit within the credit ceiling. It sorts the step's
+// candidate credits once, on the first test, and keeps the k+1
+// cheapest: the k cheapest candidates other than a are those with one
+// copy of a's own credit removed when a is a candidate, summed in the
+// same ascending order as a sort of the other candidates' credits would
+// give. The sort buffer is kept across steps and walks.
+type completion struct {
+	env      *mdp.Env
+	ep       *mdp.Episode
+	ceiling  float64
+	k        int
+	cands    int       // the step's candidates, -1 until the first test
+	cheapest []float64 // the k+1 cheapest candidate credits, ascending
+}
+
+// reset starts the test for the episode's current step.
+func (c *completion) reset(env *mdp.Env, ep *mdp.Episode, ceiling float64, k int) {
+	c.env, c.ep, c.ceiling, c.k, c.cands = env, ep, ceiling, k, -1
+}
+
+// fits reports whether the k cheapest candidates other than a fit in
+// the budget left after a.
+func (c *completion) fits(a int) bool {
+	env, ep, k := c.env, c.ep, c.k
+	own := env.ItemCredits(a)
+	budget := c.ceiling - ep.Credits() - own
+	if budget < 0 {
+		return false
 	}
+	if c.cands < 0 {
+		c.cheapest = c.cheapest[:0]
+		for i := 0; i < env.NumItems(); i++ {
+			if ep.CanStep(i) {
+				c.cheapest = append(c.cheapest, env.ItemCredits(i))
+			}
+		}
+		c.cands = len(c.cheapest)
+		slices.Sort(c.cheapest)
+		c.cheapest = c.cheapest[:min(k+1, c.cands)]
+	}
+	cheapest, cands := c.cheapest, c.cands
+	skip := ep.CanStep(a)
+	if skip && cands-1 < k || !skip && cands < k {
+		return false
+	}
+	var need float64
+	for i, taken := 0, 0; taken < k; i++ {
+		if skip && cheapest[i] == own {
+			skip = false
+			continue
+		}
+		need += cheapest[i]
+		taken++
+	}
+	return need <= budget
 }
 
 // rewardTol is the margin within which bestRewardThenQ counts two
@@ -478,7 +495,7 @@ const rewardTol = 1e-9
 // highest Q value (lowest index on exact Q ties, for determinism). It
 // scores every item; tierOne answers the same question level by level
 // and falls back to it. The tie list reuses sc.ties.
-func bestRewardThenQ(ep *mdp.Episode, q qtable.Reader, s int, allowed func(int) bool, sc *walkScratch) (int, bool) {
+func bestRewardThenQ(ep *mdp.Episode, q qView, s int, allowed func(int) bool, sc *walkScratch) (int, bool) {
 	bestR := 0.0
 	ties := sc.ties[:0]
 	for a := 0; a < q.Size(); a++ {
@@ -575,13 +592,13 @@ func splitLevel(lv []float64, gs []int32, level float64) (at, rest []int32) {
 // that level's allowed open items: the highest Q, lowest index on exact
 // ties, as bestRewardThenQ breaks them; qtable.Table.ArgMax stops at the
 // first allowed zero once no allowed cell is positive. primaryOnly (the
-// split rule, guidedMask) drops the secondary groups, whose items
+// split rule, guidedFilter) drops the secondary groups, whose items
 // allowed refuses. It defers to bestRewardThenQ under SoftGate, and when
 // the level it reaches and the next lower one (or 0) fail either of that
 // scan's two tolerance comparisons: there its tie set can take in lower
 // levels, depending on catalog order. When both hold, its ties are
 // exactly the level's items.
-func tierOne(env *mdp.Env, ep *mdp.Episode, r qtable.Reader, s int, allowed func(int) bool, primaryOnly bool, sc *walkScratch) (int, bool) {
+func tierOne(env *mdp.Env, ep *mdp.Episode, r qView, s int, allowed func(int) bool, primaryOnly bool, sc *walkScratch) (int, bool) {
 	lv, ok := ep.RewardLevels(sc.levels[:0])
 	sc.levels = lv
 	if !ok {
@@ -660,7 +677,8 @@ func (p *Policy) RecommendGuided(env *mdp.Env, start int) ([]int, error) {
 // through r instead of the policy's own Q table — the layered serving
 // entry point. Passing an overlay whose base is this policy's Q keeps
 // unshadowed states on the table's own reads; passing nil (or Q
-// itself) is exactly RecommendGuided, bit for bit. r must cover the
+// itself) is exactly RecommendGuided, bit for bit. r must be a
+// *qtable.Table or a *qtable.Overlay (qView) and cover the
 // environment's catalog size.
 func (p *Policy) RecommendGuidedOver(env *mdp.Env, start int, r qtable.Reader) ([]int, error) {
 	return p.recommend(env, start, true, r)
@@ -676,17 +694,23 @@ func (p *Policy) recommend(env *mdp.Env, start int, guided bool, r qtable.Reader
 		return nil, fmt.Errorf("sarsa: reader over %d items applied to catalog of %d",
 			r.Size(), env.NumItems())
 	}
+	q, err := viewOf(r)
+	if err != nil {
+		return nil, err
+	}
 	// Serve-time episodes come from the environment's pool: Sequence
 	// copies the result out, so the episode (and its scratch buffers) can
-	// go straight back for the next request.
+	// go straight back for the next request. The walk's own buffers come
+	// from walkPool, so the sequence is the walk's only allocation.
 	ep, err := env.AcquireEpisode(start)
 	if err != nil {
 		return nil, err
 	}
 	defer env.ReleaseEpisode(ep)
-	var sc walkScratch
+	sc := getScratch()
+	defer putScratch(sc)
 	for !ep.Done() {
-		e, ok := p.nextAction(env, ep, guided, nil, &sc, r)
+		e, ok := p.nextAction(env, ep, guided, nil, sc, q)
 		if !ok {
 			break
 		}
@@ -695,12 +719,79 @@ func (p *Policy) recommend(env *mdp.Env, start int, guided bool, r qtable.Reader
 	return ep.Sequence(), nil
 }
 
-// walkScratch carries the per-walk reusable tie and level buffers so one
-// recommendation allocates at most once for each regardless of length.
-// A walkScratch belongs to one goroutine.
+// qView is the Q table a walk reads: the policy's *qtable.Table, or a
+// per-user *qtable.Overlay over a table. Its methods call the concrete
+// type's, so the masks a walk passes to an arg-max stay on the walk's
+// stack; through the qtable.Reader interface every mask closure, and
+// what it captures, would move to the heap at every step.
+type qView struct {
+	t *qtable.Table
+	o *qtable.Overlay // read instead of t when set
+}
+
+// viewOf resolves r to its view.
+func viewOf(r qtable.Reader) (qView, error) {
+	switch x := r.(type) {
+	case *qtable.Table:
+		return qView{t: x}, nil
+	case *qtable.Overlay:
+		return qView{o: x}, nil
+	}
+	return qView{}, fmt.Errorf("sarsa: cannot walk a %T; want a *qtable.Table or a *qtable.Overlay", r)
+}
+
+// Size returns the number of items the view covers.
+func (v qView) Size() int {
+	if v.o != nil {
+		return v.o.Size()
+	}
+	return v.t.Size()
+}
+
+// Get returns Q(s, e).
+func (v qView) Get(s, e int) float64 {
+	if v.o != nil {
+		return v.o.Get(s, e)
+	}
+	return v.t.Get(s, e)
+}
+
+// ArgMax is qtable.Reader.ArgMax.
+func (v qView) ArgMax(s int, allowed func(int) bool) (int, bool) {
+	if v.o != nil {
+		return v.o.ArgMax(s, allowed)
+	}
+	return v.t.ArgMax(s, allowed)
+}
+
+// AppendArgMaxTies is qtable.Reader.AppendArgMaxTies.
+func (v qView) AppendArgMaxTies(s int, allowed func(int) bool, buf []int) []int {
+	if v.o != nil {
+		return v.o.AppendArgMaxTies(s, allowed, buf)
+	}
+	return v.t.AppendArgMaxTies(s, allowed, buf)
+}
+
+// walkScratch carries a walk's reusable tie, level and pacing buffers.
+// A walkScratch belongs to one goroutine; walks take one from walkPool,
+// so a steady stream of walks allocates none of them.
 type walkScratch struct {
 	ties   []int
 	levels []float64
+	filter guidedFilter
+}
+
+// walkPool recycles walkScratch across walks.
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
+func getScratch() *walkScratch { return walkPool.Get().(*walkScratch) }
+
+// putScratch returns sc to walkPool, dropping its references to the
+// walk's environment and episode so that a pooled buffer keeps neither
+// alive.
+func putScratch(sc *walkScratch) {
+	sc.filter.release()
+	walkPool.Put(sc)
 }
 
 // compatible checks that the policy covers the environment's catalog.
@@ -723,36 +814,44 @@ func (p *Policy) NextGuided(env *mdp.Env, ep *mdp.Episode, exclude func(int) boo
 	if p.compatible(env) != nil || ep.Done() {
 		return -1, false
 	}
-	var sc walkScratch
-	return p.nextAction(env, ep, true, exclude, &sc, p.Q)
+	sc := getScratch()
+	defer putScratch(sc)
+	return p.nextAction(env, ep, true, exclude, sc, qView{t: p.Q})
 }
 
-// guidedMask builds the split/budget pacing filter of the guided walk for
-// the episode's current position. primaryOnly reports that the split
-// rule is in force: the filter then refuses every secondary item.
-func guidedMask(env *mdp.Env, ep *mdp.Episode) (typeOK func(int) bool, primaryOnly bool) {
+// guidedFilter is the split/budget pacing filter of the guided walk for
+// the episode's current position; reset builds it for a step and allows
+// applies it. It is a value with a method rather than a closure so that
+// building it allocates nothing.
+type guidedFilter struct {
+	env *mdp.Env
+	// primaryOnly reports that the split rule is in force: allows then
+	// refuses every secondary item.
+	primaryOnly bool
+	// paced reports that the MaxCredits pacing applies, with the time
+	// and distance left, the slots left and the last item; distance,
+	// that a distance threshold d is set.
+	paced, distance  bool
+	remTime, remDist float64
+	left, last       int
+	completion       completion
+}
+
+// reset builds the filter for the episode's current position.
+func (f *guidedFilter) reset(env *mdp.Env, ep *mdp.Episode) {
+	f.env, f.primaryOnly, f.paced = env, false, false
 	hard := env.Hard()
-	typeOK = func(int) bool { return true }
 	if hard.Length() == 0 {
-		return typeOK, false
+		return
 	}
 
 	// Split-awareness: when the remaining slots are exactly enough for the
 	// outstanding primary requirement, only primaries may fill them (extra
 	// primaries are fine — Case I of Theorem 1 — but a shortage is a hard
 	// violation).
-	var primaries int
-	for _, t := range ep.Types() {
-		if t == item.Primary {
-			primaries++
-		}
-	}
-	needPrimary := hard.Primary - primaries
+	needPrimary := hard.Primary - ep.CountType(item.Primary)
 	left := hard.Length() - ep.Len()
-	if needPrimary > 0 && needPrimary >= left {
-		primaryOnly = true
-		typeOK = func(a int) bool { return env.ItemType(a) == item.Primary }
-	}
+	f.primaryOnly = needPrimary > 0 && needPrimary >= left
 
 	// Budget-awareness under a credit ceiling (trips): the time and
 	// distance budgets must be paced across the remaining slots — a
@@ -761,34 +860,46 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) (typeOK func(int) bool, primaryOn
 	// slack-adjusted per-slot share of both budgets and (b) leave enough
 	// time for the cheapest completion.
 	if hard.CreditMode == constraints.MaxCredits && left > 1 {
-		inner := typeOK
-		remTime := hard.Credits - ep.Credits()
-		remDist := hard.MaxDistanceKm - ep.Distance()
-		last := ep.Last()
-		fits := completionFits(env, ep, hard.Credits, left-1)
-		const slack = 1.6
-		typeOK = func(a int) bool {
-			if !inner(a) {
-				return false
-			}
-			if env.ItemCredits(a) > slack*remTime/float64(left) {
-				return false
-			}
-			// env.Dist serves legs from the environment's precomputed
-			// distance matrix, the same geometry the step loop measures.
-			if hard.MaxDistanceKm > 0 && env.Dist(last, a) > slack*remDist/float64(left) {
-				return false
-			}
-			return fits(a)
-		}
+		f.paced, f.distance = true, hard.MaxDistanceKm > 0
+		f.remTime = hard.Credits - ep.Credits()
+		f.remDist = hard.MaxDistanceKm - ep.Distance()
+		f.left, f.last = left, ep.Last()
+		f.completion.reset(env, ep, hard.Credits, left-1)
 	}
-	return typeOK, primaryOnly
+}
+
+// allows reports whether the filter admits item a.
+func (f *guidedFilter) allows(a int) bool {
+	env := f.env
+	if f.primaryOnly && env.ItemType(a) != item.Primary {
+		return false
+	}
+	if !f.paced {
+		return true
+	}
+	const slack = 1.6
+	if env.ItemCredits(a) > slack*f.remTime/float64(f.left) {
+		return false
+	}
+	// env.Dist serves legs from the environment's precomputed distance
+	// matrix, the same geometry the step loop measures.
+	if f.distance && env.Dist(f.last, a) > slack*f.remDist/float64(f.left) {
+		return false
+	}
+	return f.completion.fits(a)
+}
+
+// release drops the filter's references to the walk's environment and
+// episode, keeping its buffer.
+func (f *guidedFilter) release() {
+	f.env = nil
+	f.completion.env, f.completion.ep = nil, nil
 }
 
 // nextAction picks one action for the episode's current state, reading
-// action values through r — the policy's Q table on the default path,
+// action values through q — the policy's Q table on the default path,
 // or a per-user overlay layered over it on the personalized one.
-func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude func(int) bool, sc *walkScratch, r qtable.Reader) (int, bool) {
+func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude func(int) bool, sc *walkScratch, q qView) (int, bool) {
 	s := ep.Last()
 	allowed := func(a int) bool {
 		return ep.CanStep(a) && (exclude == nil || !exclude(a))
@@ -799,7 +910,7 @@ func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude 
 	// states the training episodes never reached have all-zero Q rows, and
 	// there the immediate reward is the only signal.
 	argmax := func(mask func(int) bool) (int, bool) {
-		sc.ties = r.AppendArgMaxTies(s, mask, sc.ties[:0])
+		sc.ties = q.AppendArgMaxTies(s, mask, sc.ties[:0])
 		ties := sc.ties
 		switch len(ties) {
 		case 0:
@@ -817,23 +928,24 @@ func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude 
 	}
 
 	if guided {
-		typeOK, primaryOnly := guidedMask(env, ep)
+		f := &sc.filter
+		f.reset(env, ep)
 		// Tier 1: actions with an open θ gate (full Equation 2 validity).
 		// The learned policy prefers, like its training selection rule
 		// (Algorithm 1 lines 4 and 9), the actions with the maximal
 		// immediate reward, and uses the learned Q values to pick among
 		// them — Q supplies the lookahead that distinguishes RL-Planner
 		// from the purely myopic EDA baseline.
-		if e, ok := tierOne(env, ep, r, s, func(a int) bool {
-			return allowed(a) && typeOK(a)
-		}, primaryOnly, sc); ok {
+		if e, ok := tierOne(env, ep, q, s, func(a int) bool {
+			return allowed(a) && f.allows(a)
+		}, f.primaryOnly, sc); ok {
 			return e, true
 		}
 		// Tier 2: actions that at least respect the hard gap rules (r2),
 		// even when the ε topic-gain gate is closed — topic coverage is a
 		// soft constraint, antecedent gaps are hard.
 		if e, ok := argmax(func(a int) bool {
-			if !allowed(a) || !typeOK(a) {
+			if !allowed(a) || !f.allows(a) {
 				return false
 			}
 			tr := ep.TransitionScratch(a)
@@ -843,7 +955,7 @@ func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude 
 		}
 		// Tier 3: at least respect the split/budget pacing.
 		if e, ok := argmax(func(a int) bool {
-			return allowed(a) && typeOK(a)
+			return allowed(a) && f.allows(a)
 		}); ok {
 			return e, true
 		}
@@ -873,7 +985,8 @@ func (p *Policy) RankActions(env *mdp.Env, ep *mdp.Episode, k int, exclude func(
 		return nil
 	}
 	s := ep.Last()
-	typeOK, _ := guidedMask(env, ep)
+	var f guidedFilter
+	f.reset(env, ep)
 	var out []Ranked
 	for a := 0; a < env.NumItems(); a++ {
 		if !ep.CanStep(a) || (exclude != nil && exclude(a)) {
@@ -883,11 +996,11 @@ func (p *Policy) RankActions(env *mdp.Env, ep *mdp.Episode, k int, exclude func(
 		tr := ep.TransitionScratch(a)
 		tier := 4
 		switch {
-		case typeOK(a) && r > 0:
+		case f.allows(a) && r > 0:
 			tier = 1
-		case typeOK(a) && tr.PrereqOK && tr.ThemeOK:
+		case f.allows(a) && tr.PrereqOK && tr.ThemeOK:
 			tier = 2
-		case typeOK(a):
+		case f.allows(a):
 			tier = 3
 		}
 		out = append(out, Ranked{Item: a, Tier: tier, Reward: r, Q: p.Q.Get(s, a)})

@@ -82,7 +82,12 @@ func tierReaders(t *testing.T, env *mdp.Env, rng *rand.Rand, episodes, maxDense 
 func checkTierOne(t *testing.T, env *mdp.Env, r qtable.Reader, walks int, rng *rand.Rand, exclude func(int) bool) (steps, tolerant int) {
 	t.Helper()
 	n := env.NumItems()
+	q, err := viewOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sc, ref walkScratch
+	var f guidedFilter
 	for walk := 0; walk < walks; walk++ {
 		ep, err := env.Start(rng.Intn(n))
 		if err != nil {
@@ -90,12 +95,12 @@ func checkTierOne(t *testing.T, env *mdp.Env, r qtable.Reader, walks int, rng *r
 		}
 		for !ep.Done() {
 			s := ep.Last()
-			typeOK, primaryOnly := guidedMask(env, ep)
+			f.reset(env, ep)
 			allowed := func(a int) bool {
-				return ep.CanStep(a) && (exclude == nil || !exclude(a)) && typeOK(a)
+				return ep.CanStep(a) && (exclude == nil || !exclude(a)) && f.allows(a)
 			}
-			got, gotOK := tierOne(env, ep, r, s, allowed, primaryOnly, &sc)
-			want, wantOK := bestRewardThenQ(ep, r, s, allowed, &ref)
+			got, gotOK := tierOne(env, ep, q, s, allowed, f.primaryOnly, &sc)
+			want, wantOK := bestRewardThenQ(ep, q, s, allowed, &ref)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("walk %d at %v: tierOne = (%d,%v), bestRewardThenQ (%d,%v)",
 					walk, ep.Sequence(), got, gotOK, want, wantOK)

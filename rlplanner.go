@@ -295,6 +295,9 @@ func newPlan(inst *Instance, hard constraints.Hard, seq []int) *Plan {
 	for _, v := range d.Violations {
 		plan.Violations = append(plan.Violations, v.String())
 	}
+	if len(seq) > 0 {
+		plan.Steps = make([]PlanStep, 0, len(seq))
+	}
 	for _, idx := range seq {
 		m := c.At(idx)
 		plan.Steps = append(plan.Steps, PlanStep{
