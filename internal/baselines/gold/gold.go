@@ -97,7 +97,7 @@ func greedyPopular(ctx context.Context, inst *dataset.Instance) ([]int, error) {
 	h := inst.Hard
 	var plan []int
 	chosen := make([]bool, c.Len())
-	positions := make(map[string]int, c.Len())
+	var placed prereq.Placed
 	dc := newDistCache(c, h.MaxDistanceKm > 0)
 	var credits, distance float64
 
@@ -115,7 +115,7 @@ func greedyPopular(ctx context.Context, inst *dataset.Instance) ([]int, error) {
 			if credits+m.Credits > h.Credits {
 				continue
 			}
-			if !prereq.Satisfied(m.Prereq, len(plan), positions, h.Gap) {
+			if !prereq.SatisfiedAfter(m.Prereq, placed, h.Gap) {
 				continue
 			}
 			if h.ThemeGap && len(plan) > 0 {
@@ -139,7 +139,7 @@ func greedyPopular(ctx context.Context, inst *dataset.Instance) ([]int, error) {
 		if h.MaxDistanceKm > 0 && len(plan) > 0 {
 			distance += dc.leg(plan[len(plan)-1], best)
 		}
-		positions[m.ID] = len(plan)
+		placed = placed.Add(m.ID)
 		plan = append(plan, best)
 		chosen[best] = true
 		credits += m.Credits
@@ -152,29 +152,28 @@ func greedyPopular(ctx context.Context, inst *dataset.Instance) ([]int, error) {
 
 // searchState tracks the DFS bookkeeping.
 type searchState struct {
-	ctx       context.Context
-	inst      *dataset.Instance
-	perm      []item.Type
-	plan      []int
-	positions map[string]int
-	chosen    []bool
-	dc        distCache
-	credits   float64
-	distance  float64
-	nodes     int
-	err       error // ctx error that aborted the search, if any
+	ctx      context.Context
+	inst     *dataset.Instance
+	perm     []item.Type
+	plan     []int
+	placed   prereq.Placed // the ids of plan
+	chosen   []bool
+	dc       distCache
+	credits  float64
+	distance float64
+	nodes    int
+	err      error // ctx error that aborted the search, if any
 }
 
 // fill attempts to realize one permutation; (nil, nil) when impossible
 // within the node budget, an error only when the context was canceled.
 func fill(ctx context.Context, inst *dataset.Instance, perm []item.Type) ([]int, error) {
 	st := &searchState{
-		ctx:       ctx,
-		inst:      inst,
-		perm:      perm,
-		positions: make(map[string]int, len(perm)),
-		chosen:    make([]bool, inst.Catalog.Len()),
-		dc:        newDistCache(inst.Catalog, inst.Hard.MaxDistanceKm > 0),
+		ctx:    ctx,
+		inst:   inst,
+		perm:   perm,
+		chosen: make([]bool, inst.Catalog.Len()),
+		dc:     newDistCache(inst.Catalog, inst.Hard.MaxDistanceKm > 0),
 	}
 	if st.dfs(0) {
 		return st.plan, nil
@@ -226,7 +225,7 @@ func (st *searchState) candidates(pos int) []int {
 		if m.Type != want {
 			continue
 		}
-		if !prereq.Satisfied(m.Prereq, pos, st.positions, h.Gap) {
+		if !prereq.SatisfiedAfter(m.Prereq, st.placed, h.Gap) {
 			continue
 		}
 		if h.CreditMode == constraints.MaxCredits && st.credits+m.Credits > h.Credits {
@@ -265,7 +264,7 @@ func (st *searchState) push(pos, idx int) {
 		st.distance += st.dc.leg(st.plan[pos-1], idx)
 	}
 	st.plan = append(st.plan, idx)
-	st.positions[m.ID] = pos
+	st.placed = st.placed.Add(m.ID)
 	st.chosen[idx] = true
 	st.credits += m.Credits
 }
@@ -274,7 +273,7 @@ func (st *searchState) pop(pos, idx int) {
 	c := st.inst.Catalog
 	m := c.At(idx)
 	st.plan = st.plan[:len(st.plan)-1]
-	delete(st.positions, m.ID)
+	st.placed = st.placed.Pop()
 	st.chosen[idx] = false
 	st.credits -= m.Credits
 	if pos > 0 && st.inst.Hard.MaxDistanceKm > 0 {

@@ -13,7 +13,6 @@ package constraints
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
@@ -207,30 +206,43 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
 }
 
-// planBuf sizes the stack buffers Check and the plan scorers keep per
-// plan position: a longer plan spills them to the heap, and nothing else
-// changes.
-const planBuf = 32
+// PlanBuf is the plan length up to which Check and the plan scorers keep
+// their per-position buffers on the stack: a longer plan spills them to
+// the heap, and nothing else changes.
+const PlanBuf = 32
 
 // Check validates a plan (a sequence of catalog indices) against the hard
 // constraints. It returns every violation found; an empty result means the
 // plan satisfies P_hard.
 //
 // Its cost grows with the plan, not with the catalog: duplicates and
-// antecedents are looked up in the plan's own id list, kept in a stack
-// buffer (prereq.SatisfiedAfter), and on a plan that satisfies P_hard it
-// allocates nothing.
+// antecedents are looked up in the plan's own ids (prereq.Placed, which
+// scans a stack buffer up to PlanBuf ids and indexes longer plans), and
+// on a plan that satisfies P_hard it allocates nothing.
 func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	var out []Violation
 
 	// Duplicates invalidate positions-based checks, detect them first.
+	// The same pass finds the antecedent gaps (Theorem 1, part 4 /
+	// Eq. 4), which are reported after the split.
+	var buf [PlanBuf]string
+	placed := prereq.PlacedIn(buf[:])
+	var gaps []Violation
 	for pos, idx := range seq {
-		if first := slices.Index(seq[:pos], idx); first >= 0 {
+		m := c.At(idx)
+		if first, dup := placed.First(m.ID); dup {
 			out = append(out, Violation{
 				Kind: ViolationDuplicate, Pos: pos,
-				Detail: fmt.Sprintf("%s already at position %d", c.At(idx).ID, first),
+				Detail: fmt.Sprintf("%s already at position %d", m.ID, first),
 			})
 		}
+		if !prereq.SatisfiedAfter(m.Prereq, placed, h.Gap) {
+			gaps = append(gaps, Violation{
+				Kind: ViolationGap, Pos: pos,
+				Detail: fmt.Sprintf("%s requires %s within gap %d", m.ID, prereq.Format(m.Prereq), h.Gap),
+			})
+		}
+		placed = placed.Add(m.ID)
 	}
 
 	// (1) Credit constraint (Theorem 1, part 1).
@@ -275,18 +287,7 @@ func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	}
 
 	// (4) Antecedent gap (Theorem 1, part 4 / Eq. 4).
-	var buf [planBuf]string
-	placed := buf[:0]
-	for pos, idx := range seq {
-		m := c.At(idx)
-		if !prereq.SatisfiedAfter(m.Prereq, placed, h.Gap) {
-			out = append(out, Violation{
-				Kind: ViolationGap, Pos: pos,
-				Detail: fmt.Sprintf("%s requires %s within gap %d", m.ID, prereq.Format(m.Prereq), h.Gap),
-			})
-		}
-		placed = append(placed, m.ID)
-	}
+	out = append(out, gaps...)
 
 	// Trip-specific: theme gap.
 	if h.ThemeGap {
@@ -304,7 +305,7 @@ func Check(c *item.Catalog, seq []int, h Hard) []Violation {
 	// Trip-specific: distance threshold d. The path is measured only when
 	// it could exceed d.
 	if h.MaxDistanceKm > 0 && pathCanExceed(len(seq), h.MaxDistanceKm) {
-		var pb [planBuf]geo.Point
+		var pb [PlanBuf]geo.Point
 		pts := pb[:0]
 		for _, idx := range seq {
 			m := c.At(idx)

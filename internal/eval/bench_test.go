@@ -20,7 +20,7 @@ func validPlan(tb testing.TB, inst *dataset.Instance) []int {
 	tb.Helper()
 	c, h := inst.Catalog, inst.Hard
 	var plan []int
-	var placed []string
+	var placed prereq.Placed
 	need := [2]int{h.Primary, h.Secondary}
 	for _, idx := range rand.New(rand.NewSource(1)).Perm(c.Len()) {
 		m := c.At(idx)
@@ -29,7 +29,7 @@ func validPlan(tb testing.TB, inst *dataset.Instance) []int {
 		}
 		need[m.Type]--
 		plan = append(plan, idx)
-		placed = append(placed, m.ID)
+		placed = placed.Add(m.ID)
 		if len(plan) == h.Length() {
 			break
 		}

@@ -69,8 +69,8 @@ func EvaluateWith(inst *dataset.Instance, hard constraints.Hard, plan []int) Det
 	}
 	c := inst.Catalog
 	d.Violations = constraints.Check(c, plan, hard)
-	var types [planBuf]item.Type
-	d.Interleave = seqsim.MaxSim(appendTypes(types[:0], c, plan), inst.Soft.Template)
+	var types [constraints.PlanBuf]item.Type
+	d.Interleave = seqsim.MaxSim(c.AppendTypes(types[:0], plan), inst.Soft.Template)
 	d.Coverage = coverage(inst, plan)
 
 	if inst.Kind == dataset.TripPlanning {
@@ -93,22 +93,10 @@ func EvaluateWith(inst *dataset.Instance, hard constraints.Hard, plan []int) Det
 	return d
 }
 
-// planBuf sizes the stack buffers EvaluateWith keeps per plan position,
-// and planTopics the one coverage keeps per covered ideal topic: larger
-// plans spill them to the heap and score the same.
-const (
-	planBuf    = 32
-	planTopics = 256
-)
-
-// appendTypes appends the types of the plan's items to dst
-// (item.Catalog.SequenceTypes without the allocation).
-func appendTypes(dst []item.Type, c *item.Catalog, plan []int) []item.Type {
-	for _, idx := range plan {
-		dst = append(dst, c.At(idx).Type)
-	}
-	return dst
-}
+// planTopics sizes the stack buffer coverage keeps per covered ideal
+// topic: a plan that covers more spills it to the heap and scores the
+// same.
+const planTopics = 256
 
 // coverage returns |T_plan ∩ T_ideal| / |T_ideal|, where T_plan is the
 // union of the plan's topic vectors, and 1 when T_ideal is empty
@@ -150,8 +138,8 @@ func orderingValidity(inst *dataset.Instance, hard constraints.Hard, plan []int)
 		return 0
 	}
 	c := inst.Catalog
-	var buf [planBuf]string
-	placed := buf[:0]
+	var buf [constraints.PlanBuf]string
+	placed := prereq.PlacedIn(buf[:])
 	valid := 0
 	for pos, idx := range plan {
 		m := c.At(idx)
@@ -165,7 +153,7 @@ func orderingValidity(inst *dataset.Instance, hard constraints.Hard, plan []int)
 		if ok {
 			valid++
 		}
-		placed = append(placed, m.ID)
+		placed = placed.Add(m.ID)
 	}
 	return float64(valid) / float64(len(plan))
 }

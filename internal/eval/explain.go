@@ -37,7 +37,7 @@ func Explain(inst *dataset.Instance, hard constraints.Hard, plan []int) []StepEx
 	c := inst.Catalog
 	vocab := c.Vocabulary()
 	covered := bitset.New(vocab.Len())
-	positions := make(map[string]int, len(plan))
+	var placed prereq.Placed
 	out := make([]StepExplanation, 0, len(plan))
 
 	for pos, idx := range plan {
@@ -46,13 +46,13 @@ func Explain(inst *dataset.Instance, hard constraints.Hard, plan []int) []StepEx
 		_ = gain
 		newTopics := vocab.Decode(inst.Soft.Ideal.Intersect(m.Topics.Difference(covered)))
 
-		ok := prereq.Satisfied(m.Prereq, pos, positions, hard.Gap)
+		ok := prereq.SatisfiedAfter(m.Prereq, placed, hard.Gap)
 		var pr string
 		switch {
 		case m.Prereq == nil:
 			pr = "no prerequisites"
 		case ok:
-			pr = fmt.Sprintf("satisfied: %s (gap %d)", describeRefs(m.Prereq, positions), hard.Gap)
+			pr = fmt.Sprintf("satisfied: %s (gap %d)", describeRefs(m.Prereq, placed), hard.Gap)
 		default:
 			pr = fmt.Sprintf("VIOLATED: needs %s at least %d positions earlier",
 				prereq.Format(m.Prereq), hard.Gap)
@@ -76,16 +76,16 @@ func Explain(inst *dataset.Instance, hard constraints.Hard, plan []int) []StepEx
 			ThemeOK:        themeOK,
 		})
 		covered.UnionInPlace(m.Topics)
-		positions[m.ID] = pos
+		placed = placed.Add(m.ID)
 	}
 	return out
 }
 
 // describeRefs reports where the referenced antecedents sit in the plan.
-func describeRefs(e prereq.Expr, positions map[string]int) string {
+func describeRefs(e prereq.Expr, placed prereq.Placed) string {
 	var parts []string
 	for _, ref := range prereq.ReferencedItems(e) {
-		if p, ok := positions[ref]; ok {
+		if p, ok := placed.Last(ref); ok {
 			parts = append(parts, fmt.Sprintf("%s at position %d", ref, p))
 		}
 	}

@@ -36,7 +36,7 @@ func evaluateReference(inst *dataset.Instance, hard constraints.Hard, plan []int
 	}
 	c := inst.Catalog
 	d.Violations = checkReference(c, plan, hard)
-	d.Interleave = seqsim.MaxSim(c.SequenceTypes(plan), inst.Soft.Template)
+	d.Interleave = seqsim.MaxSim(c.AppendTypes(nil, plan), inst.Soft.Template)
 
 	covered := bitset.New(c.Vocabulary().Len())
 	for _, idx := range plan {
@@ -121,7 +121,7 @@ func checkReference(c *item.Catalog, seq []int, h constraints.Hard) []constraint
 	positions := make(map[string]int, len(seq))
 	for pos, idx := range seq {
 		m := c.At(idx)
-		if !prereq.Satisfied(m.Prereq, pos, positions, h.Gap) {
+		if !satisfiedMap(m.Prereq, pos, positions, h.Gap) {
 			out = append(out, constraints.Violation{
 				Kind: constraints.ViolationGap, Pos: pos,
 				Detail: fmt.Sprintf("%s requires %s within gap %d", m.ID, prereq.Format(m.Prereq), h.Gap),
@@ -159,6 +159,33 @@ func checkReference(c *item.Catalog, seq []int, h constraints.Hard) []constraint
 	return out
 }
 
+// satisfiedMap is the map form of prereq.SatisfiedAfter the references
+// look antecedents up with: e holds for an item at position pos when
+// positions (id → latest position) places every AND branch's antecedent,
+// or some OR branch's, at least gap earlier.
+func satisfiedMap(e prereq.Expr, pos int, positions map[string]int, gap int) bool {
+	switch x := e.(type) {
+	case prereq.Ref:
+		p, ok := positions[string(x)]
+		return ok && pos-p >= gap
+	case prereq.And:
+		for _, sub := range x {
+			if !satisfiedMap(sub, pos, positions, gap) {
+				return false
+			}
+		}
+		return true
+	case prereq.Or:
+		for _, sub := range x {
+			if satisfiedMap(sub, pos, positions, gap) {
+				return true
+			}
+		}
+		return len(x) == 0
+	}
+	return true
+}
+
 // orderingValidityReference is orderingValidity over a position map.
 func orderingValidityReference(inst *dataset.Instance, hard constraints.Hard, plan []int) float64 {
 	if len(plan) == 0 {
@@ -169,7 +196,7 @@ func orderingValidityReference(inst *dataset.Instance, hard constraints.Hard, pl
 	valid := 0
 	for pos, idx := range plan {
 		m := c.At(idx)
-		ok := prereq.Satisfied(m.Prereq, pos, positions, hard.Gap)
+		ok := satisfiedMap(m.Prereq, pos, positions, hard.Gap)
 		if ok && hard.ThemeGap && pos > 0 {
 			prev := c.At(plan[pos-1])
 			if m.Category >= 0 && m.Category == prev.Category {
@@ -209,9 +236,11 @@ func sameDetail(got, want Detail) string {
 }
 
 // referencePlans returns the plans a catalog is scored on: the empty
-// plan; random plans of the target length, shorter and longer, with and
-// without repeated items; and the plans a short SARSA run serves from
-// random starts (served), which mostly satisfy P_hard.
+// plan; random plans of the target length, shorter, longer, and longer
+// than constraints.PlanBuf (so the checkers index the plan's ids instead
+// of scanning them), with and without repeated items; and the plans a
+// short SARSA run serves from random starts (served), which mostly
+// satisfy P_hard.
 func referencePlans(t *testing.T, inst *dataset.Instance, rng *rand.Rand, random, served int) [][]int {
 	t.Helper()
 	n := inst.Catalog.Len()
@@ -224,6 +253,8 @@ func referencePlans(t *testing.T, inst *dataset.Instance, rng *rand.Rand, random
 			l = 1 + rng.Intn(length)
 		case 2:
 			l = length + 1 + rng.Intn(length)
+		case 3:
+			l = constraints.PlanBuf + 1 + rng.Intn(2*constraints.PlanBuf)
 		}
 		plan := make([]int, l)
 		if i%3 == 0 {

@@ -37,7 +37,7 @@ func TestExample1PaperSequenceMatchesI2(t *testing.T) {
 	plan := seq(t, c,
 		"Data Structures and Algorithms", "Data Mining", "Linear Algebra",
 		"Big Data", "Machine Learning", "Data Analytics")
-	types := c.SequenceTypes(plan)
+	types := c.AppendTypes(nil, plan)
 	it := fixture.CourseTemplate()
 	if got := seqsim.Sim(types, it[1]); got != 6 {
 		t.Fatalf("Sim against I2 = %v, want 6", got)
@@ -55,7 +55,7 @@ func TestExample2PaperSequenceMatchesI1(t *testing.T) {
 	plan := seq(t, c,
 		"Louvre Museum", "Le Cinq", "Eiffel Tower",
 		"Rue des Martyrs", "The River Seine")
-	types := c.SequenceTypes(plan)
+	types := c.AppendTypes(nil, plan)
 	it := fixture.TripTemplate()
 	if got := seqsim.Sim(types, it[0]); got != 5 {
 		t.Fatalf("Sim against I1 = %v, want 5", got)

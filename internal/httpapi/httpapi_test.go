@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/rlplanner/rlplanner"
 	"github.com/rlplanner/rlplanner/internal/geo"
@@ -661,4 +662,37 @@ func TestPlansInvalidCounter(t *testing.T) {
 	if n := invalid(); n != 1 {
 		t.Fatalf("after a plan failing P_hard: plans_invalid_total = %v, want 1", n)
 	}
+}
+
+// TestRateLongPlanAnswersPromptly: /api/rate takes as many items as fit
+// in MaxBodyBytes and scores them with constraints.Check and the ordering
+// measure, which look each item's antecedents up among the items before
+// it. The plan repeats one item whose antecedent never appears, so a
+// lookup that scanned the items before it would read the whole prefix at
+// every position: about 6.7e9 comparisons for the 116 000 items here.
+// The checkers index a plan that long, and the answer comes promptly.
+func TestRateLongPlanAnswersPromptly(t *testing.T) {
+	ts := testServer(t)
+	const id = "CS 633" // requires CS 630
+	items := make([]string, (MaxBodyBytes-100)/len(`"`+id+`",`))
+	for i := range items {
+		items[i] = id
+	}
+	start := time.Now()
+	var ratings rlplanner.Ratings
+	code := doJSON(t, "POST", ts.URL+"/api/rate", map[string]interface{}{
+		"instance": "Univ-1 M.S. DS-CT",
+		"items":    items,
+	}, &ratings)
+	elapsed := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("status %d for %d items", code, len(items))
+	}
+	if ratings.Ordering < 1 || ratings.Ordering > 1.5 {
+		t.Errorf("ordering rating %v, want near 1: no position has its antecedent", ratings.Ordering)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("rating %d items took %v", len(items), elapsed)
+	}
+	t.Logf("%d items rated in %v", len(items), elapsed)
 }

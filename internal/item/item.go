@@ -195,13 +195,13 @@ func (c *Catalog) IDs() []string {
 	return out
 }
 
-// SequenceTypes maps a sequence of item indices to their types.
-func (c *Catalog) SequenceTypes(seq []int) []Type {
-	out := make([]Type, len(seq))
-	for i, idx := range seq {
-		out[i] = c.items[idx].Type
+// AppendTypes appends the types of a sequence of item indices to dst and
+// returns it.
+func (c *Catalog) AppendTypes(dst []Type, seq []int) []Type {
+	for _, idx := range seq {
+		dst = append(dst, c.items[idx].Type)
 	}
-	return out
+	return dst
 }
 
 // SequenceIDs maps a sequence of item indices to their ids.

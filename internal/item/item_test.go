@@ -90,7 +90,7 @@ func TestCatalogValidation(t *testing.T) {
 func TestSequenceHelpers(t *testing.T) {
 	c := tableII(t)
 	seq := []int{0, 1, 3} // DSA, DM, LA
-	types := c.SequenceTypes(seq)
+	types := c.AppendTypes(nil, seq)
 	if types[0] != Primary || types[1] != Secondary || types[2] != Secondary {
 		t.Fatalf("types = %v", types)
 	}

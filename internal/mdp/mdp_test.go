@@ -336,12 +336,12 @@ func TestPropertyEpisodeMatchesDirectRecomputation(t *testing.T) {
 				for !ep.Done() {
 					seq := ep.Sequence()
 					// Definitional state, rebuilt from scratch each step.
-					posMap := make(map[string]int, len(seq))
+					var placed prereq.Placed
 					current := bitset.New(c.Vocabulary().Len())
 					pathKm := 0.0
 					for p, it := range seq {
 						m := c.At(it)
-						posMap[m.ID] = p
+						placed = placed.Add(m.ID)
 						current.UnionInPlace(m.Topics)
 						if p > 0 {
 							prev := c.At(seq[p-1])
@@ -366,8 +366,8 @@ func TestPropertyEpisodeMatchesDirectRecomputation(t *testing.T) {
 						}
 						m := c.At(idx)
 						tr := ep.Transition(idx)
-						if want := prereq.Satisfied(m.Prereq, ep.Len(), posMap, gap); tr.PrereqOK != want {
-							t.Fatalf("walk %d len %d item %s: cached PrereqOK=%v, Satisfied=%v (seq %v)",
+						if want := prereq.SatisfiedAfter(m.Prereq, placed, gap); tr.PrereqOK != want {
+							t.Fatalf("walk %d len %d item %s: cached PrereqOK=%v, SatisfiedAfter=%v (seq %v)",
 								walk, ep.Len(), m.ID, tr.PrereqOK, want, seq)
 						}
 						if want := m.Topics.NewCoverage(current, ideal); tr.CoverageGain != want {

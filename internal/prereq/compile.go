@@ -22,7 +22,7 @@ const (
 	// opAnd pops arg values and pushes their conjunction (true when arg = 0).
 	opAnd
 	// opOr pops arg values and pushes their disjunction (true when arg = 0,
-	// matching Or{}.SatisfiedAt).
+	// as SatisfiedAfter holds an empty Or).
 	opOr
 )
 
@@ -113,9 +113,9 @@ func (p Program) Trivial() bool { return len(p.code) == 0 }
 // position of item i, or negative when i is not placed. Eval allocates
 // nothing for programs within evalStackDepth (every real catalog).
 //
-// Eval(pos, positions, gap) equals SatisfiedAt(pos, m, gap) of the source
-// expression, where m is the map form of positions — the equivalence the
-// property tests pin down.
+// Eval(pos, positions, gap) equals the source expression evaluated at pos
+// over the map form of positions (id → position) — the reference the
+// property tests hold Eval and SatisfiedAfter to.
 func (p Program) Eval(pos int, positions []int32, gap int) bool {
 	if len(p.code) == 0 {
 		return true

@@ -53,7 +53,7 @@ func TestCompileUnknownRef(t *testing.T) {
 
 func TestPropertyCompiledMatchesExpr(t *testing.T) {
 	// The compiled postfix program evaluates identically to the
-	// interpretive SatisfiedAt over randomized AND/OR trees, positions,
+	// map-form reference over randomized AND/OR trees, positions,
 	// gaps and placement positions — including gap 0 and deep nesting.
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
@@ -67,7 +67,7 @@ func TestPropertyCompiledMatchesExpr(t *testing.T) {
 			arr := toArray(pos)
 			at := rr.Intn(12)
 			g := rr.Intn(5)
-			if p.Eval(at, arr, g) != Satisfied(e, at, pos, g) {
+			if p.Eval(at, arr, g) != satisfiedMap(e, at, pos, g) {
 				t.Logf("mismatch: %s at=%d gap=%d pos=%v", Format(e), at, g, pos)
 				return false
 			}
@@ -103,7 +103,7 @@ func TestPropertyCompiledSetMatchesExpr(t *testing.T) {
 			at := rr.Intn(12)
 			g := rr.Intn(4)
 			for i, e := range exprs {
-				if c.Eval(i, at, arr, g) != Satisfied(e, at, pos, g) {
+				if c.Eval(i, at, arr, g) != satisfiedMap(e, at, pos, g) {
 					return false
 				}
 				if c.Trivial(i) != (e == nil) {
@@ -162,7 +162,7 @@ func TestCompiledDeepNesting(t *testing.T) {
 	}
 	for _, g := range []int{0, 1, 3} {
 		at := 15
-		if p.Eval(at, arr, g) != Satisfied(e, at, pos, g) {
+		if p.Eval(at, arr, g) != satisfiedMap(e, at, pos, g) {
 			t.Fatalf("deep tree mismatch at gap %d", g)
 		}
 	}

@@ -12,12 +12,10 @@ import (
 )
 
 // Expr is a prerequisite expression. The nil Expr (None) is always
-// satisfied, matching items with pre^m = [].
+// satisfied, matching items with pre^m = []. SatisfiedAfter evaluates it
+// over a sequence of item ids; a catalog's compiled Program evaluates it
+// over item indices.
 type Expr interface {
-	// SatisfiedAt reports whether the expression holds for an item placed
-	// at position pos, given the positions of previously chosen items.
-	// positions maps item id → 0-based sequence position.
-	SatisfiedAt(pos int, positions map[string]int, gap int) bool
 	// Items appends the referenced item ids to dst and returns it.
 	Items(dst []string) []string
 	// String renders the expression in the paper's bracketed notation.
@@ -30,12 +28,6 @@ var None Expr
 // Ref is a reference to a single antecedent item.
 type Ref string
 
-// SatisfiedAt implements Expr.
-func (r Ref) SatisfiedAt(pos int, positions map[string]int, gap int) bool {
-	p, ok := positions[string(r)]
-	return ok && pos-p >= gap
-}
-
 // Items implements Expr.
 func (r Ref) Items(dst []string) []string { return append(dst, string(r)) }
 
@@ -43,16 +35,6 @@ func (r Ref) String() string { return string(r) }
 
 // And requires every sub-expression to be satisfied.
 type And []Expr
-
-// SatisfiedAt implements Expr.
-func (a And) SatisfiedAt(pos int, positions map[string]int, gap int) bool {
-	for _, e := range a {
-		if !e.SatisfiedAt(pos, positions, gap) {
-			return false
-		}
-	}
-	return true
-}
 
 // Items implements Expr.
 func (a And) Items(dst []string) []string {
@@ -66,16 +48,6 @@ func (a And) String() string { return joinExprs(a, " AND ") }
 
 // Or requires at least one sub-expression to be satisfied.
 type Or []Expr
-
-// SatisfiedAt implements Expr.
-func (o Or) SatisfiedAt(pos int, positions map[string]int, gap int) bool {
-	for _, e := range o {
-		if e.SatisfiedAt(pos, positions, gap) {
-			return true
-		}
-	}
-	return len(o) == 0
-}
 
 // Items implements Expr.
 func (o Or) Items(dst []string) []string {
@@ -99,34 +71,16 @@ func joinExprs(es []Expr, sep string) string {
 	return strings.Join(parts, sep)
 }
 
-// Satisfied reports whether e holds, treating nil as always satisfied.
-// This is r2 of Equation 4 expressed as a boolean.
-func Satisfied(e Expr, pos int, positions map[string]int, gap int) bool {
-	if e == nil {
-		return true
-	}
-	return e.SatisfiedAt(pos, positions, gap)
-}
-
 // SatisfiedAfter reports whether e holds for an item placed right after
-// the items placed lists, in sequence order: at position len(placed),
-// where placed[p] is the id at position p. It equals Satisfied over the
-// map from each id to the last position it holds in placed, and builds
-// no map: a reference scans placed from its end, so checking a plan
-// costs O(plan) per reference and allocates nothing. Expressions of a
-// type this package does not define are evaluated through that map.
-func SatisfiedAfter(e Expr, placed []string, gap int) bool {
+// the sequence placed, at position placed.Len(): whether every AND
+// branch, or some OR branch, names an id whose last position in placed
+// is at least gap before it. This is r2 of Equation 4 expressed as a
+// boolean; the nil Expr always holds.
+func SatisfiedAfter(e Expr, placed Placed, gap int) bool {
 	switch x := e.(type) {
-	case nil:
-		return true
 	case Ref:
-		pos := len(placed)
-		for p := pos - 1; p >= 0; p-- {
-			if placed[p] == string(x) {
-				return pos-p >= gap
-			}
-		}
-		return false
+		p, ok := placed.Last(string(x))
+		return ok && placed.Len()-p >= gap
 	case And:
 		for _, sub := range x {
 			if !SatisfiedAfter(sub, placed, gap) {
@@ -141,13 +95,108 @@ func SatisfiedAfter(e Expr, placed []string, gap int) bool {
 			}
 		}
 		return len(x) == 0
-	default:
-		positions := make(map[string]int, len(placed))
-		for p, id := range placed {
-			positions[id] = p
-		}
-		return e.SatisfiedAt(len(placed), positions, gap)
 	}
+	return true // the nil Expr
+}
+
+// Placed is a sequence of item ids in placement order, as SatisfiedAfter
+// and the plan checkers read it: where was an id first and last placed.
+// While the ids fit the buffer the sequence started in (PlacedIn), a
+// lookup scans them, so a short plan is checked without building
+// anything; from the first id that does not fit, Placed also indexes
+// them in a map, so a lookup stays O(1) and a sequence of any length is
+// checked in O(length). The zero Placed indexes from its first id.
+//
+// Add and Pop return the changed sequence, as append does; the result
+// replaces the receiver, which must not be used again.
+type Placed struct {
+	ids   []string
+	index map[string]span // nil while ids fit their first buffer
+}
+
+// span is the first and last position of an id in a Placed.
+type span struct{ first, last int }
+
+// PlacedIn returns an empty sequence that keeps its ids in buf's backing
+// array while they fit.
+func PlacedIn(buf []string) Placed { return Placed{ids: buf[:0]} }
+
+// Len is the number of ids placed.
+func (p Placed) Len() int { return len(p.ids) }
+
+// Add places id at position p.Len().
+func (p Placed) Add(id string) Placed {
+	if p.index == nil && len(p.ids) == cap(p.ids) {
+		p.index = make(map[string]span, 2*len(p.ids)+1)
+		for i, x := range p.ids {
+			record(p.index, x, i)
+		}
+	}
+	if p.index != nil {
+		record(p.index, id, len(p.ids))
+	}
+	p.ids = append(p.ids, id)
+	return p
+}
+
+// record notes id at position pos, the latest yet.
+func record(index map[string]span, id string, pos int) {
+	s, ok := index[id]
+	if !ok {
+		s.first = pos
+	}
+	s.last = pos
+	index[id] = s
+}
+
+// Pop removes the id placed last.
+func (p Placed) Pop() Placed {
+	n := len(p.ids) - 1
+	id := p.ids[n]
+	p.ids = p.ids[:n]
+	if p.index != nil {
+		if s := p.index[id]; s.first == n {
+			delete(p.index, id)
+		} else {
+			s.last = lastIndex(p.ids, id)
+			p.index[id] = s
+		}
+	}
+	return p
+}
+
+// First returns the position at which id was first placed.
+func (p Placed) First(id string) (int, bool) {
+	if p.index != nil {
+		s, ok := p.index[id]
+		return s.first, ok
+	}
+	for i, x := range p.ids {
+		if x == id {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// Last returns the position at which id was last placed.
+func (p Placed) Last(id string) (int, bool) {
+	if p.index != nil {
+		s, ok := p.index[id]
+		return s.last, ok
+	}
+	i := lastIndex(p.ids, id)
+	return i, i >= 0
+}
+
+// lastIndex returns the last position of id in ids, or -1.
+func lastIndex(ids []string, id string) int {
+	for i := len(ids) - 1; i >= 0; i-- {
+		if ids[i] == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // ReferencedItems returns the ids referenced by e (nil-safe, may contain

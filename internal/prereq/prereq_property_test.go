@@ -3,6 +3,7 @@ package prereq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,11 +46,11 @@ func TestPropertyGapMonotone(t *testing.T) {
 		pos := randPositions(rr)
 		at := 8 + rr.Intn(4)
 		g := 1 + rr.Intn(5)
-		if !Satisfied(e, at, pos, g) {
+		if !satisfiedMap(e, at, pos, g) {
 			return true // nothing to check
 		}
 		for smaller := g - 1; smaller >= 0; smaller-- {
-			if !Satisfied(e, at, pos, smaller) {
+			if !satisfiedMap(e, at, pos, smaller) {
 				return false
 			}
 		}
@@ -70,10 +71,10 @@ func TestPropertyPositionMonotone(t *testing.T) {
 		pos := randPositions(rr)
 		at := 8 + rr.Intn(4)
 		g := 1 + rr.Intn(4)
-		if !Satisfied(e, at, pos, g) {
+		if !satisfiedMap(e, at, pos, g) {
 			return true
 		}
-		return Satisfied(e, at+1, pos, g) && Satisfied(e, at+5, pos, g)
+		return satisfiedMap(e, at+1, pos, g) && satisfiedMap(e, at+5, pos, g)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestPropertyParsedSemanticsMatch(t *testing.T) {
 			pos := randPositions(rr)
 			at := rr.Intn(12)
 			g := rr.Intn(5)
-			if Satisfied(e, at, pos, g) != Satisfied(parsed, at, pos, g) {
+			if satisfiedMap(e, at, pos, g) != satisfiedMap(parsed, at, pos, g) {
 				return false
 			}
 		}
@@ -134,8 +135,8 @@ func TestPropertyAndImpliesOr(t *testing.T) {
 		pos := randPositions(rr)
 		at := 8 + rr.Intn(4)
 		g := 1 + rr.Intn(3)
-		if And(kids).SatisfiedAt(at, pos, g) {
-			return Or(kids).SatisfiedAt(at, pos, g)
+		if satisfiedMap(And(kids), at, pos, g) {
+			return satisfiedMap(Or(kids), at, pos, g)
 		}
 		return true
 	}
@@ -144,31 +145,76 @@ func TestPropertyAndImpliesOr(t *testing.T) {
 	}
 }
 
-// foreign is an Expr type this package does not define, so
-// SatisfiedAfter takes its map fallback.
-type foreign struct{ Expr }
-
 func TestPropertySatisfiedAfterMatchesMap(t *testing.T) {
-	// SatisfiedAfter over a placement list equals Satisfied over the map
-	// from each id to its last position in the list, at the position
-	// after the list, for lists with repeated ids and for the empty one.
+	// SatisfiedAfter over a sequence equals the map form over each id's
+	// last position in it, at the position after it, for sequences with
+	// repeated ids and for the empty one, whether the sequence scans its
+	// buffer, outgrows it midway or indexes from the start.
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		e := randExpr(rr, 3)
 		for trial := 0; trial < 5; trial++ {
-			placed := make([]string, rr.Intn(12))
+			var buf [4]string
+			scanned, indexed := PlacedIn(buf[:]), Placed{}
 			pos := make(map[string]int)
-			for p := range placed {
-				placed[p] = fmt.Sprintf("i%d", rr.Intn(14))
-				pos[placed[p]] = p
+			for p, n := 0, rr.Intn(12); p < n; p++ {
+				id := fmt.Sprintf("i%d", rr.Intn(14))
+				scanned, indexed = scanned.Add(id), indexed.Add(id)
+				pos[id] = p
 			}
 			g := rr.Intn(5) - 1
-			want := Satisfied(e, len(placed), pos, g)
-			if SatisfiedAfter(e, placed, g) != want || SatisfiedAfter(foreign{e}, placed, g) != want {
+			want := satisfiedMap(e, scanned.Len(), pos, g)
+			if SatisfiedAfter(e, scanned, g) != want || SatisfiedAfter(e, indexed, g) != want {
 				return false
 			}
 		}
-		return SatisfiedAfter(nil, nil, 1) && !SatisfiedAfter(Ref("i0"), nil, 0)
+		return SatisfiedAfter(nil, Placed{}, 1) && !SatisfiedAfter(Ref("i0"), Placed{}, 0)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPropertyPlacedMatchesScan(t *testing.T) {
+	// First, Last and Len agree with a scan of the ids placed, through
+	// random Adds and Pops with repeated ids, for a sequence that scans a
+	// buffer larger than it grows, one that outgrows its buffer and
+	// indexes, and the zero Placed, which indexes from its first id.
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		var small [3]string
+		var big [64]string
+		seqs := []Placed{PlacedIn(small[:]), PlacedIn(big[:]), {}}
+		var ids []string
+		for op := 0; op < 60; op++ {
+			if len(ids) > 0 && rr.Intn(3) == 0 {
+				ids = ids[:len(ids)-1]
+				for i := range seqs {
+					seqs[i] = seqs[i].Pop()
+				}
+			} else {
+				id := fmt.Sprintf("i%d", rr.Intn(8))
+				ids = append(ids, id)
+				for i := range seqs {
+					seqs[i] = seqs[i].Add(id)
+				}
+			}
+			for _, s := range seqs {
+				if s.Len() != len(ids) {
+					return false
+				}
+				for k := 0; k < 9; k++ {
+					id := fmt.Sprintf("i%d", k)
+					first, last := slices.Index(ids, id), lastIndex(ids, id)
+					f, fok := s.First(id)
+					l, lok := s.Last(id)
+					if fok != (first >= 0) || lok != (last >= 0) || (fok && f != first) || (lok && l != last) {
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNoneAlwaysSatisfied(t *testing.T) {
-	if !Satisfied(nil, 0, nil, 3) {
+	if !satisfiedMap(nil, 0, nil, 3) {
 		t.Fatal("nil expr should be satisfied")
 	}
 }
@@ -17,13 +17,13 @@ func TestRefGapSemantics(t *testing.T) {
 	// courses are taken per semester.
 	positions := map[string]int{"Data Mining": 0}
 	e := Ref("Data Mining")
-	if e.SatisfiedAt(2, positions, 3) {
+	if satisfiedMap(e, 2, positions, 3) {
 		t.Fatal("distance 2 should not satisfy gap 3")
 	}
-	if !e.SatisfiedAt(3, positions, 3) {
+	if !satisfiedMap(e, 3, positions, 3) {
 		t.Fatal("distance 3 should satisfy gap 3")
 	}
-	if e.SatisfiedAt(5, map[string]int{}, 1) {
+	if satisfiedMap(e, 5, map[string]int{}, 1) {
 		t.Fatal("missing antecedent should not satisfy")
 	}
 }
@@ -32,13 +32,13 @@ func TestOrSemantics(t *testing.T) {
 	// m5 Big Data: [Data Mining OR Data Analytics] — any one suffices.
 	e := MustParse("Data Mining OR Data Analytics")
 	pos := map[string]int{"Data Analytics": 1}
-	if !Satisfied(e, 4, pos, 3) {
+	if !satisfiedMap(e, 4, pos, 3) {
 		t.Fatal("OR with one satisfied branch should hold")
 	}
-	if Satisfied(e, 3, pos, 3) {
+	if satisfiedMap(e, 3, pos, 3) {
 		t.Fatal("OR with insufficient gap should fail")
 	}
-	if Satisfied(e, 9, map[string]int{}, 1) {
+	if satisfiedMap(e, 9, map[string]int{}, 1) {
 		t.Fatal("OR with no antecedents taken should fail")
 	}
 }
@@ -47,13 +47,13 @@ func TestAndSemantics(t *testing.T) {
 	// m6 Machine Learning: [Linear Algebra AND Data Mining] — all must hold.
 	e := MustParse("Linear Algebra AND Data Mining")
 	pos := map[string]int{"Linear Algebra": 0, "Data Mining": 1}
-	if !Satisfied(e, 4, pos, 3) {
+	if !satisfiedMap(e, 4, pos, 3) {
 		t.Fatal("AND with both satisfied should hold")
 	}
-	if Satisfied(e, 3, pos, 3) {
+	if satisfiedMap(e, 3, pos, 3) {
 		t.Fatal("AND where one branch misses the gap should fail")
 	}
-	if Satisfied(e, 4, map[string]int{"Linear Algebra": 0}, 3) {
+	if satisfiedMap(e, 4, map[string]int{"Linear Algebra": 0}, 3) {
 		t.Fatal("AND with a missing antecedent should fail")
 	}
 }
@@ -105,10 +105,10 @@ func TestParseParenthesized(t *testing.T) {
 		t.Fatalf("first term %T, want Or", a[0])
 	}
 	pos := map[string]int{"CS 634": 0, "MATH 661": 1}
-	if !Satisfied(e, 4, pos, 3) {
+	if !satisfiedMap(e, 4, pos, 3) {
 		t.Fatal("expression should be satisfied")
 	}
-	if Satisfied(e, 4, map[string]int{"CS 631": 0}, 3) {
+	if satisfiedMap(e, 4, map[string]int{"CS 631": 0}, 3) {
 		t.Fatal("missing MATH 661 should fail")
 	}
 }
@@ -168,17 +168,17 @@ func TestFormatRoundTrip(t *testing.T) {
 func TestDeepNesting(t *testing.T) {
 	e := MustParse("((A AND B) OR (C AND D)) AND E")
 	pos := map[string]int{"C": 0, "D": 1, "E": 2}
-	if !Satisfied(e, 5, pos, 3) {
+	if !satisfiedMap(e, 5, pos, 3) {
 		t.Fatal("nested expression should be satisfied via C AND D branch")
 	}
-	if Satisfied(e, 4, pos, 3) {
+	if satisfiedMap(e, 4, pos, 3) {
 		t.Fatal("E at distance 2 should fail gap 3")
 	}
 }
 
 func TestZeroGapMeansAnyEarlierPosition(t *testing.T) {
 	e := Ref("X")
-	if !e.SatisfiedAt(1, map[string]int{"X": 1}, 0) {
+	if !satisfiedMap(e, 1, map[string]int{"X": 1}, 0) {
 		t.Fatal("gap 0 should accept same position distance 0")
 	}
 }
